@@ -9,6 +9,7 @@ source, so identical invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys as _sys
 from fractions import Fraction
 
@@ -31,9 +32,9 @@ def fmt(v) -> str:
 
 
 def write_csv(stream, header, rows) -> None:
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(fmt(v) for v in row) + "\n")
+    lines = [",".join(header)]
+    lines += [",".join(map(fmt, row)) for row in rows]
+    stream.write("\n".join(lines) + "\n")
 
 
 def _parse_floats(text):
@@ -47,7 +48,7 @@ def _parse_fracs(text):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ifslab")
     ap.add_argument("--threads", type=int, default=0,
-                    help="cap on worker count (execution is deterministic regardless)")
+                    help="accepted and ignored: every command runs in one thread")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze-point", help="classify the addresses of one point")
@@ -140,9 +141,8 @@ def cmd_classify_grid(args) -> int:
     pts = measure.grid_points(sys_, args.resolution)
     bif, dead = measure.chain_walk(sys_, pts, args.depth)
     header = [f"x{k}" for k in range(sys_.d)] + ["single_chain", "first_bifurcation", "dead_end_depth"]
-    rows = []
-    for p, b, dd in zip(pts, bif, dead):
-        rows.append(list(map(float, p)) + [bool(b < 0 and dd < 0), int(b), int(dd)])
+    rows = [p + [b < 0 and dd < 0, b, dd]
+            for p, b, dd in zip(pts.tolist(), bif.tolist(), dead.tolist())]
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         write_csv(f, header, rows)
     print(f"classified {len(pts)} grid points to depth {args.depth} -> {args.out}")
@@ -210,7 +210,7 @@ def cmd_sample_measure(args) -> int:
     sampler = measure.MeasureSampler(sys_, probs, args.seed, trunc=args.depth)
     pts, digs = measure.sample_natural_measure(sampler, args.samples)
     header = [f"x{k}" for k in range(sys_.d)] + ["prefix"]
-    rows = [list(map(float, p)) + ["".join(str(d) for d in row)] for p, row in zip(pts, digs)]
+    rows = [p + ["".join(map(str, row))] for p, row in zip(pts.tolist(), digs.tolist())]
     write_csv(_sys.stdout, header, rows)
     print(f"truncation_error={fmt(sampler.truncation_error)}", file=_sys.stderr)
     return 0
@@ -219,6 +219,8 @@ def cmd_sample_measure(args) -> int:
 def cmd_box_dim(args) -> int:
     sys_, _ = load_system(args.ifs)
     eps = sorted(_parse_floats(args.eps), reverse=True)
+    if not all(0 < e < math.inf for e in eps):
+        raise ValueError(f"--eps scales must be positive and finite, got {args.eps}")
     if args.set == "attractor":
         pts = measure.attractor_point_cloud(sys_, min(eps))
     else:

@@ -44,6 +44,7 @@ from .linfeas import halfspace_interior_slack
 WITNESS_MARGIN = 1e-9
 ELL_CAP = 64
 FRONTIER_CAP = 20_000_000  # rows across all samples in the block search
+COVER_NODE_BUDGET = 1_000_000  # nodes expanded per sample by the covering search
 
 
 def osc_failure_sufficient(sys: IfsSystem):
@@ -101,7 +102,9 @@ def covering_deficiency(sys: IfsSystem, n: int, samples: int, seed: int, tol=DEF
 
 def _covered(sys, x, n, tol):
     stack = [(x, 0)]
-    while stack:
+    for _ in range(COVER_NODE_BUDGET):
+        if not stack:
+            return False
         r, lev = stack.pop()
         if lev == n:
             return True
@@ -109,7 +112,7 @@ def _covered(sys, x, n, tol):
             rj = apply_inverse(sys, j, r)
             if contains(sys.omega, rj, tol=tol):
                 stack.append((rj, lev + 1))
-    return False
+    raise BudgetExceeded(f"covering search undecided after {COVER_NODE_BUDGET} nodes of one sample")
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +167,13 @@ def vertex_overlap_witness(sys: IfsSystem, margin=WITNESS_MARGIN, tol=DEFAULT_TO
         return None
 
     found = []
+    cap = ELL_CAP
     for i, k, j, grade in hits:
-        ell = _minimal_ell(sys, images, i, k, j, tol)
+        # a later hit wins only with an ell no longer than the best so far
+        ell = _minimal_ell(sys, images, i, k, j, tol, cap)
         if ell is not None:
             found.append((ell, i, k, j, grade))
+            cap = ell
     if not found:
         raise NoEllFound(
             f"witness hypothesis holds but no block length <= {ELL_CAP} lands "
@@ -186,15 +192,18 @@ def _proper_overlap(pa, pb):
     return slack is not None and slack > 0
 
 
-def _minimal_ell(sys, images, i, k, j, tol):
-    for ell in range(1, ELL_CAP + 1):
-        word = (k,) + (j,) * (ell - 1)
-        verts = [project_prefix(sys, word, p) for p in sys.points]
+def _minimal_ell(sys, images, i, k, j, tol, cap=ELL_CAP):
+    # tails f_j^(ell-1)(p) advance one map per ell: the same arithmetic as
+    # project_prefix on the word k j^(ell-1)
+    tails = [tuple(p) for p in sys.points]
+    for ell in range(1, cap + 1):
+        verts = [apply_map(sys, k, t) for t in tails]
         if all(
             contains(images[i], v, tol=tol) and contains(images[k], v, tol=tol)
             for v in verts
         ):
             return ell
+        tails = [apply_map(sys, j, t) for t in tails]
     return None
 
 

@@ -9,7 +9,8 @@ certification relies on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -27,6 +28,11 @@ class IfsSystem:
     lam: object
     points: tuple
     omega: Polytope
+    is_exact: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        exact = is_exact_scalar(self.lam) and all(is_exact_point(p) for p in self.points)
+        object.__setattr__(self, "is_exact", exact)
 
     @property
     def m(self) -> int:
@@ -35,10 +41,6 @@ class IfsSystem:
     @property
     def d(self) -> int:
         return len(self.points[0])
-
-    @property
-    def is_exact(self) -> bool:
-        return is_exact_scalar(self.lam) and all(is_exact_point(p) for p in self.points)
 
     def diameter(self) -> float:
         return self.omega.diameter()
@@ -156,14 +158,21 @@ def system_from_dict(raw):
     except (KeyError, TypeError) as e:
         raise ValueError(f"IFS definition must carry 'lambda' and 'points': {e}") from e
     pts = [[v for v in p] for p in points]
+    values = [lam] + [v for p in pts for v in p]
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        raise ValueError("IFS definition holds a non-finite number (inf or nan)")
     sys = new_ifs(lam, pts)
     probs = raw.get("probs")
-    if probs is not None:
-        probs = tuple(float(v) for v in probs)
-        if len(probs) != sys.m:
-            raise BadProbabilityVector(f"probs has length {len(probs)}, need {sys.m}")
-        if any(v < 0 for v in probs):
-            raise BadProbabilityVector("probabilities must be nonnegative")
-        if abs(sum(probs) - 1.0) > 1e-9:
-            raise BadProbabilityVector(f"probabilities sum to {sum(probs)}, need 1 +- 1e-9")
-    return sys, probs
+    return sys, None if probs is None else check_probs(probs, sys.m)
+
+
+def check_probs(probs, m) -> tuple:
+    """The probability vector as floats: m nonnegative entries summing to 1 +- 1e-9."""
+    p = tuple(float(v) for v in probs)
+    if len(p) != m:
+        raise BadProbabilityVector(f"need {m} probabilities, got {len(p)}")
+    if any(v < 0 for v in p):
+        raise BadProbabilityVector("probabilities must be nonnegative")
+    if abs(sum(p) - 1.0) > 1e-9:
+        raise BadProbabilityVector(f"probabilities sum to {sum(p)}, need 1 +- 1e-9")
+    return p

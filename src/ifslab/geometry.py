@@ -14,7 +14,7 @@ squared quantities so the rational path never needs a square root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
@@ -44,10 +44,10 @@ class Polytope:
     generators: tuple
     halfspaces: tuple | None
     dim: int
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact_point(g) for g in self.generators)
+    def __post_init__(self):
+        object.__setattr__(self, "is_exact", all(is_exact_point(g) for g in self.generators))
 
     def bounding_box(self):
         lo = tuple(min(g[k] for g in self.generators) for k in range(self.dim))
@@ -176,10 +176,6 @@ ONE_F = Fraction(1)
 def _span(poly):
     lo, hi = poly.bounding_box()
     return max((Fraction(h) - Fraction(l) for l, h in zip(lo, hi)), default=ONE_F)
-
-
-def map_point(lam, anchor, x):
-    return tuple(lam * xi + (1 - lam) * pi for xi, pi in zip(x, anchor))
 
 
 def image_polytope(sys, w) -> Polytope:

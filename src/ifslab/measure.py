@@ -1,8 +1,7 @@
 """Natural-measure sampling, mesh-cube counting and box-dimension estimates.
 
-Monte Carlo runs are seeded and chunk their randomness through spawned
-generator streams, so outputs are reproducible and independent of how the
-work is scheduled.
+Monte Carlo runs draw from one generator seeded by the caller's seed, so the
+same seed always reproduces the same output.
 """
 
 from __future__ import annotations
@@ -12,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadProbabilityVector, CertificateRequired, TooFewScales, UnsupportedDimension
+from .errors import BudgetExceeded, CertificateRequired, TooFewScales, UnsupportedDimension
 from .conditions import resolve_no_holes
-from .core import IfsSystem, centroid
-from .geometry import DEFAULT_TOL, np_halfspaces
+from .core import IfsSystem, centroid, check_probs
+from .geometry import DEFAULT_TOL, contains_many, np_halfspaces
 
 
 def default_truncation(lam, tol=DEFAULT_TOL) -> int:
@@ -31,14 +30,7 @@ class MeasureSampler:
     trunc: int = 0
 
     def __post_init__(self):
-        p = tuple(float(v) for v in self.probs)
-        if len(p) != self.sys.m:
-            raise BadProbabilityVector(f"need {self.sys.m} probabilities, got {len(p)}")
-        if any(v < 0 for v in p):
-            raise BadProbabilityVector("probabilities must be nonnegative")
-        if abs(sum(p) - 1.0) > 1e-9:
-            raise BadProbabilityVector(f"probabilities sum to {sum(p)}, need 1 +- 1e-9")
-        self.probs = p
+        self.probs = check_probs(self.probs, self.sys.m)
         if self.trunc <= 0:
             self.trunc = default_truncation(self.sys.lam)
 
@@ -88,24 +80,23 @@ def chain_walk(sys: IfsSystem, pts, depth: int, tol=DEFAULT_TOL):
     lam = float(sys.lam)
     P = np.array([[float(v) for v in p] for p in sys.points])
 
-    pts = np.asarray(pts, dtype=float)
-    n = len(pts)
+    r = np.asarray(pts, dtype=float)
+    n = len(r)
     bif = np.full(n, -1, dtype=np.int64)
     dead = np.full(n, -1, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    r = pts.copy()
+    alive = np.arange(n)  # original row of each chain still single
     for dep in range(depth):
-        if not alive.any():
+        if len(alive) == 0:
             break
-        cand = (r[:, None, :] - (1 - lam) * P[None, :, :]) / lam  # (n, m, d)
-        feas = np.all(cand @ A.T <= slack, axis=2)  # (n, m)
+        cand = (r[:, None, :] - (1 - lam) * P[None, :, :]) / lam  # (alive, m, d)
+        feas = np.all(cand @ A.T <= slack, axis=2)  # (alive, m)
         cnt = feas.sum(axis=1)
-        bif[alive & (cnt >= 2)] = dep
-        dead[alive & (cnt == 0)] = dep
-        alive &= cnt == 1
-        # advance single chains to their unique feasible child
-        pick = np.argmax(feas, axis=1)
-        r = cand[np.arange(n), pick]
+        bif[alive[cnt >= 2]] = dep
+        dead[alive[cnt == 0]] = dep
+        # advance single chains to their unique feasible child; drop the rest
+        single = cnt == 1
+        alive = alive[single]
+        r = cand[single, np.argmax(feas[single], axis=1)]
     return bif, dead
 
 
@@ -127,29 +118,24 @@ def mu_bifurcation_fraction(sampler: MeasureSampler, n: int, depth: int,
     return frac, stderr
 
 
-@dataclass(frozen=True)
-class MeshGrid:
-    """Occupied eps-mesh cells of a point set; cell of x is floor(x_i/eps) per axis."""
-
-    epsilon: float
-    occupied: frozenset
-
-    @classmethod
-    def from_points(cls, points, epsilon):
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if len(pts) == 0:
-            return cls(float(epsilon), frozenset())
-        cells = np.floor(pts / epsilon).astype(np.int64)
-        return cls(float(epsilon), frozenset(map(tuple, cells.tolist())))
-
-
 def mesh_count(points, epsilon) -> int:
-    """Number of occupied eps-mesh cells."""
-    return len(MeshGrid.from_points(points, epsilon).occupied)
+    """Number of occupied eps-mesh cells; the cell of x is floor(x_i/eps) per axis."""
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if len(pts) == 0:
+        return 0
+    cells = np.floor(pts / epsilon).astype(np.int64)
+    lo = cells.min(axis=0)
+    extent = [h - l + 1 for l, h in zip(lo.tolist(), cells.max(axis=0).tolist())]
+    if math.prod(extent) >= 2**63:
+        return len(np.unique(cells, axis=0))
+    key = np.zeros(len(cells), dtype=np.int64)  # one mixed-radix key per cell
+    for k, e in enumerate(extent):
+        key = key * e + (cells[:, k] - lo[k])
+    return len(np.unique(key))
 
 
 def box_dim_estimate(points, eps_list):
@@ -189,8 +175,6 @@ def grid_points(sys: IfsSystem, resolution: int):
         c = (np.arange(resolution) + 0.5) / resolution
         gx, gy = np.meshgrid(c, c, indexing="ij")
         pts = lo + np.stack([gx.ravel(), gy.ravel()], axis=1) * (hi - lo)
-        from .geometry import contains_many
-
         return pts[contains_many(sys.omega, pts)]
     raise UnsupportedDimension("uniqueness grids are built for dim <= 2")
 
@@ -223,8 +207,6 @@ def attractor_point_cloud(sys: IfsSystem, finest_eps, max_points: int = 4_000_00
     K is the smallest depth at which image diameters drop below finest_eps,
     so the cloud resolves every requested mesh scale without randomness.
     """
-    from .errors import BudgetExceeded
-
     lam = float(sys.lam)
     diam = sys.diameter()
     K = max(1, math.ceil(math.log(float(finest_eps) / diam) / math.log(lam)))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from .errors import UnsupportedDimension
@@ -16,18 +18,15 @@ def chaos_game(sys: IfsSystem, iters: int, burn_in: int, seed: int):
     if not (iters > burn_in >= 100):
         raise ValueError("need iters > burn_in >= 100")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    digits = rng.integers(0, sys.m, size=iters)
+    digits = rng.integers(0, sys.m, size=iters).tolist()
     lam = float(sys.lam)
-    P = [[float(v) for v in p] for p in sys.points]
-    d = sys.d
+    Q = [[(1 - lam) * float(v) for v in p] for p in sys.points]
     x = [float(v) for v in centroid(sys)]
-    out = np.empty((iters - burn_in, d))
-    for i in range(iters):
-        p = P[digits[i]]
-        x = [lam * x[k] + (1 - lam) * p[k] for k in range(d)]
-        if i >= burn_in:
-            out[i - burn_in] = x
-    return out
+    out = array("d")
+    for j in digits:
+        x = [lam * xk + qk for xk, qk in zip(x, Q[j])]
+        out.extend(x)
+    return np.frombuffer(out, dtype=float).reshape(iters, sys.d)[burn_in:]
 
 
 def bin_to_grid(sys: IfsSystem, pts, resolution: int):
@@ -52,6 +51,8 @@ def bin_to_grid(sys: IfsSystem, pts, resolution: int):
 
 def render_attractor(sys: IfsSystem, iters: int, burn_in: int, resolution: int, seed: int):
     """Chaos-game image: occupied cells 0 (black), empty cells 255."""
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution}")
     pts = chaos_game(sys, iters, burn_in, seed)
     grid = bin_to_grid(sys, pts, resolution)
     return np.where(grid, 0, 255).astype(np.uint8)

@@ -15,7 +15,8 @@ from ifslab.conditions import (
     wn_membership,
 )
 from ifslab.core import apply_map, new_ifs, project_prefix
-from ifslab.errors import CertificateRequired, UnsortedDigits
+from ifslab import conditions
+from ifslab.errors import BudgetExceeded, CertificateRequired, UnsortedDigits
 from ifslab.geometry import contains, image_polytope
 
 from helpers import triangle_system, unit_system
@@ -90,6 +91,12 @@ class TestCoveringDeficiency:
         frac, err = covering_deficiency(unit_system(0.45), n=8, samples=20000, seed=3)
         assert frac == pytest.approx(1 - 0.9**8, abs=4 * err)
         assert frac > 0
+
+    def test_node_budget_raises(self, monkeypatch):
+        # every sample needs at least n expanded nodes before it can be covered
+        monkeypatch.setattr(conditions, "COVER_NODE_BUDGET", 5)
+        with pytest.raises(BudgetExceeded, match="after 5 nodes"):
+            covering_deficiency(triangle_system(0.5), n=6, samples=50, seed=2)
 
 
 class TestOverlapWitness:

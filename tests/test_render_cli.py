@@ -156,6 +156,29 @@ class TestCli:
         assert main(["check-conditions", "--ifs", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_render_zero_resolution_exit_code(self, tri_json, tmp_path, capsys):
+        code = main(["render-attractor", "--ifs", tri_json, "--iters", "1000",
+                     "--burn-in", "100", "--resolution", "0", "--seed", "1",
+                     "--out", str(tmp_path / "x.pgm")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "resolution" in err and err.count("\n") == 1
+
+    def test_box_dim_zero_epsilon_exit_code(self, tri_json, tmp_path, capsys):
+        for which in ("attractor", "uniqueness"):
+            code = main(["box-dim", "--ifs", tri_json, "--set", which,
+                         "--eps", "0,0.1,0.05", "--out", str(tmp_path / "x.csv")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "--eps" in err and err.count("\n") == 1
+
+    def test_infinite_coordinate_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "inf.json"
+        p.write_text('{"lambda": 0.7, "points": [[0, 0], [1e400, 0], [0, 1]]}')
+        assert main(["check-conditions", "--ifs", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["check-conditions", "--ifs", "/nonexistent.json"]) == 2
 
