@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, CertificateRequired, PointOutsideOmega
-from .core import IfsSystem, apply_inverse
+from .core import IfsSystem, _children
 from .geometry import DEFAULT_TOL, contains, is_exact_point
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -44,7 +44,6 @@ class Verdict(enum.Enum):
 class PrefixNode:
     prefix: tuple
     remainder: tuple
-    depth: int
 
 
 @dataclass
@@ -95,11 +94,7 @@ def feasible_children(sys: IfsSystem, x, mode=Mode.RELAXED_OMEGA,
     in relaxed mode it is a superset of it.
     """
     _require_mode(sys, x, mode, no_holes_certified, tol)
-    out = []
-    for j in range(sys.m):
-        if contains(sys.omega, apply_inverse(sys, j, x), tol=tol):
-            out.append(j)
-    return tuple(out)
+    return tuple(j for j, _ in _children(sys, x, tol))
 
 
 def enumerate_prefixes(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
@@ -112,19 +107,16 @@ def enumerate_prefixes(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
     """
     _require_mode(sys, x, mode, no_holes_certified, tol)
     x = tuple(x)
-    root = PrefixNode(prefix=(), remainder=x, depth=0)
-    levels = [[root]]
+    levels = [[PrefixNode(prefix=(), remainder=x)]]
     total = 1
     for dep in range(depth):
         nxt = []
         for node in levels[dep]:
-            for j in range(sys.m):
-                r = apply_inverse(sys, j, node.remainder)
-                if contains(sys.omega, r, tol=tol):
-                    nxt.append(PrefixNode(prefix=node.prefix + (j,), remainder=r, depth=dep + 1))
-                    total += 1
-                    if total > node_budget:
-                        raise BudgetExceeded(f"prefix tree exceeded {node_budget} nodes at depth {dep + 1}")
+            for j, r in _children(sys, node.remainder, tol):
+                nxt.append(PrefixNode(prefix=node.prefix + (j,), remainder=r))
+                total += 1
+                if total > node_budget:
+                    raise BudgetExceeded(f"prefix tree exceeded {node_budget} nodes at depth {dep + 1}")
         levels.append(nxt)
         if not nxt:
             break
@@ -137,12 +129,12 @@ def first_bifurcation(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
     _require_mode(sys, x, mode, no_holes_certified, tol)
     r = tuple(x)
     for dep in range(depth):
-        ch = feasible_children(sys, r, tol=tol)
+        ch = _children(sys, r, tol)
         if len(ch) >= 2:
             return dep
         if not ch:
             return None
-        r = apply_inverse(sys, ch[0], r)
+        r = ch[0][1]
     return None
 
 
@@ -169,7 +161,7 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
     x = tuple(x)
     exact = sys.is_exact and is_exact_point(x)
 
-    frontier = [(x, ())]
+    frontier = [(None, x)]  # (last digit, remainder)
     counts = [1]
     bifurcation = None
     seen = {x: 0} if exact else None
@@ -179,12 +171,8 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
 
     for dep in range(depth):
         nxt = []
-        for r, pref in frontier:
-            children = []
-            for j in range(sys.m):
-                rj = apply_inverse(sys, j, r)
-                if contains(sys.omega, rj, tol=tol):
-                    children.append((j, rj))
+        for _, r in frontier:
+            children = _children(sys, r, tol)
             if len(children) >= 2:
                 if bifurcation is None:
                     bifurcation = dep
@@ -202,7 +190,7 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
                             prefix_counts=counts,
                             exact=exact,
                         )
-            nxt.extend((rj, pref + (j,)) for j, rj in children)
+            nxt.extend(children)
             total_nodes += len(children)
             if total_nodes > node_budget:
                 raise BudgetExceeded(f"classification exceeded {node_budget} nodes at depth {dep + 1}")
@@ -217,10 +205,9 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
             )
         counts.append(len(nxt))
         if pure_chain and len(nxt) == 1:
-            j = nxt[0][1][-1]
+            j, r = nxt[0]
             chain_digits.append(j)
             if exact:
-                r = nxt[0][0]
                 if r in seen:
                     period = (dep + 1) - seen[r]
                     return ClassificationReport(

@@ -47,8 +47,6 @@ def _parse_fracs(text):
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ifslab")
-    ap.add_argument("--threads", type=int, default=0,
-                    help="accepted and ignored: every command runs in one thread")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze-point", help="classify the addresses of one point")

@@ -30,13 +30,12 @@ from .errors import (
     UnsortedDigits,
     UnsupportedDimension,
 )
-from .core import IfsSystem, apply_inverse, apply_map, project_prefix
+from .core import IfsSystem, _children, apply_map, project_prefix
 from .geometry import (
     DEFAULT_TOL,
     contains,
     contains_many,
     image_polytope,
-    np_halfspaces,
     sample_uniform,
 )
 from .linfeas import halfspace_interior_slack
@@ -108,10 +107,7 @@ def _covered(sys, x, n, tol):
         r, lev = stack.pop()
         if lev == n:
             return True
-        for j in range(sys.m):
-            rj = apply_inverse(sys, j, r)
-            if contains(sys.omega, rj, tol=tol):
-                stack.append((rj, lev + 1))
+        stack.extend((rj, lev + 1) for _, rj in _children(sys, r, tol))
     raise BudgetExceeded(f"covering search undecided after {COVER_NODE_BUDGET} nodes of one sample")
 
 
@@ -258,9 +254,6 @@ def wn_entry_depths(sys: IfsSystem, fam: BlockFamily, pts, n_max: int, tol=DEFAU
     """
     if sys.omega.halfspaces is None:
         raise UnsupportedDimension("the batch W_n search needs dim <= 2")
-    A, b, norms = np_halfspaces(sys.omega)
-    slack = b + tol * norms
-
     beta, T, idx0 = _block_tables(sys, fam)
     t0 = T[idx0]
     T_avoid = np.delete(T, idx0, axis=0)
@@ -272,7 +265,7 @@ def wn_entry_depths(sys: IfsSystem, fam: BlockFamily, pts, n_max: int, tol=DEFAU
     s = np.arange(npts)
     for k in range(1, n_max + 1):
         rc = (r - t0) / beta
-        ok = np.all(rc @ A.T <= slack, axis=1)
+        ok = contains_many(sys.omega, rc, tol=tol)
         if ok.any():
             hit = np.unique(s[ok])
             entry[hit] = np.minimum(entry[hit], k)
@@ -282,7 +275,7 @@ def wn_entry_depths(sys: IfsSystem, fam: BlockFamily, pts, n_max: int, tol=DEFAU
         if k == n_max or len(r) == 0:
             break
         cand = (r[:, None, :] - T_avoid[None, :, :]) / beta
-        mask = np.all(cand @ A.T <= slack, axis=2)
+        mask = contains_many(sys.omega, cand, tol=tol)
         s = np.repeat(s, len(T_avoid))[mask.ravel()]
         r = cand[mask]
         if len(r) > FRONTIER_CAP:

@@ -20,7 +20,7 @@ from .errors import (
     DuplicatePoints,
     LambdaOutOfRange,
 )
-from .geometry import Polytope, hull_polytope, is_exact_scalar, is_exact_point
+from .geometry import Polytope, contains, hull_polytope, is_exact_scalar, is_exact_point
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,23 @@ def apply_inverse(sys: IfsSystem, j: int, x):
     lam = sys.lam
     p = sys.points[j]
     return tuple((xi - (1 - lam) * pi) / lam for xi, pi in zip(x, p))
+
+
+def _children(sys: IfsSystem, x, tol):
+    """[(j, f_j^{-1}(x))] for every digit j whose image lies in Omega (closed test).
+
+    The one scalar feasibility kernel: every address walker expands its
+    nodes here, on floats or exactly on rationals.  It is private because
+    bench/tracing.py wraps every public function, and its per-layer counts
+    need each apply_inverse and contains call to stay a direct child of
+    the walker that asked for it.
+    """
+    out = []
+    for j in range(sys.m):
+        r = apply_inverse(sys, j, x)
+        if contains(sys.omega, r, tol=tol):
+            out.append((j, r))
+    return out
 
 
 def project_prefix(sys: IfsSystem, w, x0):

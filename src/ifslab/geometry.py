@@ -1,22 +1,27 @@
 """Convex polytopes with membership queries used for address feasibility.
 
 A polytope is stored by its generators (V-representation).  For dimensions
-one and two an H-representation is derived at construction time and every
-membership query is a batch of halfspace evaluations; in higher dimensions
-membership falls back to an exact linear-feasibility program over the
-convex-combination weights, so no hull algorithm is ever needed there.
+one and two an H-representation is derived at construction time, and its
+float arrays once, at the first batched query; every membership query is
+a batch of halfspace evaluations.  In higher dimensions membership falls
+back to an exact linear-feasibility program over the convex-combination
+weights, so no hull algorithm is ever needed there.
 
-Both float and exact-rational coordinate paths share this code: arithmetic
-stays within the input type, and the interior-margin test is phrased with
-squared quantities so the rational path never needs a square root.
+`contains` tests one point on the float or the exact-rational path:
+arithmetic stays within the input type, and the interior-margin test is
+phrased with squared quantities so the rational path never needs a square
+root.  `contains_many` is the one batched test, over float point arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from numbers import Rational
+
+import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedDimension
 from .linfeas import convex_combination_residual
@@ -39,6 +44,8 @@ class Polytope:
     Each halfspace is (normal, offset, sq_norm) with the inside convention
     normal . x <= offset.  Normals are *not* normalised, so they stay exact
     on the rational path; sq_norm carries |normal|^2 for margin tests.
+    `float_halfspaces` is the same H-representation as float arrays, the
+    only form the batched test `contains_many` reads.
     """
 
     generators: tuple
@@ -48,6 +55,25 @@ class Polytope:
 
     def __post_init__(self):
         object.__setattr__(self, "is_exact", all(is_exact_point(g) for g in self.generators))
+
+    @cached_property
+    def float_halfspaces(self):
+        """The H-representation as read-only float arrays (A, b, |row| norms); None for dim >= 3.
+
+        Built on the first batched query and kept.  Not at construction:
+        scalar callers such as deleted_digits.count_expansions build a
+        fresh system per call and never read it.
+        """
+        if self.halfspaces is None:
+            return None
+        arrays = (
+            np.array([[float(v) for v in n] for n, _, _ in self.halfspaces]),
+            np.array([float(off) for _, off, _ in self.halfspaces]),
+            np.sqrt(np.array([float(sq) for _, _, sq in self.halfspaces])),
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
     def bounding_box(self):
         lo = tuple(min(g[k] for g in self.generators) for k in range(self.dim))
@@ -205,29 +231,23 @@ def volume(poly: Polytope):
 
 
 def np_halfspaces(poly: Polytope):
-    """H-representation as float arrays (A, b, |row| norms); dim <= 2 only."""
-    import numpy as np
-
-    if poly.halfspaces is None:
+    """H-representation as read-only float arrays (A, b, |row| norms); dim <= 2 only."""
+    if poly.float_halfspaces is None:
         raise UnsupportedDimension("H-representation is only built for dim <= 2")
-    A = np.array([[float(v) for v in n] for n, _, _ in poly.halfspaces])
-    b = np.array([float(off) for _, off, _ in poly.halfspaces])
-    norms = np.sqrt(np.array([float(sq) for _, _, sq in poly.halfspaces]))
-    return A, b, norms
+    return poly.float_halfspaces
 
 
 def contains_many(poly: Polytope, pts, tol=DEFAULT_TOL):
-    """Vectorised closed membership for an (n, d) float array; dim <= 2."""
-    import numpy as np
+    """Closed membership over the last axis of a (..., d) float array; dim <= 2.
 
+    The one batched feasibility test: x passes when A x <= b + tol * |row|.
+    """
     A, b, norms = np_halfspaces(poly)
     return np.all(pts @ A.T <= b + tol * norms, axis=-1)
 
 
 def sample_uniform(poly: Polytope, n, rng, tol=DEFAULT_TOL):
     """n points uniform over poly by seeded rejection from the bounding box."""
-    import numpy as np
-
     lo, hi = poly.bounding_box()
     lo = np.array([float(v) for v in lo])
     hi = np.array([float(v) for v in hi])
@@ -247,8 +267,6 @@ def sample_uniform(poly: Polytope, n, rng, tol=DEFAULT_TOL):
 
 def volume_mc(poly: Polytope, samples, seed, tol=DEFAULT_TOL):
     """Monte Carlo volume for any dimension: (estimate, standard error)."""
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     lo, hi = poly.bounding_box()
     lo = np.array([float(v) for v in lo])

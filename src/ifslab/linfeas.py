@@ -57,25 +57,23 @@ def _optimise(T, basis, ncols, allowed):
         _pivot(T, basis, leave, enter)
 
 
-def solve_min(c, A, b):
-    """Minimise c·z subject to A z = b, z >= 0, exactly.
+def _phase1(A, b):
+    """Phase 1 of {A z = b, z >= 0}: minimise the artificial sum.
 
-    Returns (optimum, z).  Raises LpInfeasible / LpUnbounded.
+    Returns the optimal tableau T and its basis.  T has the n real
+    columns, one artificial column per row and the rhs; its bottom row is
+    the phase-1 objective, so -T[-1][-1] is the minimal artificial sum.
     """
-    c = [Fraction(v) for v in c]
     A = [[Fraction(v) for v in row] for row in A]
     b = [Fraction(v) for v in b]
-    m, n = len(A), len(c)
+    m = len(A)
+    n = len(A[0]) if m else 0
     for i in range(m):
         if b[i] < 0:
             A[i] = [-v for v in A[i]]
             b[i] = -b[i]
-
-    # tableau: n real columns, m artificial columns, rhs
     T = [A[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]] for i in range(m)]
     basis = [n + i for i in range(m)]
-
-    # phase 1: minimise the artificial sum
     obj = [ZERO] * (n + m + 1)
     for i in range(m):
         for j in range(n + m + 1):
@@ -83,8 +81,19 @@ def solve_min(c, A, b):
     for i in range(m):
         obj[n + i] = ZERO
     T.append(obj)
-    allowed = [True] * (n + m)
-    _optimise(T, basis, n + m, allowed)
+    _optimise(T, basis, n + m, [True] * (n + m))
+    return T, basis
+
+
+def solve_min(c, A, b):
+    """Minimise c·z subject to A z = b, z >= 0, exactly.
+
+    Returns (optimum, z).  Raises LpInfeasible / LpUnbounded.
+    """
+    c = [Fraction(v) for v in c]
+    n = len(c)
+    T, basis = _phase1(A, b)
+    m = len(T) - 1
     if -T[m][-1] > 0:
         raise LpInfeasible
     # drive leftover artificials out of the basis
@@ -122,25 +131,8 @@ def min_infeasibility(A, b):
     The value is the minimal artificial sum, an exact L1-style residual used
     to apply float-path tolerances to membership queries.
     """
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-    T = [A[i] + [ONE if j == i else ZERO for j in range(m)] + [b[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    obj = [ZERO] * (n + m + 1)
-    for i in range(m):
-        for j in range(n + m + 1):
-            obj[j] -= T[i][j]
-    for i in range(m):
-        obj[n + i] = ZERO
-    T.append(obj)
-    _optimise(T, basis, n + m, [True] * (n + m))
-    return -T[m][-1]
+    T, _ = _phase1(A, b)
+    return -T[-1][-1]
 
 
 def convex_combination_residual(points, x, min_weight=0):

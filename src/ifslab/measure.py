@@ -14,7 +14,7 @@ import numpy as np
 from .errors import BudgetExceeded, CertificateRequired, TooFewScales, UnsupportedDimension
 from .conditions import resolve_no_holes
 from .core import IfsSystem, centroid, check_probs
-from .geometry import DEFAULT_TOL, contains_many, np_halfspaces
+from .geometry import DEFAULT_TOL, contains_many
 
 
 def default_truncation(lam, tol=DEFAULT_TOL) -> int:
@@ -75,8 +75,6 @@ def chain_walk(sys: IfsSystem, pts, depth: int, tol=DEFAULT_TOL):
     """
     if sys.omega.halfspaces is None:
         raise UnsupportedDimension("the batch classifier needs dim <= 2")
-    A, b, norms = np_halfspaces(sys.omega)
-    slack = b + tol * norms
     lam = float(sys.lam)
     P = np.array([[float(v) for v in p] for p in sys.points])
 
@@ -89,7 +87,7 @@ def chain_walk(sys: IfsSystem, pts, depth: int, tol=DEFAULT_TOL):
         if len(alive) == 0:
             break
         cand = (r[:, None, :] - (1 - lam) * P[None, :, :]) / lam  # (alive, m, d)
-        feas = np.all(cand @ A.T <= slack, axis=2)  # (alive, m)
+        feas = contains_many(sys.omega, cand, tol=tol)  # (alive, m)
         cnt = feas.sum(axis=1)
         bif[alive[cnt >= 2]] = dep
         dead[alive[cnt == 0]] = dep
@@ -100,20 +98,14 @@ def chain_walk(sys: IfsSystem, pts, depth: int, tol=DEFAULT_TOL):
     return bif, dead
 
 
-def chain_bifurcation_depths(sys: IfsSystem, pts, depth: int, tol=DEFAULT_TOL):
-    """First-bifurcation depth per point, -1 where the chain never splits."""
-    bif, _ = chain_walk(sys, pts, depth, tol=tol)
-    return bif
-
-
 def mu_bifurcation_fraction(sampler: MeasureSampler, n: int, depth: int,
                             no_holes_certified=None, tol=DEFAULT_TOL):
     """(fraction of mu-samples that bifurcate within depth, standard error)."""
     if not resolve_no_holes(sampler.sys, no_holes_certified):
         raise CertificateRequired("bifurcation fractions are only meaningful with no holes")
     pts, _ = sample_natural_measure(sampler, n)
-    depths = chain_bifurcation_depths(sampler.sys, pts, depth, tol=tol)
-    frac = float(np.mean(depths >= 0))
+    bif, _ = chain_walk(sampler.sys, pts, depth, tol=tol)
+    frac = float(np.mean(bif >= 0))
     stderr = math.sqrt(max(frac * (1 - frac), 1.0 / n) / n)
     return frac, stderr
 
@@ -179,23 +171,17 @@ def grid_points(sys: IfsSystem, resolution: int):
     raise UnsupportedDimension("uniqueness grids are built for dim <= 2")
 
 
-def uniqueness_grid(sys: IfsSystem, resolution: int, depth: int, mode=None,
-                    no_holes_certified=None, tol=DEFAULT_TOL):
+def uniqueness_grid(sys: IfsSystem, resolution: int, depth: int, tol=DEFAULT_TOL):
     """Grid points whose feasible-prefix tree is a single chain to `depth`.
 
     A shrinking over-approximation of the set of uniqueness: deepening can
     only remove points.  Dead-end chains (possible when the attractor has
-    holes) are excluded, since such points carry no address at all.  The
-    membership computation is the same in both feasibility modes; selecting
-    exact-no-holes merely asserts the certificate that makes single chains
-    mean single true prefixes.
+    holes) are excluded, since such points carry no address at all.  Under
+    a no-holes certificate (conditions.no_holes_sufficient) a single chain
+    is a single true prefix; without one it only bounds the true tree.
     """
-    from .addresses import Mode
-
     if resolution < 8:
         raise ValueError(f"resolution must be at least 8, got {resolution}")
-    if mode is Mode.EXACT_NO_HOLES and not resolve_no_holes(sys, no_holes_certified):
-        raise CertificateRequired("exact-no-holes grids need a no-holes certificate")
     pts = grid_points(sys, resolution)
     bif, dead = chain_walk(sys, pts, depth, tol=tol)
     return pts[(bif < 0) & (dead < 0)]

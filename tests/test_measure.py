@@ -9,7 +9,6 @@ from ifslab.measure import (
     MeasureSampler,
     attractor_point_cloud,
     box_dim_estimate,
-    chain_bifurcation_depths,
     chain_walk,
     default_truncation,
     mesh_count,
