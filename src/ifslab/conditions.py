@@ -181,7 +181,7 @@ def vertex_overlap_witness(sys: IfsSystem, margin=WITNESS_MARGIN, tol=DEFAULT_TO
 
 
 def _proper_overlap(pa, pb):
-    if pa.halfspaces is None or pb.halfspaces is None:
+    if pa.dim > 2:
         raise UnsupportedDimension("proper-overlap relaxation is a dim<=2 device")
     hs = [(n, off) for n, off, _ in pa.halfspaces + pb.halfspaces]
     slack = halfspace_interior_slack(hs)
@@ -252,7 +252,7 @@ def wn_entry_depths(sys: IfsSystem, fam: BlockFamily, pts, n_max: int, tol=DEFAU
     it avoids the forcing block, because once the block is consumable the
     no-holes hypothesis guarantees a feasible continuation of any length.
     """
-    if sys.omega.halfspaces is None:
+    if sys.d > 2:
         raise UnsupportedDimension("the batch W_n search needs dim <= 2")
     beta, T, idx0 = _block_tables(sys, fam)
     t0 = T[idx0]

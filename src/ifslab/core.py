@@ -20,7 +20,7 @@ from .errors import (
     DuplicatePoints,
     LambdaOutOfRange,
 )
-from .geometry import Polytope, contains, hull_polytope, is_exact_scalar, is_exact_point
+from .geometry import Polytope, _affine_rank, contains, hull_polytope, is_exact_scalar, is_exact_point
 
 
 @dataclass(frozen=True)
@@ -58,35 +58,13 @@ def new_ifs(lam, points) -> IfsSystem:
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise DegenerateAffineHull("anchor points of mixed dimension")
-    if _affine_rank(pts) != d:
+    rank = _affine_rank(pts)
+    if rank != d:
         raise DegenerateAffineHull(
-            f"anchor points span affine dimension {_affine_rank(pts)} < {d}; "
+            f"anchor points span affine dimension {rank} < {d}; "
             "re-embed them in that dimension"
         )
     return IfsSystem(lam=lam, points=pts, omega=hull_polytope(pts))
-
-
-def _affine_rank(pts):
-    # exact Gaussian elimination on the difference vectors; floats are
-    # promoted to exact rationals so the verdict never depends on rounding
-    base = [Fraction(v) for v in pts[0]]
-    rows = [[Fraction(v) - b for v, b in zip(p, base)] for p in pts[1:]]
-    d = len(base)
-    rank = 0
-    col = 0
-    while col < d and rank < len(rows):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def _check_digit(sys: IfsSystem, j):

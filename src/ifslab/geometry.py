@@ -1,11 +1,14 @@
 """Convex polytopes with membership queries used for address feasibility.
 
-A polytope is stored by its generators (V-representation).  For dimensions
-one and two an H-representation is derived at construction time, and its
-float arrays once, at the first batched query; every membership query is
-a batch of halfspace evaluations.  In higher dimensions membership falls
-back to an exact linear-feasibility program over the convex-combination
-weights, so no hull algorithm is ever needed there.
+A polytope is stored by its generators (V-representation) and, in every
+dimension, by an H-representation derived at construction time; its float
+arrays are built once, at the first batched query.  In dimension <= 2 the
+facets come from the hull's edges.  In d >= 3 they are the hyperplanes
+through d generators with every generator on one side, found exactly on
+the rational values of the generators.  A d >= 3 hull that is not
+full-dimensional keeps no H-representation: planes through it would
+accept its whole affine hull, so its membership is an exact
+linear-feasibility program over the convex-combination weights.
 
 `contains` tests one point on the float or the exact-rational path:
 arithmetic stays within the input type, and the interior-margin test is
@@ -15,6 +18,7 @@ root.  `contains_many` is the one batched test, over float point arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,11 +43,13 @@ def is_exact_point(p) -> bool:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Convex hull of `generators`; `halfspaces` present for dim <= 2.
+    """Convex hull of `generators`; `halfspaces` present in every dimension
+    except for a d >= 3 hull of lower affine dimension, where it is None.
 
     Each halfspace is (normal, offset, sq_norm) with the inside convention
-    normal . x <= offset.  Normals are *not* normalised, so they stay exact
-    on the rational path; sq_norm carries |normal|^2 for margin tests.
+    normal . x <= offset, in the generators' own arithmetic.  Normals are
+    *not* unit length, so they stay exact on the rational path; sq_norm
+    carries |normal|^2 for margin tests.
     `float_halfspaces` is the same H-representation as float arrays, the
     only form the batched test `contains_many` reads.
     """
@@ -58,7 +64,7 @@ class Polytope:
 
     @cached_property
     def float_halfspaces(self):
-        """The H-representation as read-only float arrays (A, b, |row| norms); None for dim >= 3.
+        """The H-representation as read-only float arrays (A, b, |row| norms); None without one.
 
         Built on the first batched query and kept.  Not at construction:
         scalar callers such as deleted_digits.count_expansions build a
@@ -97,8 +103,98 @@ def hull_polytope(generators) -> Polytope:
     d = len(gens[0])
     if any(len(g) != d for g in gens):
         raise DimensionMismatch("generators of mixed dimension")
-    hs = _halfspaces(gens, d) if d <= 2 else None
+    if d <= 2:
+        hs = _halfspaces(gens, d)
+    else:
+        hs = _facets(gens, d) if _affine_rank(gens) == d else None
     return Polytope(generators=gens, halfspaces=hs, dim=d)
+
+
+def _lattice(pts):
+    """(den, integer points): the exact rational coordinates times their common denominator."""
+    rat = [[Fraction(v) for v in p] for p in pts]
+    den = math.lcm(*(v.denominator for p in rat for v in p))
+    return den, [[v.numerator * (den // v.denominator) for v in p] for p in rat]
+
+
+def _affine_rank(pts):
+    # fraction-free elimination on the difference vectors of the lattice
+    # points: floats count as the rationals they are, so the verdict never
+    # depends on rounding
+    _, ipts = _lattice(pts)
+    rows = [[a - b for a, b in zip(p, ipts[0])] for p in ipts[1:]]
+    rank = 0
+    for col in range(len(ipts[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if f:
+                rows[r] = [a * top[col] - f * b for a, b in zip(rows[r], top)]
+        rank += 1
+    return rank
+
+
+def _facets(gens, d):
+    """Facet halfspaces of a full-dimensional hull in R^d, d >= 3, found exactly.
+
+    Each facet holds d affinely independent generators, so it is one of the
+    hyperplanes through d generators; one is kept when every generator lies
+    on its closed inside.  The generators' rational values are scaled by
+    their common denominator to integers, so normals (cofactor vectors of
+    the difference vectors) and side tests are exact integer arithmetic:
+    a float side test would drop a facet through four coplanar vertices.
+    The result is stored as Fractions for an exact polytope and as floats,
+    normals scaled to a largest entry of 1, for a float one.
+    """
+    exact = all(is_exact_point(g) for g in gens)
+    den, ipts = _lattice(gens)
+    pts = sorted(set(map(tuple, ipts)))
+    planes = []
+    for sub in itertools.combinations(pts, d):
+        rows = [[a - b for a, b in zip(p, sub[0])] for p in sub[1:]]
+        n = [(-1) ** k * _det([r[:k] + r[k + 1:] for r in rows]) for k in range(d)]
+        if not any(n):
+            continue  # affinely dependent subset
+        off = sum(a * b for a, b in zip(n, sub[0]))
+        sides = [off - sum(a * b for a, b in zip(n, p)) for p in pts]
+        if min(sides) < 0:
+            if max(sides) > 0:
+                continue
+            n, off = [-a for a in n], -off
+        g = math.gcd(*n)
+        planes.append((tuple(a // g for a in n), off // g))
+    out = []
+    for n, off in dict.fromkeys(planes):
+        if exact:
+            out.append((tuple(Fraction(a) for a in n), Fraction(off, den), Fraction(sum(a * a for a in n))))
+        else:
+            big = max(abs(a) for a in n)
+            nf = tuple(a / big for a in n)
+            out.append((nf, off / (den * big), sum(a * a for a in nf)))
+    return tuple(out)
+
+
+def _det(a):
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    a = [list(r) for r in a]
+    size = len(a)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def _halfspaces(gens, d):
@@ -162,16 +258,24 @@ def contains(poly: Polytope, x, margin=0, tol=DEFAULT_TOL) -> bool:
     """Membership of x in poly.
 
     margin == 0 is the Closed mode: on the float path the boundary is
-    widened by `tol`, on the exact path the test is exact.  margin > 0 is
-    InteriorMargin(margin): the ball of that radius around x must fit inside
-    (dim <= 2, via halfspace distances); for dim >= 3 the margin is applied
-    to the convex-combination weights instead, which is conservative in the
-    same direction.
+    widened by `tol`, on the exact path the test is exact.  It reads the
+    halfspaces in every dimension, and only a d >= 3 hull without them
+    (not full-dimensional) solves the convex-combination LP.
+
+    margin > 0 is InteriorMargin(margin): in dim <= 2 the ball of that
+    radius around x must fit inside, via halfspace distances.  In dim >= 3
+    the margin is applied to the convex-combination weights instead, by an
+    LP, and it stays there because the overlap witness rests on it: the
+    weight shift margin / (m * span) sits below `tol`, so on the float path
+    points on the boundary pass.  On the lambda = 0.8 tetrahedron 12 of the
+    48 vertex images f_k(p_j), all on the boundary of Omega, pass as
+    interior to f_i(Omega); a distance margin passes none of them, and
+    conditions.vertex_overlap_witness would find no witness there.
     """
     if len(x) != poly.dim:
         raise DimensionMismatch(f"point has dimension {len(x)}, polytope {poly.dim}")
     exact = poly.is_exact and is_exact_point(x) and (margin == 0 or is_exact_scalar(margin))
-    if poly.halfspaces is not None:
+    if poly.halfspaces is not None and (margin == 0 or poly.dim <= 2):
         for n, off, sq in poly.halfspaces:
             s = off - sum(nv * xv for nv, xv in zip(n, x))
             if margin == 0:
@@ -186,7 +290,7 @@ def contains(poly: Polytope, x, margin=0, tol=DEFAULT_TOL) -> bool:
                     return False
         return True
     # dim >= 3: exact feasibility over convex weights
-    if margin == 0:
+    if margin == 0:  # only hulls of lower affine dimension
         res = convex_combination_residual(poly.generators, x)
         if exact:
             return res == 0
@@ -231,18 +335,28 @@ def volume(poly: Polytope):
 
 
 def np_halfspaces(poly: Polytope):
-    """H-representation as read-only float arrays (A, b, |row| norms); dim <= 2 only."""
+    """H-representation as read-only float arrays (A, b, |row| norms), in any dimension.
+
+    Raises UnsupportedDimension for a d >= 3 hull that is not
+    full-dimensional, which has none.
+    """
     if poly.float_halfspaces is None:
-        raise UnsupportedDimension("H-representation is only built for dim <= 2")
+        raise UnsupportedDimension("no H-representation: a d >= 3 hull of lower affine dimension")
     return poly.float_halfspaces
 
 
 def contains_many(poly: Polytope, pts, tol=DEFAULT_TOL):
-    """Closed membership over the last axis of a (..., d) float array; dim <= 2.
+    """Closed membership over the last axis of a (..., d) float array, in any dimension.
 
     The one batched feasibility test: x passes when A x <= b + tol * |row|.
+    A d >= 3 hull without halfspaces (not full-dimensional) is tested
+    point by point with the scalar `contains`.
     """
-    A, b, norms = np_halfspaces(poly)
+    if poly.halfspaces is None:
+        pts = np.asarray(pts, dtype=float)
+        flat = [contains(poly, tuple(p), tol=tol) for p in pts.reshape(-1, poly.dim)]
+        return np.array(flat, dtype=bool).reshape(pts.shape[:-1])
+    A, b, norms = poly.float_halfspaces
     return np.all(pts @ A.T <= b + tol * norms, axis=-1)
 
 
@@ -255,10 +369,7 @@ def sample_uniform(poly: Polytope, n, rng, tol=DEFAULT_TOL):
     have = 0
     while have < n:
         cand = lo + rng.random((max(n, 128), poly.dim)) * (hi - lo)
-        if poly.halfspaces is not None:
-            keep = cand[contains_many(poly, cand, tol=tol)]
-        else:
-            keep = np.array([p for p in cand if contains(poly, tuple(p), tol=tol)])
+        keep = cand[contains_many(poly, cand, tol=tol)]
         if len(keep):
             out.append(keep)
             have += len(keep)
@@ -273,7 +384,7 @@ def volume_mc(poly: Polytope, samples, seed, tol=DEFAULT_TOL):
     hi = np.array([float(v) for v in hi])
     box = float(np.prod(hi - lo))
     pts = lo + rng.random((samples, poly.dim)) * (hi - lo)
-    hits = sum(1 for p in pts if contains(poly, tuple(p), tol=tol))
+    hits = int(np.count_nonzero(contains_many(poly, pts, tol=tol)))
     frac = hits / samples
     err = box * math.sqrt(max(frac * (1 - frac), 1e-12) / samples)
     return box * frac, err

@@ -73,7 +73,7 @@ def chain_walk(sys: IfsSystem, pts, depth: int, tol=DEFAULT_TOL):
     with two or more feasible children, and the depth of the first step with
     none; -1 where the event never happens within `depth`.
     """
-    if sys.omega.halfspaces is None:
+    if sys.d > 2:
         raise UnsupportedDimension("the batch classifier needs dim <= 2")
     lam = float(sys.lam)
     P = np.array([[float(v) for v in p] for p in sys.points])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ifslab import geometry
 from ifslab.core import new_ifs
 from ifslab.errors import DimensionMismatch, UnsupportedDimension
 from ifslab.geometry import (
@@ -11,6 +12,7 @@ from ifslab.geometry import (
     contains_many,
     hull_polytope,
     image_polytope,
+    np_halfspaces,
     sample_uniform,
     volume,
     volume_mc,
@@ -167,3 +169,93 @@ def test_sample_uniform_stays_inside():
     pts = sample_uniform(UNIT_TRIANGLE, 500, rng)
     assert contains_many(UNIT_TRIANGLE, pts).all()
     assert len(pts) == 500
+
+
+# ---------------------------------------------------------------------------
+# d >= 3 facets against the convex-combination LP
+
+
+def _frac_points(pts):
+    return [tuple(Fraction(v) for v in p) for p in pts]
+
+
+_TET = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+_CUBE = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+_HULL10 = [tuple(v) for v in np.random.default_rng(11).uniform(0, 1, size=(10, 3)).round(3)]
+_SIMPLEX4 = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1)]
+FACET_CASES = {"tetrahedron": _TET, "cube": _CUBE, "hull10": _HULL10, "simplex4": _SIMPLEX4}
+
+
+def _exact_probes(gens, rng, count):
+    """Generators, midpoints and centroids of generator triples (on faces and
+    inside), and small-denominator rationals around the bounding box."""
+    gens = _frac_points(gens)
+    d = len(gens[0])
+    out = list(gens)
+    for _ in range(count):
+        i, j, k = rng.choice(len(gens), 3, replace=False)
+        out.append(tuple((a + b) / 2 for a, b in zip(gens[i], gens[j])))
+        out.append(tuple((a + b + c) / 3 for a, b, c in zip(gens[i], gens[j], gens[k])))
+        out.append(tuple(Fraction(int(v), 12) for v in rng.integers(-2, 15, size=d)))
+    return out
+
+
+@pytest.mark.parametrize("name", list(FACET_CASES))
+def test_exact_facets_match_lp(name):
+    gens = _frac_points(FACET_CASES[name])
+    poly = hull_polytope(gens)
+    assert poly.halfspaces is not None
+    rng = np.random.default_rng(7)
+    for x in _exact_probes(gens, rng, 40):
+        assert contains(poly, x) == (convex_combination_residual(gens, x) == 0), x
+
+
+@pytest.mark.parametrize("name", list(FACET_CASES))
+def test_float_facets_match_lp(name):
+    gens = [tuple(float(v) for v in g) for g in FACET_CASES[name]]
+    poly = hull_polytope(gens)
+    d = poly.dim
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-0.2, 1.2, size=(300, d)) * np.max(gens, axis=0)
+    verts = np.array(gens)
+    pts = np.vstack([pts, verts, (verts[:-1] + verts[1:]) / 2])
+    for x in map(tuple, pts):
+        by_lp = float(convex_combination_residual(gens, x)) <= 1e-9
+        assert by_lp == contains(poly, x, tol=1e-9) or _near_edge(poly, x)
+    assert np.array_equal(contains_many(poly, pts), [contains(poly, tuple(x)) for x in pts])
+
+
+def test_facet_counts():
+    assert len(hull_polytope(_TET).halfspaces) == 4
+    assert len(hull_polytope(_CUBE).halfspaces) == 6  # coplanar face vertices kept
+    assert len(hull_polytope(_SIMPLEX4).halfspaces) == 5
+
+
+def test_planar_hull_in_3d_keeps_lp():
+    gens = [(0.0, 0.0, 0.5), (1.0, 0.0, 0.5), (0.0, 1.0, 0.5), (1.0, 1.0, 0.5)]
+    poly = hull_polytope(gens)
+    assert poly.halfspaces is None and poly.float_halfspaces is None
+    rng = np.random.default_rng(9)
+    pts = np.vstack([rng.uniform(-0.2, 1.2, size=(40, 3)), [[0.3, 0.6, 0.5], [1.0, 1.0, 0.5]]])
+    pts[::2, 2] = 0.5
+    want = [float(convex_combination_residual(gens, tuple(x))) <= 1e-9 for x in pts]
+    assert [contains(poly, tuple(x)) for x in pts] == want
+    assert contains_many(poly, pts).tolist() == want
+    assert contains_many(poly, pts.reshape(2, -1, 3)).shape == (2, len(pts) // 2)
+    with pytest.raises(UnsupportedDimension):
+        np_halfspaces(poly)
+
+
+def test_dim3_lp_serves_only_margin_tests(monkeypatch):
+    calls = []
+
+    def counting(points, x, min_weight=0):
+        calls.append(min_weight)
+        return convex_combination_residual(points, x, min_weight=min_weight)
+
+    monkeypatch.setattr(geometry, "convex_combination_residual", counting)
+    tet = hull_polytope(_TET)
+    assert contains(tet, (0.2, 0.2, 0.2)) and contains(tet, (Fraction(1, 3),) * 3)
+    assert calls == []
+    assert contains(tet, (0.2, 0.2, 0.2), margin=1e-3)
+    assert len(calls) == 1 and calls[0] > 0
