@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import BudgetExceeded, CertificateRequired, PointOutsideOmega
-from .core import IfsSystem, _children
+from .core import IfsSystem, _children, _children_many
 from .geometry import DEFAULT_TOL, contains, is_exact_point
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -46,14 +49,34 @@ class PrefixNode:
     remainder: tuple
 
 
-@dataclass
 class PrefixTree:
-    point: tuple
-    levels: list  # levels[k] = list of PrefixNode at depth k
+    """The feasible-prefix tree of `point`, one level per depth.
+
+    Each level below the root is kept as it was expanded: the index of
+    every node's parent in the level above, its last digit, and its
+    remainder (a list of tuples, or a (rows, d) float array from the
+    batched kernel).  `counts` reads only their lengths; `levels` builds
+    the PrefixNode lists, levels[k] holding depth k, on first read.
+    """
+
+    def __init__(self, point, steps):
+        self.point = point
+        self._steps = steps  # [(parents, digits, remainders)] for depths 1, 2, ...
 
     @property
     def counts(self):
-        return [len(lv) for lv in self.levels]
+        return [1] + [len(digits) for _, digits, _ in self._steps]
+
+    @cached_property
+    def levels(self):
+        out = [[PrefixNode(prefix=(), remainder=self.point)]]
+        for parents, digits, rems in self._steps:
+            if isinstance(rems, np.ndarray):
+                parents, digits, rems = parents.tolist(), digits.tolist(), map(tuple, rems.tolist())
+            above = out[-1]
+            out.append([PrefixNode(prefix=above[i].prefix + (j,), remainder=r)
+                        for i, j, r in zip(parents, digits, rems)])
+        return out
 
 
 @dataclass(frozen=True)
@@ -103,24 +126,47 @@ def enumerate_prefixes(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
     """Breadth-first tree of every feasible prefix of x down to `depth`.
 
     Distinct prefixes with equal remainders are kept distinct: the object of
-    study is the address count, not the remainder orbit.
+    study is the address count, not the remainder orbit.  The levels are
+    kept as arrays and turned into PrefixNodes only when `levels` is read.
     """
     _require_mode(sys, x, mode, no_holes_certified, tol)
     x = tuple(x)
-    levels = [[PrefixNode(prefix=(), remainder=x)]]
+    steps = []
+    frontier = [x]
     total = 1
     for dep in range(depth):
-        nxt = []
-        for node in levels[dep]:
-            for j, r in _children(sys, node.remainder, tol):
-                nxt.append(PrefixNode(prefix=node.prefix + (j,), remainder=r))
-                total += 1
-                if total > node_budget:
-                    raise BudgetExceeded(f"prefix tree exceeded {node_budget} nodes at depth {dep + 1}")
-        levels.append(nxt)
-        if not nxt:
+        parents, digits, frontier = _expand(sys, frontier, tol)
+        steps.append((parents, digits, frontier))
+        total += len(digits)
+        if total > node_budget:
+            raise BudgetExceeded(f"prefix tree exceeded {node_budget} nodes at depth {dep + 1}")
+        if not len(digits):
             break
-    return PrefixTree(point=x, levels=levels)
+    return PrefixTree(point=x, steps=steps)
+
+
+def _expand(sys, frontier, tol):
+    """(parents, digits, remainders) of every feasible child of a level, node-major.
+
+    A level of two or more float remainders goes through the batched kernel
+    as one (rows, d) array, and its children stay one.  A single node, or
+    a level in exact or mixed arithmetic, steps through the scalar kernel.
+    Either way every remainder is bit for bit what `_children` computes.
+    """
+    if isinstance(frontier, np.ndarray):
+        if len(frontier) >= 2:
+            return _children_many(sys, frontier, tol)
+        frontier = [tuple(r) for r in frontier.tolist()]
+    elif len(frontier) >= 2 and all(type(v) is float for v in frontier[0]):
+        # every remainder of a level has the same coordinate types
+        return _children_many(sys, np.array(frontier), tol)
+    parents, digits, rems = [], [], []
+    for i, r in enumerate(frontier):
+        for j, rj in _children(sys, r, tol):
+            parents.append(i)
+            digits.append(j)
+            rems.append(rj)
+    return parents, digits, rems
 
 
 def first_bifurcation(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,

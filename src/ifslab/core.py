@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     BadProbabilityVector,
     DegenerateAffineHull,
@@ -20,7 +22,8 @@ from .errors import (
     DuplicatePoints,
     LambdaOutOfRange,
 )
-from .geometry import Polytope, _affine_rank, contains, hull_polytope, is_exact_scalar, is_exact_point
+from .geometry import (Polytope, _affine_rank, _lattice, contains, contains_many, hull_polytope,
+                       is_exact_point, is_exact_scalar)
 
 
 @dataclass(frozen=True)
@@ -58,13 +61,16 @@ def new_ifs(lam, points) -> IfsSystem:
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise DegenerateAffineHull("anchor points of mixed dimension")
-    rank = _affine_rank(pts)
+    omega = hull_polytope(pts)
+    # in d >= 3 hull_polytope has already ranked the points: it keeps
+    # halfspaces only for a full-dimensional hull
+    rank = d if d >= 3 and omega.halfspaces is not None else _affine_rank(_lattice(pts)[1])
     if rank != d:
         raise DegenerateAffineHull(
             f"anchor points span affine dimension {rank} < {d}; "
             "re-embed them in that dimension"
         )
-    return IfsSystem(lam=lam, points=pts, omega=hull_polytope(pts))
+    return IfsSystem(lam=lam, points=pts, omega=omega)
 
 
 def _check_digit(sys: IfsSystem, j):
@@ -91,11 +97,12 @@ def apply_inverse(sys: IfsSystem, j: int, x):
 def _children(sys: IfsSystem, x, tol):
     """[(j, f_j^{-1}(x))] for every digit j whose image lies in Omega (closed test).
 
-    The one scalar feasibility kernel: every address walker expands its
-    nodes here, on floats or exactly on rationals.  It is private because
-    bench/tracing.py wraps every public function, and its per-layer counts
-    need each apply_inverse and contains call to stay a direct child of
-    the walker that asked for it.
+    The one scalar feasibility kernel: the address walkers expand their
+    nodes here, on floats or exactly on rationals, except for the wide
+    float levels that go to its batched twin `_children_many`.  It is
+    private because bench/tracing.py wraps every public function, and its
+    per-layer counts need each apply_inverse and contains call to stay a
+    direct child of the walker that asked for it.
     """
     out = []
     for j in range(sys.m):
@@ -103,6 +110,23 @@ def _children(sys: IfsSystem, x, tol):
         if contains(sys.omega, r, tol=tol):
             out.append((j, r))
     return out
+
+
+def _children_many(sys: IfsSystem, X, tol):
+    """`_children` of every row of a (rows, d) float array, as (parent, digit, remainders).
+
+    The one batched feasibility kernel.  Children come node-major, then
+    digit-minor, as `_children` lists them, and each is bit for bit what
+    `_children` returns for a row given as a tuple of floats: f_j^{-1}
+    is (x - c_j)/lam with c_j = (1-lam)*p_j taken in the system's own
+    arithmetic and then rounded to float, and `contains_many` repeats the
+    float membership test of `contains` in its order of operations.
+    """
+    lam = sys.lam
+    shifts = np.array([[float((1 - lam) * v) for v in p] for p in sys.points])
+    cand = (X[:, None, :] - shifts) / float(lam)  # (rows, m, d)
+    parent, digit = np.nonzero(contains_many(sys.omega, cand, tol=tol))
+    return parent, digit, cand[parent, digit]
 
 
 def project_prefix(sys: IfsSystem, w, x0):

@@ -8,6 +8,7 @@ the whole address engine applies unchanged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import PointOutsideOmega, UnsortedDigits
@@ -46,10 +47,23 @@ def attractor_interval(A: DigitSet, lam):
 
 
 def as_ifs(A: DigitSet, lam) -> IfsSystem:
-    """The 1-D system with p_j = lam*a_j/(1-lam), so f_j(x) = lam*(x + a_j)."""
+    """The 1-D system with p_j = lam*a_j/(1-lam), so f_j(x) = lam*(x + a_j).
+
+    Memoised: the system is immutable, and count_expansions asks for the
+    same one on every call.  The key holds the type of lam and of every
+    digit next to its value, since equal values of another type build
+    another system: 0.45 == Fraction(0.45), yet only the second gives
+    exact anchors.
+    """
     if not (0 < lam < 1):
         raise ValueError(f"lambda must lie in (0,1), got {lam}")
-    return new_ifs(lam, [(lam * a / (1 - lam),) for a in A.digits])
+    return _as_ifs(tuple((type(a), a) for a in A.digits), (type(lam), lam))
+
+
+@functools.lru_cache
+def _as_ifs(typed_digits, typed_lam):
+    lam = typed_lam[1]
+    return new_ifs(lam, [(lam * a / (1 - lam),) for _, a in typed_digits])
 
 
 def count_expansions(A: DigitSet, lam, x, depth: int, tol=DEFAULT_TOL,

@@ -13,7 +13,9 @@ linear-feasibility program over the convex-combination weights.
 `contains` tests one point on the float or the exact-rational path:
 arithmetic stays within the input type, and the interior-margin test is
 phrased with squared quantities so the rational path never needs a square
-root.  `contains_many` is the one batched test, over float point arrays.
+root.  `contains_many` is the one batched test, over float point arrays;
+it repeats the float path of `contains` operation for operation, so the
+two never disagree, not even within rounding of the tolerance shell.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ class Polytope:
         """The H-representation as read-only float arrays (A, b, |row| norms); None without one.
 
         Built on the first batched query and kept.  Not at construction:
-        scalar callers such as deleted_digits.count_expansions build a
-        fresh system per call and never read it.
+        polytopes that only scalar tests read, such as the image polytopes
+        of the overlap witness, never need it.
         """
         if self.halfspaces is None:
             return None
@@ -106,7 +108,8 @@ def hull_polytope(generators) -> Polytope:
     if d <= 2:
         hs = _halfspaces(gens, d)
     else:
-        hs = _facets(gens, d) if _affine_rank(gens) == d else None
+        den, ipts = _lattice(gens)
+        hs = _facets(gens, d, den, ipts) if _affine_rank(ipts) == d else None
     return Polytope(generators=gens, halfspaces=hs, dim=d)
 
 
@@ -117,11 +120,10 @@ def _lattice(pts):
     return den, [[v.numerator * (den // v.denominator) for v in p] for p in rat]
 
 
-def _affine_rank(pts):
-    # fraction-free elimination on the difference vectors of the lattice
-    # points: floats count as the rationals they are, so the verdict never
-    # depends on rounding
-    _, ipts = _lattice(pts)
+def _affine_rank(ipts):
+    # fraction-free elimination on the difference vectors of the integer
+    # lattice points from _lattice: floats count as the rationals they are,
+    # so the verdict never depends on rounding
     rows = [[a - b for a, b in zip(p, ipts[0])] for p in ipts[1:]]
     rank = 0
     for col in range(len(ipts[0])):
@@ -138,7 +140,7 @@ def _affine_rank(pts):
     return rank
 
 
-def _facets(gens, d):
+def _facets(gens, d, den, ipts):
     """Facet halfspaces of a full-dimensional hull in R^d, d >= 3, found exactly.
 
     Each facet holds d affinely independent generators, so it is one of the
@@ -147,11 +149,11 @@ def _facets(gens, d):
     their common denominator to integers, so normals (cofactor vectors of
     the difference vectors) and side tests are exact integer arithmetic:
     a float side test would drop a facet through four coplanar vertices.
-    The result is stored as Fractions for an exact polytope and as floats,
-    normals scaled to a largest entry of 1, for a float one.
+    `den` and `ipts` are that scaling, from _lattice.  The result is
+    stored as Fractions for an exact polytope and as floats, normals
+    scaled to a largest entry of 1, for a float one.
     """
     exact = all(is_exact_point(g) for g in gens)
-    den, ipts = _lattice(gens)
     pts = sorted(set(map(tuple, ipts)))
     planes = []
     for sub in itertools.combinations(pts, d):
@@ -348,16 +350,31 @@ def np_halfspaces(poly: Polytope):
 def contains_many(poly: Polytope, pts, tol=DEFAULT_TOL):
     """Closed membership over the last axis of a (..., d) float array, in any dimension.
 
-    The one batched feasibility test: x passes when A x <= b + tol * |row|.
-    A d >= 3 hull without halfspaces (not full-dimensional) is tested
-    point by point with the scalar `contains`.
+    The one batched feasibility test, and the float path of `contains` bit
+    for bit: per halfspace, s = off - (n_0 x_0 + n_1 x_1 + ...) summed one
+    column at a time in that order, and x fails when s < -tol * |n|.  The
+    matmul form A x <= b + tol * |n| rounds otherwise and disagrees with
+    `contains` on points within rounding of the tol shell.  A d >= 3 hull
+    without halfspaces (not full-dimensional) is tested point by point
+    with the scalar `contains`.
     """
+    pts = np.asarray(pts, dtype=float)
+    if pts.shape[-1] != poly.dim:
+        raise DimensionMismatch(f"points have dimension {pts.shape[-1]}, polytope {poly.dim}")
     if poly.halfspaces is None:
-        pts = np.asarray(pts, dtype=float)
         flat = [contains(poly, tuple(p), tol=tol) for p in pts.reshape(-1, poly.dim)]
         return np.array(flat, dtype=bool).reshape(pts.shape[:-1])
     A, b, norms = poly.float_halfspaces
-    return np.all(pts @ A.T <= b + tol * norms, axis=-1)
+    cols = np.ascontiguousarray(pts.reshape(-1, poly.dim).T)  # (d, N): one row per coordinate
+    acc = np.empty(cols.shape[1])
+    tmp = np.empty_like(acc)
+    fails = np.zeros(cols.shape[1], dtype=bool)
+    for n, off, thr in zip(A.tolist(), b.tolist(), (-float(tol) * norms).tolist()):
+        np.multiply(cols[0], n[0], out=acc)
+        for k in range(1, poly.dim):
+            acc += np.multiply(cols[k], n[k], out=tmp)
+        fails |= np.subtract(off, acc, out=acc) < thr  # a NaN slack passes, as in `contains`
+    return ~fails.reshape(pts.shape[:-1])
 
 
 def sample_uniform(poly: Polytope, n, rng, tol=DEFAULT_TOL):

@@ -93,7 +93,9 @@ class TestCoveringDeficiency:
         assert frac > 0
 
     def test_node_budget_raises(self, monkeypatch):
-        # every sample needs at least n expanded nodes before it can be covered
+        # the batched dive decides the samples its first-child chain covers;
+        # a sample it drops whose tree outlives depth 4 needs more than 5
+        # nodes of the budgeted scalar search
         monkeypatch.setattr(conditions, "COVER_NODE_BUDGET", 5)
         with pytest.raises(BudgetExceeded, match="after 5 nodes"):
             covering_deficiency(triangle_system(0.5), n=6, samples=50, seed=2)

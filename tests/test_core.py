@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ifslab.core import (
     apply_inverse,
@@ -21,7 +21,7 @@ from ifslab.errors import (
     LambdaOutOfRange,
 )
 
-from helpers import triangle_system, unit_system
+from helpers import RIGHT_TRIANGLE_EXACT, triangle_system, unit_system
 
 
 def dist(a, b):
@@ -142,14 +142,20 @@ def test_closed_form_agrees(lam, word, x0):
     t=st.floats(0, 1),
     u=st.floats(0, 1),
 )
+@example(lam=0.1, word=(1, 0, 0, 0, 0, 0, 0, 0), t=0.0, u=1.0)
 def test_contraction_bound(lam, word, t, u):
-    s = new_ifs(lam, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    # on the exact rationals of the inputs, so the bound holds with no
+    # slack: float rounding adds an absolute error near 1e-16 that a
+    # relative slack cannot absorb once lam**n is that small
+    lam, t, u = Fraction(lam), Fraction(t), Fraction(u)
+    s = new_ifs(lam, RIGHT_TRIANGLE_EXACT)
     # two points of Omega: convex combinations of the anchors
-    a = (t * 1.0, (1 - t) * u)
-    b = (u * 1.0, (1 - u) * t)
+    a = (t, (1 - t) * u)
+    b = (u, (1 - u) * t)
     fa = project_prefix(s, word, a)
     fb = project_prefix(s, word, b)
-    assert dist(fa, fb) <= lam ** len(word) * s.diameter() * (1 + 1e-9)
+    diam_sq = max(sum((x - y) ** 2 for x, y in zip(p, q)) for p in s.points for q in s.points)
+    assert sum((x - y) ** 2 for x, y in zip(fa, fb)) <= lam ** (2 * len(word)) * diam_sq
 
 
 class TestExactPath:

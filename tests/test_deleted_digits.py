@@ -54,6 +54,19 @@ class TestAsIfs:
         got = project_prefix(s, (1, 2), (0.0,))[0]
         assert got == pytest.approx(1.0575, abs=1e-12)
 
+    def test_memo_keeps_arithmetic_apart(self):
+        # equal values of another type must not share a memoised system:
+        # 0.45 == Fraction(0.45) and 1 == 1.0, with equal hashes
+        ints, floats = DigitSet((0, 1, 3)), DigitSet((0.0, 1.0, 3.0))
+        cases = [(ints, 0.45, False), (ints, Fraction(0.45), True), (ints, Fraction(9, 20), True),
+                 (floats, Fraction(9, 20), False), (floats, 0.45, False), (ints, Fraction(9, 20), True)]
+        for A, lam, exact in cases:
+            s = as_ifs(A, lam)
+            assert s.is_exact is exact, (A, lam)
+            assert type(s.lam) is type(lam) and s.lam == lam
+            assert [type(p[0]) for p in s.points] == [Fraction if exact else float] * 3
+            assert as_ifs(A, lam) is s
+
 
 @settings(max_examples=120, deadline=None)
 @given(

@@ -1,0 +1,189 @@
+"""Differential tests of the batched frontier kernel against the scalar one.
+
+`core._children_many` and `geometry.contains_many` must give, bit for bit,
+what the scalar `core._children` and `geometry.contains` give.  The
+references below are plain scalar walkers over `_children`, so each
+walker that switches wide float levels to the kernel is held to the
+outputs of a walker that never does.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from ifslab import addresses, conditions
+from ifslab.addresses import enumerate_prefixes
+from ifslab.conditions import covering_deficiency
+from ifslab.core import _children, _children_many, new_ifs
+from ifslab.deleted_digits import DigitSet, as_ifs
+from ifslab.errors import BudgetExceeded, DimensionMismatch
+from ifslab.geometry import DEFAULT_TOL, contains, contains_many, hull_polytope, sample_uniform
+
+from helpers import RIGHT_TRIANGLE_EXACT, triangle_system, unit_system
+
+TETRAHEDRON = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+# (name, system, depth): seeded points of these reach levels of thousands of rows
+WIDE = {
+    "triangle-0.7": (triangle_system(0.7), 20),
+    "triangle-0.7-exact-system": (new_ifs(Fraction(7, 10), RIGHT_TRIANGLE_EXACT), 20),
+    "digits013-0.45": (as_ifs(DigitSet((0, 1, 3)), 0.45), 26),
+    "unit-0.6": (unit_system(0.6), 40),
+    "tetrahedron-0.8": (new_ifs(0.8, TETRAHEDRON), 11),
+}
+
+
+def _points(sys, seed, count):
+    return [tuple(p) for p in sample_uniform(sys.omega, count, np.random.default_rng(seed)).tolist()]
+
+
+def _shell_probes(poly, rng, count, tol=DEFAULT_TOL):
+    """Points within rounding of the tol shell of a random facet, in float."""
+    A, b, norms = poly.float_halfspaces
+    lo, hi = (np.array([float(v) for v in c]) for c in poly.bounding_box())
+    x = lo + rng.random((count, poly.dim)) * (hi - lo)
+    h = rng.integers(len(A), size=count)
+    n = A[h]
+    slack = b[h] - np.einsum("ij,ij->i", x, n)
+    # move each point along its facet normal to slack -tol*|n|; rounding
+    # leaves it a few ulps to either side
+    step = (slack + tol * norms[h]) / norms[h] ** 2
+    return x + step[:, None] * n
+
+
+SHELL_CASES = {
+    "interval": ((0.0,), (1.0,)),
+    "triangle": ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+    "tetrahedron": TETRAHEDRON,
+    "skew-tetrahedron": ((0.0, 0.0, 0.0), (1.0, 0.1, 0.0), (0.3, 1.0, 0.2), (0.2, 0.4, 1.1)),
+}
+
+
+@pytest.mark.parametrize("name", list(SHELL_CASES))
+def test_contains_many_equals_contains_on_the_tol_shell(name):
+    gens = SHELL_CASES[name]
+    poly = hull_polytope(gens)
+    probes = _shell_probes(poly, np.random.default_rng(11), 20_000)
+    want = [contains(poly, tuple(p)) for p in probes.tolist()]
+    assert 0 < sum(want) < len(want)  # the probes straddle the shell
+    assert contains_many(poly, probes).tolist() == want
+    assert contains_many(poly, probes.reshape(4, -1, poly.dim)).ravel().tolist() == want
+
+
+def test_contains_many_rejects_points_of_another_dimension():
+    with pytest.raises(DimensionMismatch):
+        contains_many(hull_polytope(SHELL_CASES["triangle"]), np.zeros((4, 3)))
+
+
+def _scalar_children_many(sys, X, tol):
+    parents, digits, rems = [], [], []
+    for i, row in enumerate(X.tolist()):
+        for j, r in _children(sys, tuple(row), tol):
+            parents.append(i)
+            digits.append(j)
+            rems.append(r)
+    return parents, digits, rems
+
+
+@pytest.mark.parametrize("name", list(WIDE))
+def test_kernel_equals_scalar_children(name):
+    sys = WIDE[name][0]
+    rng = np.random.default_rng(12)
+    lo, hi = (np.array([float(v) for v in c]) for c in sys.omega.bounding_box())
+    X = lo - 0.1 + rng.random((3000, sys.d)) * (hi - lo + 0.2)
+    if sys.omega.float_halfspaces is not None:  # and some rows on the tol shell
+        X = np.vstack([X, _shell_probes(sys.omega, rng, 3000)])
+    parents, digits, rems = _children_many(sys, X, DEFAULT_TOL)
+    want = _scalar_children_many(sys, X, DEFAULT_TOL)
+    assert (parents.tolist(), digits.tolist()) == want[:2]
+    assert repr([tuple(r) for r in rems.tolist()]) == repr(want[2])
+
+
+# ---------------------------------------------------------------------------
+# scalar references: the walkers as they were before the batched kernel
+
+
+def _ref_enumerate(sys, x, depth, tol=DEFAULT_TOL, node_budget=addresses.DEFAULT_NODE_BUDGET):
+    levels = [[((), tuple(x))]]
+    total = 1
+    for dep in range(depth):
+        nxt = []
+        for prefix, r in levels[-1]:
+            for j, rj in _children(sys, r, tol):
+                nxt.append((prefix + (j,), rj))
+                total += 1
+                if total > node_budget:
+                    raise BudgetExceeded(f"prefix tree exceeded {node_budget} nodes at depth {dep + 1}")
+        levels.append(nxt)
+        if not nxt:
+            break
+    return levels
+
+
+def _ref_covering(sys, n, samples, seed, tol=DEFAULT_TOL):
+    pts = sample_uniform(sys.omega, samples, np.random.default_rng(seed), tol=tol)
+    misses = sum(not conditions._covered(sys, tuple(p), n, tol) for p in pts)
+    return misses / samples
+
+
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """Rows the batched kernel expanded, counted through both walkers' imports."""
+    rows = []
+
+    def counting(sys, X, tol):
+        rows.append(len(X))
+        return _children_many(sys, X, tol)
+
+    monkeypatch.setattr(addresses, "_children_many", counting)
+    monkeypatch.setattr(conditions, "_children_many", counting)
+    return rows
+
+
+@pytest.mark.parametrize("name", list(WIDE))
+def test_enumerate_prefixes_equals_scalar_reference(name, kernel_rows):
+    sys, depth = WIDE[name]
+    for x in _points(sys, 13, 3):
+        tree = enumerate_prefixes(sys, x, depth)
+        want = _ref_enumerate(sys, x, depth)
+        assert tree.counts == [len(lv) for lv in want]
+        got = [[(nd.prefix, nd.remainder) for nd in lv] for lv in tree.levels]
+        assert repr(got) == repr(want)
+    assert max(kernel_rows) >= 1000
+
+
+def test_levels_of_other_arithmetic_stay_scalar(kernel_rows):
+    # a Fraction coordinate under an exact system stays exact, and numpy
+    # scalars stay numpy scalars: the kernel would round both to float
+    cases = [(WIDE["triangle-0.7-exact-system"][0], (0.3, Fraction(1, 5)), 8),
+             (WIDE["triangle-0.7"][0], (np.float64(0.3), np.float64(0.2)), 10)]
+    for sys, x, depth in cases:
+        tree = enumerate_prefixes(sys, x, depth)
+        assert tree.counts[-1] >= 2
+        got = [[(nd.prefix, nd.remainder) for nd in lv] for lv in tree.levels]
+        assert repr(got) == repr(_ref_enumerate(sys, x, depth))
+    assert kernel_rows == []
+
+
+@pytest.mark.parametrize("sys, n", [(triangle_system(0.5), 6), (unit_system(0.45), 8),
+                                    (as_ifs(DigitSet((0, 1, 3)), 0.35), 7),
+                                    (new_ifs(0.6, TETRAHEDRON), 5)],
+                         ids=["gasket", "interval-0.45", "digits013-0.35", "tetrahedron-0.6"])
+def test_covering_deficiency_equals_scalar_reference(sys, n, kernel_rows):
+    frac, _ = covering_deficiency(sys, n, 2000, seed=15)
+    assert frac == _ref_covering(sys, n, 2000, seed=15)
+    assert max(kernel_rows) >= 1000
+
+
+def test_prefix_budget_fires_with_the_same_message_on_both_paths(kernel_rows):
+    sys, depth = WIDE["triangle-0.7"]
+    x = _points(sys, 16, 1)[0]
+    budget = sum(len(lv) for lv in _ref_enumerate(sys, x, depth)) - 1
+    with pytest.raises(BudgetExceeded) as want:
+        _ref_enumerate(sys, x, depth, node_budget=budget)
+    with pytest.raises(BudgetExceeded) as got:
+        enumerate_prefixes(sys, x, depth, node_budget=budget)
+    assert str(got.value) == str(want.value) == f"prefix tree exceeded {budget} nodes at depth {depth}"
+    assert kernel_rows
+
