@@ -17,6 +17,7 @@ Three kinds of certificate live here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ from .geometry import (
     DEFAULT_TOL,
     contains,
     contains_many,
-    image_polytope,
+    margin_verdict,
     sample_uniform,
 )
 from .linfeas import halfspace_interior_slack
@@ -161,42 +162,66 @@ def vertex_overlap_witness(sys: IfsSystem, margin=WITNESS_MARGIN, tol=DEFAULT_TO
     accepted and the same block search runs over every j.  Returns None when
     no witness exists; raises NoEllFound if a witness hypothesis holds but no
     block length <= 64 closes the containment.
-    """
-    images = [image_polytope(sys, (i,)) for i in range(sys.m)]
-    hits = []
-    for i in range(sys.m):
-        for k in range(sys.m):
-            if k == i:
-                continue
-            for j in range(sys.m):
-                q = apply_map(sys, k, sys.points[j])
-                if contains(images[i], q, margin=margin, tol=tol):
-                    hits.append((i, k, j, "vertex-interior"))
-    if not hits and sys.d <= 2:
-        for i in range(sys.m):
-            for k in range(i + 1, sys.m):
-                if _proper_overlap(images[i], images[k]):
-                    for j in range(sys.m):
-                        hits.append((i, k, j, "proper-overlap"))
-    if not hits:
-        return None
 
-    found = []
-    cap = ELL_CAP
-    for i, k, j, grade in hits:
-        # a later hit wins only with an ell no longer than the best so far
-        ell = _minimal_ell(sys, images, i, k, j, tol, cap)
-        if ell is not None:
-            found.append((ell, i, k, j, grade))
-            cap = ell
-    if not found:
+    Of the triples, in (i, k, j) order, the first with the least ell wins.
+    In d >= 3 the vertex test is `margin_verdict`, which decides most
+    triples without linear programming.  A triple it leaves open is sent to
+    the LP of `contains` only when the answer can change the result: when
+    its ell beats every hit so far, or at the end, when no hit is confirmed
+    and the open triples tell a NoEllFound from None.
+    """
+    images = sys.images
+
+    def vertex_hits():
+        for i in range(sys.m):
+            for k in range(sys.m):
+                if k == i:
+                    continue
+                for j in range(sys.m):
+                    q = apply_map(sys, k, sys.points[j])
+                    hit = margin_verdict(images[i], q, margin, tol)
+                    if hit is None:
+                        yield i, k, j, functools.partial(contains, images[i], q, margin, tol)
+                    elif hit:
+                        yield i, k, j, None
+
+    best, held = _least_ell(sys, images, vertex_hits(), tol)
+    grade = "vertex-interior"
+    if not held and sys.d <= 2:
+        pairs = ((i, k, j, None) for i in range(sys.m) for k in range(i + 1, sys.m)
+                 if _proper_overlap(images[i], images[k]) for j in range(sys.m))
+        best, held = _least_ell(sys, images, pairs, tol)
+        grade = "proper-overlap"
+    if not held:
+        return None
+    if best is None:
         raise NoEllFound(
             f"witness hypothesis holds but no block length <= {ELL_CAP} lands "
             "inside the overlap; refusing to guess"
         )
-    found.sort(key=lambda t: (t[0], t[4] != "vertex-interior", t[1], t[2], t[3]))
-    ell, i, k, j, grade = found[0]
+    ell, i, k, j = best
     return OverlapWitness(i=i, k=k, j=j, ell=ell, block0=(k,) + (j,) * (ell - 1), grade=grade)
+
+
+def _least_ell(sys, images, hits, tol):
+    """(first (ell, i, k, j) with the least ell, or None; whether any hit holds).
+
+    hits yields (i, k, j, decide) in search order: decide is None for a
+    confirmed hit, else a call that tells whether the triple is a hit.  It
+    is called only when the answer matters: when the triple's ell is
+    strictly below the best so far (an earlier triple wins a tie), or at
+    the end, while no hit is confirmed.
+    """
+    best, held, undecided = None, False, []
+    for i, k, j, decide in hits:
+        ell = _minimal_ell(sys, images, i, k, j, tol, best[0] - 1 if best else ELL_CAP)
+        if decide is not None and ell is None:
+            undecided.append(decide)
+        elif decide is None or decide():
+            held = True
+            if ell is not None:
+                best = (ell, i, k, j)
+    return best, held or any(decide() for decide in undecided)
 
 
 def _proper_overlap(pa, pb):
@@ -228,7 +253,7 @@ def block_family(sys: IfsSystem, witness: OverlapWitness) -> BlockFamily:
 
 def verify_witness(sys: IfsSystem, w: OverlapWitness, margin=WITNESS_MARGIN, tol=DEFAULT_TOL) -> bool:
     """Post-hoc re-check of the witness invariants at the stated grade."""
-    images = [image_polytope(sys, (i,)) for i in range(sys.m)]
+    images = sys.images
     if w.grade == "vertex-interior":
         q = apply_map(sys, w.k, sys.points[w.j])
         if not contains(images[w.i], q, margin=margin, tol=tol):

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (
     LambdaOutOfRange,
 )
 from .geometry import (Polytope, _affine_rank, _lattice, contains, contains_many, hull_polytope,
-                       is_exact_point, is_exact_scalar)
+                       image_polytope, is_exact_point, is_exact_scalar)
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,11 @@ class IfsSystem:
 
     def diameter(self) -> float:
         return self.omega.diameter()
+
+    @cached_property
+    def images(self) -> tuple:
+        """The first-level images f_i(Omega), i = 0..m-1, built once by `image_polytope`."""
+        return tuple(image_polytope(self, (i,)) for i in range(self.m))
 
 
 def new_ifs(lam, points) -> IfsSystem:

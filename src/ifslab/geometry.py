@@ -13,9 +13,15 @@ linear-feasibility program over the convex-combination weights.
 `contains` tests one point on the float or the exact-rational path:
 arithmetic stays within the input type, and the interior-margin test is
 phrased with squared quantities so the rational path never needs a square
-root.  `contains_many` is the one batched test, over float point arrays;
-it repeats the float path of `contains` operation for operation, so the
-two never disagree, not even within rounding of the tolerance shell.
+root.  In d >= 3 the interior margin bounds the convex weights from
+below.  On a simplex (d + 1 affinely independent generators) x's weights
+are unique; computed exactly in integers, they give the margin test the
+linear program's verdict.  The program still runs for float points in
+the tolerance shell, for hulls that are not simplices and for margins no
+weights can meet.  `contains_many` is the one batched test, over float
+point arrays; it repeats the float path of `contains` operation for
+operation, so the two never disagree, not even within rounding of the
+tolerance shell.
 """
 
 from __future__ import annotations
@@ -82,6 +88,38 @@ class Polytope:
         for a in arrays:
             a.flags.writeable = False
         return arrays
+
+    @cached_property
+    def weight_scale(self):
+        """m * max(1, span), span the largest side of the bounding box, exactly.
+
+        In d >= 3 `contains` with a margin asks every convex weight to be
+        at least margin / weight_scale.
+        """
+        lo, hi = self.bounding_box()
+        span = max((Fraction(h) - Fraction(l) for l, h in zip(lo, hi)), default=Fraction(1))
+        return len(self.generators) * max(Fraction(1), span)
+
+    @cached_property
+    def barycentric(self):
+        """(den, adj, det) of a simplex in d >= 3; None for any other hull.
+
+        With M = [generators as columns; a row of ones], den * M is an
+        integer matrix (den from _lattice), adj is its adjugate and det its
+        determinant, both negated if need be so that det > 0.  The convex
+        weights of x are then w = den * adj @ [x; 1] / det, exactly.
+        """
+        if self.dim < 3 or self.halfspaces is None or len(self.generators) != self.dim + 1:
+            return None
+        den, ipts = _lattice(self.generators)
+        mat = [list(col) for col in zip(*ipts)] + [[den] * len(ipts)]
+        size = len(mat)
+        adj = [[(-1) ** (l + j) * _det([r[:l] + r[l + 1:] for i, r in enumerate(mat) if i != j])
+                for j in range(size)] for l in range(size)]
+        det = sum(mat[0][l] * adj[l][0] for l in range(size))  # Laplace along the first row
+        if det < 0:
+            det, adj = -det, [[-a for a in row] for row in adj]
+        return den, adj, det
 
     def bounding_box(self):
         lo = tuple(min(g[k] for g in self.generators) for k in range(self.dim))
@@ -266,13 +304,15 @@ def contains(poly: Polytope, x, margin=0, tol=DEFAULT_TOL) -> bool:
 
     margin > 0 is InteriorMargin(margin): in dim <= 2 the ball of that
     radius around x must fit inside, via halfspace distances.  In dim >= 3
-    the margin is applied to the convex-combination weights instead, by an
-    LP, and it stays there because the overlap witness rests on it: the
-    weight shift margin / (m * span) sits below `tol`, so on the float path
-    points on the boundary pass.  On the lambda = 0.8 tetrahedron 12 of the
-    48 vertex images f_k(p_j), all on the boundary of Omega, pass as
-    interior to f_i(Omega); a distance margin passes none of them, and
-    conditions.vertex_overlap_witness would find no witness there.
+    the margin is applied to the convex-combination weights instead: every
+    weight must be at least delta = margin / poly.weight_scale.  It stays
+    there because the overlap witness rests on it: delta sits below `tol`,
+    so on the float path points on the boundary pass.  On the lambda = 0.8
+    tetrahedron 12 of the 48 vertex images f_k(p_j), all on the boundary
+    of Omega, pass as interior to f_i(Omega); a distance margin passes none
+    of them, and conditions.vertex_overlap_witness would find no witness
+    there.  `margin_verdict` decides the test without the LP where it can
+    (see `_weights_verdict`); the exact LP runs only for what it leaves.
     """
     if len(x) != poly.dim:
         raise DimensionMismatch(f"point has dimension {len(x)}, polytope {poly.dim}")
@@ -297,17 +337,65 @@ def contains(poly: Polytope, x, margin=0, tol=DEFAULT_TOL) -> bool:
         if exact:
             return res == 0
         return float(res) <= tol
-    delta = Fraction(margin) / (Fraction(len(poly.generators)) * max(ONE_F, _span(poly)))
-    res = convex_combination_residual(poly.generators, x, min_weight=delta)
-    return res == 0 if exact else float(res) <= tol
+    delta = Fraction(margin) / poly.weight_scale
+    verdict = _weights_verdict(poly, x, delta, exact, tol)
+    if verdict is None:
+        res = convex_combination_residual(poly.generators, x, min_weight=delta)
+        verdict = res == 0 if exact else float(res) <= tol
+    return verdict
 
 
-ONE_F = Fraction(1)
+def margin_verdict(poly: Polytope, x, margin, tol=DEFAULT_TOL):
+    """contains(poly, x, margin) for margin > 0, or None where only the weights LP can tell.
+
+    None comes only in d >= 3: for a point in the float tolerance shell of
+    a simplex, for a hull that is not a simplex, and for a margin no
+    weights can meet (delta * m > 1).  A caller that can do without some
+    answers asks `contains` for just the ones it needs.
+    """
+    if poly.dim <= 2:
+        return contains(poly, x, margin=margin, tol=tol)
+    if len(x) != poly.dim:
+        raise DimensionMismatch(f"point has dimension {len(x)}, polytope {poly.dim}")
+    exact = poly.is_exact and is_exact_point(x) and is_exact_scalar(margin)
+    return _weights_verdict(poly, x, Fraction(margin) / poly.weight_scale, exact, tol)
 
 
-def _span(poly):
-    lo, hi = poly.bounding_box()
-    return max((Fraction(h) - Fraction(l) for l, h in zip(lo, hi)), default=ONE_F)
+def _weights_verdict(poly, x, delta, exact, tol):
+    """The LP's verdict on "x has convex weights all >= delta", where a simplex decides it.
+
+    On a simplex the weights w of x are unique.  The LP (w = v + delta,
+    v >= 0, phase-1 residual) therefore has residual 0 when every
+    w_l >= delta.  A weight short of delta by eps forces a residual of at
+    least eps / max_j |M^-1_lj|, since a unit of residual moves w_l by at
+    most that much (M as in `Polytope.barycentric`).  So the exact verdict
+    is False, and the float verdict float(res) <= tol is False once the
+    float of that bound exceeds tol, float() being monotone.  Returns None,
+    leaving the LP to decide, for a hull that is not a simplex, a margin
+    with delta * m > 1 (the LP's early return) and a float point whose
+    bound is at most tol.
+    """
+    bary = poly.barycentric
+    if bary is None or delta * len(poly.generators) > 1:
+        return None
+    den, adj, det = bary
+    xs = [Fraction(v) for v in x]
+    q = math.lcm(*(v.denominator for v in xs))
+    y = [v.numerator * (q // v.denominator) for v in xs] + [q]  # q * [x; 1], in integers
+    # in integers: w_l = den * (adj_l . y) / (det * q) and delta = dn / dd,
+    # so gap = (delta - w_l) * dd * det * q and eps / max_j |M^-1_lj| is
+    # gap / (dd * q * den * max_j |adj_lj|); int / int rounds correctly
+    dn, dd = delta.numerator, delta.denominator
+    short = False
+    for row in adj:
+        gap = dn * det * q - dd * den * sum(a * b for a, b in zip(row, y))
+        if gap > 0:
+            if exact or gap / (dd * q * den * max(map(abs, row))) > tol:
+                return False
+            short = True
+    if short:
+        return None
+    return exact or 0.0 <= tol  # the residual is exactly 0
 
 
 def image_polytope(sys, w) -> Polytope:

@@ -10,15 +10,17 @@ taken from the loop implementations.
 import hashlib
 import json
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 import pytest
 
-from ifslab import conditions
+from ifslab import conditions, geometry
 from ifslab.cli import main
 from ifslab.core import apply_map, new_ifs, project_prefix
 from ifslab.errors import NoEllFound, UnsupportedDimension
 from ifslab.geometry import DEFAULT_TOL, contains, image_polytope, np_halfspaces
+from ifslab.linfeas import convex_combination_residual
 from ifslab.measure import chain_walk, mesh_count
 
 from helpers import triangle_system, unit_system
@@ -43,6 +45,18 @@ def reference_minimal_ell(sys, images, i, k, j, tol):
     return None
 
 
+def reference_vertex_interior(image, q, margin, tol):
+    """The vertex test: halfspace distances in d <= 2, else the weights-margin LP itself."""
+    if image.dim <= 2:
+        return contains(image, q, margin=margin, tol=tol)
+    lo, hi = image.bounding_box()
+    span = max(Fraction(h) - Fraction(l) for l, h in zip(lo, hi))
+    delta = Fraction(margin) / (len(image.generators) * max(Fraction(1), span))
+    res = convex_combination_residual(image.generators, q, min_weight=delta)
+    exact = image.is_exact and all(isinstance(v, Rational) for v in q + (margin,))
+    return res == 0 if exact else float(res) <= tol
+
+
 def reference_witness(sys, margin=conditions.WITNESS_MARGIN, tol=DEFAULT_TOL):
     """The witness search with every hit run to ELL_CAP."""
     images = [image_polytope(sys, (i,)) for i in range(sys.m)]
@@ -53,7 +67,7 @@ def reference_witness(sys, margin=conditions.WITNESS_MARGIN, tol=DEFAULT_TOL):
                 continue
             for j in range(sys.m):
                 q = apply_map(sys, k, sys.points[j])
-                if contains(images[i], q, margin=margin, tol=tol):
+                if reference_vertex_interior(images[i], q, margin, tol):
                     hits.append((i, k, j, "vertex-interior"))
     if not hits and sys.d <= 2:
         for i in range(sys.m):
@@ -144,6 +158,56 @@ def test_witness_matches_reference_tetrahedron():
     got = conditions.vertex_overlap_witness(s)
     assert got is not None
     assert got == reference_witness(s)
+
+
+def _exact(points):
+    return [tuple(Fraction(v) for v in p) for p in points]
+
+
+SKEW_TETRAHEDRON = ((0.0, 0.0, 0.0), (2.0, 0.5, 0.0), (0.25, 1.5, 0.0), (0.5, 0.75, 1.25))
+SIMPLEX4 = tuple(tuple(float(i == k) for k in range(4)) for i in range(-1, 4))
+PRISM = tuple(v + (h,) for h in (0.0, 1.0) for v in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+# the float tetrahedron at 0.8 has its own test above
+DIM3_CASES = {f"tetrahedron-{lam}": (lam, TETRAHEDRON) for lam in [0.45, 0.5, 0.55, 0.6, 0.7, 0.9]}
+DIM3_CASES.update({
+    "tetrahedron-exact-4/5": (Fraction(4, 5), _exact(TETRAHEDRON)),
+    "skew-tetrahedron-0.7": (0.7, SKEW_TETRAHEDRON),
+    "simplex4-0.75": (0.75, SIMPLEX4),
+    "prism-0.8": (0.8, PRISM),  # not a simplex: every open vertex test goes to the LP
+})
+
+
+@pytest.mark.parametrize("name", list(DIM3_CASES))
+def test_witness_matches_reference_dim3(name):
+    lam, points = DIM3_CASES[name]
+    s = new_ifs(lam, points)
+    got = _witness_or_error(conditions.vertex_overlap_witness, s)
+    assert got == _witness_or_error(reference_witness, s)
+    if lam != 0.5:  # at 0.5 the images only touch, yet the float search reports a witness
+        assert (got is None) == (lam < 0.5)
+
+
+def test_witness_resolves_open_triples_at_the_end(monkeypatch):
+    # at lambda = 0.8 every vertex test is decided False or left open, and
+    # the open triples need ell = 3: under a cap of 2 none has an ell, so
+    # only the last pass tells NoEllFound from None
+    monkeypatch.setattr(conditions, "ELL_CAP", 2)
+    s = new_ifs(0.8, TETRAHEDRON)
+    assert _witness_or_error(conditions.vertex_overlap_witness, s) == "NoEllFound"
+    assert _witness_or_error(reference_witness, s) == "NoEllFound"
+
+
+def test_tetrahedron_witness_solves_at_most_one_lp(monkeypatch):
+    calls = []
+
+    def counting(points, x, min_weight=0):
+        calls.append(min_weight)
+        return convex_combination_residual(points, x, min_weight=min_weight)
+
+    monkeypatch.setattr(geometry, "convex_combination_residual", counting)
+    w = conditions.vertex_overlap_witness(new_ifs(0.8, TETRAHEDRON))
+    assert (w.i, w.k, w.j, w.ell) == (0, 1, 0, 3)
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize("sys_", [triangle_system(0.65), unit_system(0.6),

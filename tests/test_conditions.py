@@ -15,7 +15,7 @@ from ifslab.conditions import (
     wn_membership,
 )
 from ifslab.core import apply_map, new_ifs, project_prefix
-from ifslab import conditions
+from ifslab import conditions, core, geometry
 from ifslab.errors import BudgetExceeded, CertificateRequired, UnsortedDigits
 from ifslab.geometry import contains, image_polytope
 
@@ -136,6 +136,21 @@ class TestOverlapWitness:
         w = vertex_overlap_witness(s)
         q = apply_map(s, w.k, s.points[w.j])
         assert contains(image_polytope(s, (w.i,)), q, margin=1e-9)
+
+    def test_images_built_once(self, monkeypatch):
+        s = new_ifs(0.8, [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+        w = vertex_overlap_witness(s)
+        assert s.images is s.images
+        for i, img in enumerate(s.images):
+            fresh = image_polytope(s, (i,))
+            assert (img.generators, img.halfspaces) == (fresh.generators, fresh.halfspaces)
+
+        def refuse(*args):
+            raise AssertionError("an image polytope was rebuilt")
+
+        monkeypatch.setattr(core, "image_polytope", refuse)
+        monkeypatch.setattr(geometry, "image_polytope", refuse)
+        assert vertex_overlap_witness(s) == w and verify_witness(s, w)
 
     def test_block_search_gives_up_when_limit_escapes(self):
         # the k j^(ell-1) images contract onto f_k(p_j); aimed at a vertex

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ifslab.geometry import (
     contains_many,
     hull_polytope,
     image_polytope,
+    margin_verdict,
     np_halfspaces,
     sample_uniform,
     volume,
@@ -257,5 +259,72 @@ def test_dim3_lp_serves_only_margin_tests(monkeypatch):
     tet = hull_polytope(_TET)
     assert contains(tet, (0.2, 0.2, 0.2)) and contains(tet, (Fraction(1, 3),) * 3)
     assert calls == []
+    # a simplex decides a margin test from its exact weights; any other hull asks the LP
     assert contains(tet, (0.2, 0.2, 0.2), margin=1e-3)
+    assert calls == []
+    assert contains(hull_polytope(_CUBE), (0.5, 0.5, 0.5), margin=1e-3)
     assert len(calls) == 1 and calls[0] > 0
+
+
+def _lp_margin_verdict(poly, x, margin, tol):
+    """The weights-margin verdict of `contains` taken from the LP alone."""
+    lo, hi = poly.bounding_box()
+    span = max(Fraction(h) - Fraction(l) for l, h in zip(lo, hi))
+    delta = Fraction(margin) / (len(poly.generators) * max(Fraction(1), span))
+    res = convex_combination_residual(poly.generators, x, min_weight=delta)
+    exact = poly.is_exact and all(isinstance(v, Rational) for v in x + (margin,))
+    return res == 0 if exact else float(res) <= tol
+
+
+def _simplex_probes(gens, rng, delta):
+    """Points by their exact barycentric weights: inside, on a facet, on an
+    edge, outside, at weight delta, and short of delta by a hair (inside
+    the float tol shell), by amounts across the shell's edge and by a lot."""
+    size = len(gens)
+    hair = Fraction(1, 10**11)
+    weights = []
+    for _ in range(4):
+        i, j = rng.choice(size, 2, replace=False)
+        w = [Fraction(int(v), 1000) for v in rng.integers(1, 400, size=size)]
+        for cut in (w, [0 if k == i else v for k, v in enumerate(w)],
+                    [v if k in (i, j) else 0 for k, v in enumerate(w)]):
+            weights.append([v / sum(cut) for v in cut])
+        across = [delta - Fraction(10 ** float(e)) for e in rng.uniform(-10, -8, size=3)]
+        for wi in [-Fraction(1, 10), delta, delta - hair, delta + hair, delta - Fraction(1, 3), *across]:
+            u = [Fraction(1, size)] * size
+            u[i] = wi
+            u[j] += 1 - sum(u)
+            weights.append(u)
+    return [tuple(sum(wl * g[k] for wl, g in zip(w, gens)) for k in range(len(gens[0])))
+            for w in weights]
+
+
+_SKEW = [(0, 0, 0), (2, Fraction(1, 2), 0), (Fraction(1, 4), Fraction(3, 2), 0),
+         (Fraction(1, 2), Fraction(3, 4), Fraction(5, 4))]
+SIMPLEX_CASES = {"tetrahedron": _TET, "skew": _SKEW, "simplex4": _SIMPLEX4,
+                 "simplex4-small": [tuple(Fraction(v, 7) for v in g) for g in _SIMPLEX4]}
+
+
+@pytest.mark.parametrize("name", list(SIMPLEX_CASES))
+@pytest.mark.parametrize("arith", ["float", "exact"])
+def test_weights_margin_matches_lp(name, arith):
+    """Seeded probes: the LP-free verdict never disagrees with the LP."""
+    gens = _frac_points(SIMPLEX_CASES[name])
+    conv = Fraction if arith == "exact" else float
+    poly = hull_polytope([tuple(conv(v) for v in g) for g in gens])
+    assert poly.barycentric is not None
+    rng = np.random.default_rng(12)
+    big = 2 * poly.weight_scale  # delta * m > 1: the LP's early return
+    decided = disagree = total = 0
+    for margin in (1e-9, 1e-3, Fraction(1, 50), big):
+        delta = Fraction(margin) / poly.weight_scale
+        for p in _simplex_probes(gens, rng, delta):
+            x = tuple(conv(v) for v in p)
+            want = _lp_margin_verdict(poly, x, margin, 1e-9)
+            fast = margin_verdict(poly, x, margin, tol=1e-9)
+            decided += fast is not None
+            disagree += fast not in (None, want)
+            disagree += contains(poly, x, margin=margin) != want
+            total += 1
+    assert disagree == 0
+    assert 0 < decided < total

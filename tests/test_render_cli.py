@@ -1,11 +1,14 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ifslab
 from ifslab.cli import main
 from ifslab.render import chaos_game, render_attractor, write_pgm
 
@@ -190,8 +193,11 @@ class TestCli:
         assert code == 3
 
     def test_entry_point_runs(self):
+        # the child imports the same ifslab as this process, installed or not
+        src = str(Path(ifslab.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         r = subprocess.run(
             [sys.executable, "-m", "ifslab.cli", "triangle-constants"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert r.returncode == 0 and "lambda0=" in r.stdout
