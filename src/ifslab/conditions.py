@@ -4,22 +4,21 @@ Three kinds of certificate live here:
 
 * closed-form thresholds: OSC failure for lam > m^(-1/d) and no holes for
   lam >= d/(d+1), both pure arithmetic;
-* an overlap witness: a triple (i, k, j) whose vertex image f_k(p_j) sits
-  strictly inside f_i(Omega), together with the smallest block length ell
-  such that the word k j^(ell-1) maps Omega into f_i(Omega) ∩ f_k(Omega).
-  In dimension <= 2 a proper pairwise overlap of images is accepted as the
-  witness hypothesis when no vertex lands strictly inside any image (for a
-  bare triangle every vertex image lies on the boundary of Omega, so the
-  strict form can never fire there);
+* an overlap witness: a triple (i, k, j) with the smallest block length
+  ell such that the word k j^(ell-1) maps Omega into f_i(Omega) ∩ f_k(Omega).
+  That block is a full-dimensional copy of Omega, so it proves a proper
+  overlap; the witness is graded "vertex-interior" when the vertex image
+  f_k(p_j) also sits strictly inside f_i(Omega).  Both tests are closed
+  forms in Omega's exact facets, since every image is homothetic to Omega;
 * empirical probes: covering deficiency of depth-n images and the measure
   of Omega left uncovered by block words containing the forcing block.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,17 +30,9 @@ from .errors import (
     UnsortedDigits,
     UnsupportedDimension,
 )
-from .core import IfsSystem, _children, _children_many, apply_map, project_prefix
-from .geometry import (
-    DEFAULT_TOL,
-    contains,
-    contains_many,
-    margin_verdict,
-    sample_uniform,
-)
-from .linfeas import halfspace_interior_slack
+from .core import IfsSystem, _children, _children_many, project_prefix
+from .geometry import DEFAULT_TOL, contains, contains_many, sample_uniform
 
-WITNESS_MARGIN = 1e-9
 ELL_CAP = 64
 FRONTIER_CAP = 20_000_000  # rows across all samples in the block search
 COVER_NODE_BUDGET = 1_000_000  # nodes expanded per sample by the covering search
@@ -142,7 +133,7 @@ class OverlapWitness:
     j: int
     ell: int
     block0: tuple
-    grade: str  # "vertex-interior" or "proper-overlap" (the dim<=2 relaxation)
+    grade: str  # "vertex-interior" when f_k(p_j) is strictly inside f_i(Omega), else "proper-overlap"
 
 
 @dataclass(frozen=True)
@@ -152,98 +143,79 @@ class BlockFamily:
     L: int
 
 
-def vertex_overlap_witness(sys: IfsSystem, margin=WITNESS_MARGIN, tol=DEFAULT_TOL):
+def vertex_overlap_witness(sys: IfsSystem):
     """Search for an overlap witness and its minimal forcing-block length.
 
-    The forcing block is k j^(ell-1): its image contracts onto f_k(p_j), stays
-    inside f_k(Omega) by construction, and enters f_i(Omega) because that
-    vertex image is interior there.  Failing the strict vertex test, in
-    dimension <= 2 any pair of images overlapping with nonempty interior is
-    accepted and the same block search runs over every j.  Returns None when
-    no witness exists; raises NoEllFound if a witness hypothesis holds but no
-    block length <= 64 closes the containment.
-
-    Of the triples, in (i, k, j) order, the first with the least ell wins.
-    In d >= 3 the vertex test is `margin_verdict`, which decides most
-    triples without linear programming.  A triple it leaves open is sent to
-    the LP of `contains` only when the answer can change the result: when
-    its ell beats every hit so far, or at the end, when no hit is confirmed
-    and the open triples tell a NoEllFound from None.
+    The forcing block is k j^(ell-1), i != k: its image contracts onto
+    f_k(p_j) and always lies in f_k(Omega).  A triple is a witness at the
+    least ell whose block also lies in f_i(Omega) (see `_triple`).  The
+    winner is the least (grade, ell, i, k, j): a triple whose vertex image
+    is strictly inside f_i(Omega) beats one that only overlaps.  Returns
+    None when no block of length <= ELL_CAP fits; raises NoEllFound when
+    some vertex image is strictly interior, so that a long enough block
+    fits, but none of length <= ELL_CAP does.
     """
-    images = sys.images
-
-    def vertex_hits():
-        for i in range(sys.m):
-            for k in range(sys.m):
-                if k == i:
-                    continue
-                for j in range(sys.m):
-                    q = apply_map(sys, k, sys.points[j])
-                    hit = margin_verdict(images[i], q, margin, tol)
-                    if hit is None:
-                        yield i, k, j, functools.partial(contains, images[i], q, margin, tol)
-                    elif hit:
-                        yield i, k, j, None
-
-    best, held = _least_ell(sys, images, vertex_hits(), tol)
-    grade = "vertex-interior"
-    if not held and sys.d <= 2:
-        pairs = ((i, k, j, None) for i in range(sys.m) for k in range(i + 1, sys.m)
-                 if _proper_overlap(images[i], images[k]) for j in range(sys.m))
-        best, held = _least_ell(sys, images, pairs, tol)
-        grade = "proper-overlap"
-    if not held:
-        return None
+    lam = Fraction(sys.lam)
+    u, h = sys.facet_slacks
+    best, interior_seen = None, False
+    for i in range(sys.m):
+        for k in range(sys.m):
+            if k == i:
+                continue
+            v = [b - a for a, b in zip(h[i], h[k])]
+            for j in range(sys.m):
+                interior, t = _triple(u[j], v)
+                interior_seen |= interior
+                rank = 0 if interior else 1
+                # a later triple wins only with a smaller (rank, ell)
+                if best is None or rank < best[0]:
+                    cap = ELL_CAP
+                else:
+                    cap = best[1] - 1 if rank == best[0] else 0
+                ell = _block_ell(lam, t, cap)
+                if ell is not None:
+                    best = (rank, ell, i, k, j)
     if best is None:
-        raise NoEllFound(
-            f"witness hypothesis holds but no block length <= {ELL_CAP} lands "
-            "inside the overlap; refusing to guess"
-        )
-    ell, i, k, j = best
-    return OverlapWitness(i=i, k=k, j=j, ell=ell, block0=(k,) + (j,) * (ell - 1), grade=grade)
+        if interior_seen:
+            raise NoEllFound(
+                f"witness hypothesis holds but no block length <= {ELL_CAP} lands "
+                "inside the overlap; refusing to guess"
+            )
+        return None
+    rank, ell, i, k, j = best
+    return OverlapWitness(i=i, k=k, j=j, ell=ell, block0=(k,) + (j,) * (ell - 1),
+                          grade="vertex-interior" if rank == 0 else "proper-overlap")
 
 
-def _least_ell(sys, images, hits, tol):
-    """(first (ell, i, k, j) with the least ell, or None; whether any hit holds).
+def _triple(u, v):
+    """(f_k(p_j) strictly inside f_i(Omega), t): the block k j^(ell-1) fits iff lam^(ell-1) <= t.
 
-    hits yields (i, k, j, decide) in search order: decide is None for a
-    confirmed hit, else a call that tells whether the triple is a hit.  It
-    is called only when the answer matters: when the triple's ell is
-    strictly below the best so far (an earlier triple wins a tie), or at
-    the end, while no hit is confirmed.
+    Exact, from (u, h) = `IfsSystem.facet_slacks` as u[j] and
+    v = h[k] - h[i]: per facet f of Omega, u_f = b_f - n_f.p_j and
+    v_f = (1-lam)/lam * n_f.(p_k - p_i).  f_i(Omega) is
+    {n_f.x <= lam b_f + (1-lam) n_f.p_i}, and the block maps Omega onto
+    lam^ell Omega + (lam - lam^ell) p_j + (1-lam) p_k.  So the block lies
+    in f_i(Omega) exactly when (1 - lam^(ell-1)) u_f >= v_f for every f,
+    that is lam^(ell-1) <= t = min over v_f > 0 of 1 - v_f/u_f, and
+    f_k(p_j) = lam p_j + (1-lam) p_k is strictly inside exactly when
+    v_f < u_f for every f.
     """
-    best, held, undecided = None, False, []
-    for i, k, j, decide in hits:
-        ell = _minimal_ell(sys, images, i, k, j, tol, best[0] - 1 if best else ELL_CAP)
-        if decide is not None and ell is None:
-            undecided.append(decide)
-        elif decide is None or decide():
-            held = True
-            if ell is not None:
-                best = (ell, i, k, j)
-    return best, held or any(decide() for decide in undecided)
+    interior, t = True, 1
+    for uf, vf in zip(u, v):
+        interior = interior and vf < uf
+        if vf > 0:
+            t = min(t, 1 - vf / uf) if uf else 0
+    return interior, t
 
 
-def _proper_overlap(pa, pb):
-    if pa.dim > 2:
-        raise UnsupportedDimension("proper-overlap relaxation is a dim<=2 device")
-    hs = [(n, off) for n, off, _ in pa.halfspaces + pb.halfspaces]
-    slack = halfspace_interior_slack(hs)
-    return slack is not None and slack > 0
-
-
-def _minimal_ell(sys, images, i, k, j, tol, cap=ELL_CAP):
-    # tails f_j^(ell-1)(p) advance one map per ell: the same arithmetic as
-    # project_prefix on the word k j^(ell-1)
-    tails = [tuple(p) for p in sys.points]
-    for ell in range(1, cap + 1):
-        verts = [apply_map(sys, k, t) for t in tails]
-        if all(
-            contains(images[i], v, tol=tol) and contains(images[k], v, tol=tol)
-            for v in verts
-        ):
-            return ell
-        tails = [apply_map(sys, j, t) for t in tails]
+def _block_ell(lam, t, cap):
+    """The least ell <= cap with lam^(ell-1) <= t, or None."""
+    if t > 0:
+        power = 1
+        for ell in range(1, cap + 1):
+            if power <= t:
+                return ell
+            power *= lam
     return None
 
 
@@ -251,21 +223,13 @@ def block_family(sys: IfsSystem, witness: OverlapWitness) -> BlockFamily:
     return BlockFamily(ell=witness.ell, block0=witness.block0, L=sys.m ** witness.ell)
 
 
-def verify_witness(sys: IfsSystem, w: OverlapWitness, margin=WITNESS_MARGIN, tol=DEFAULT_TOL) -> bool:
+def verify_witness(sys: IfsSystem, w: OverlapWitness) -> bool:
     """Post-hoc re-check of the witness invariants at the stated grade."""
-    images = sys.images
-    if w.grade == "vertex-interior":
-        q = apply_map(sys, w.k, sys.points[w.j])
-        if not contains(images[w.i], q, margin=margin, tol=tol):
-            return False
-    else:
-        if not _proper_overlap(images[w.i], images[w.k]):
-            return False
-    verts = [project_prefix(sys, w.block0, p) for p in sys.points]
-    return all(
-        contains(images[w.i], v, tol=tol) and contains(images[w.k], v, tol=tol)
-        for v in verts
-    )
+    if w.i == w.k or w.block0 != (w.k,) + (w.j,) * (w.ell - 1):
+        return False
+    u, h = sys.facet_slacks
+    interior, t = _triple(u[w.j], [b - a for a, b in zip(h[w.i], h[w.k])])
+    return Fraction(sys.lam) ** (w.ell - 1) <= t and (interior or w.grade != "vertex-interior")
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from .errors import (
     DuplicatePoints,
     LambdaOutOfRange,
 )
-from .geometry import (Polytope, _affine_rank, _lattice, contains, contains_many, hull_polytope,
-                       image_polytope, is_exact_point, is_exact_scalar)
+from .geometry import (Polytope, contains, contains_many, hull_polytope, is_exact_point,
+                       is_exact_scalar)
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,22 @@ class IfsSystem:
         return self.omega.diameter()
 
     @cached_property
-    def images(self) -> tuple:
-        """The first-level images f_i(Omega), i = 0..m-1, built once by `image_polytope`."""
-        return tuple(image_polytope(self, (i,)) for i in range(self.m))
+    def facet_slacks(self) -> tuple:
+        """(u, h) from Omega's facets n_f.x <= b_f, on the exact values of the inputs.
+
+        u[j][f] = b_f - n_f.p_j >= 0 and h[j][f] = (1-lam)/lam * n_f.p_j,
+        Fractions, for every anchor point p_j and facet f.  Every f_i is a
+        homothety, so every image f_w(Omega) has Omega's facet normals, and
+        these numbers decide containment between images exactly
+        (conditions.vertex_overlap_witness).
+        """
+        lam = Fraction(self.lam)
+        pts = [tuple(Fraction(v) for v in p) for p in self.points]
+        hs = hull_polytope(pts).halfspaces
+        heights = [[sum(a * b for a, b in zip(n, p)) for n, _, _ in hs] for p in pts]
+        u = tuple(tuple(off - a for (_, off, _), a in zip(hs, row)) for row in heights)
+        h = tuple(tuple((1 - lam) / lam * a for a in row) for row in heights)
+        return u, h
 
 
 def new_ifs(lam, points) -> IfsSystem:
@@ -67,16 +80,7 @@ def new_ifs(lam, points) -> IfsSystem:
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise DegenerateAffineHull("anchor points of mixed dimension")
-    omega = hull_polytope(pts)
-    # in d >= 3 hull_polytope has already ranked the points: it keeps
-    # halfspaces only for a full-dimensional hull
-    rank = d if d >= 3 and omega.halfspaces is not None else _affine_rank(_lattice(pts)[1])
-    if rank != d:
-        raise DegenerateAffineHull(
-            f"anchor points span affine dimension {rank} < {d}; "
-            "re-embed them in that dimension"
-        )
-    return IfsSystem(lam=lam, points=pts, omega=omega)
+    return IfsSystem(lam=lam, points=pts, omega=hull_polytope(pts))
 
 
 def _check_digit(sys: IfsSystem, j):

@@ -1,27 +1,19 @@
 """Convex polytopes with membership queries used for address feasibility.
 
-A polytope is stored by its generators (V-representation) and, in every
-dimension, by an H-representation derived at construction time; its float
-arrays are built once, at the first batched query.  In dimension <= 2 the
-facets come from the hull's edges.  In d >= 3 they are the hyperplanes
-through d generators with every generator on one side, found exactly on
-the rational values of the generators.  A d >= 3 hull that is not
-full-dimensional keeps no H-representation: planes through it would
-accept its whole affine hull, so its membership is an exact
-linear-feasibility program over the convex-combination weights.
+A polytope is stored by its generators (V-representation) and by an
+H-representation derived at construction time; its float arrays are built
+once, at the first batched query.  Every polytope is full-dimensional:
+`hull_polytope` rejects generators of lower affine rank.  In dimension
+<= 2 the facets come from the hull's edges.  In d >= 3 they are the
+hyperplanes through d generators with every generator on one side, found
+exactly on the rational values of the generators.
 
 `contains` tests one point on the float or the exact-rational path:
 arithmetic stays within the input type, and the interior-margin test is
 phrased with squared quantities so the rational path never needs a square
-root.  In d >= 3 the interior margin bounds the convex weights from
-below.  On a simplex (d + 1 affinely independent generators) x's weights
-are unique; computed exactly in integers, they give the margin test the
-linear program's verdict.  The program still runs for float points in
-the tolerance shell, for hulls that are not simplices and for margins no
-weights can meet.  `contains_many` is the one batched test, over float
-point arrays; it repeats the float path of `contains` operation for
-operation, so the two never disagree, not even within rounding of the
-tolerance shell.
+root.  `contains_many` is the one batched test, over float point arrays;
+it repeats the float path of `contains` operation for operation, so the
+two never disagree, not even within rounding of the tolerance shell.
 """
 
 from __future__ import annotations
@@ -35,8 +27,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedDimension
-from .linfeas import convex_combination_residual
+from .errors import DegenerateAffineHull, DimensionMismatch, UnsupportedDimension
 
 DEFAULT_TOL = 1e-9
 
@@ -51,8 +42,7 @@ def is_exact_point(p) -> bool:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Convex hull of `generators`; `halfspaces` present in every dimension
-    except for a d >= 3 hull of lower affine dimension, where it is None.
+    """Full-dimensional convex hull of `generators` with its halfspaces.
 
     Each halfspace is (normal, offset, sq_norm) with the inside convention
     normal . x <= offset, in the generators' own arithmetic.  Normals are
@@ -63,7 +53,7 @@ class Polytope:
     """
 
     generators: tuple
-    halfspaces: tuple | None
+    halfspaces: tuple
     dim: int
     is_exact: bool = field(init=False, repr=False, compare=False)
 
@@ -72,14 +62,11 @@ class Polytope:
 
     @cached_property
     def float_halfspaces(self):
-        """The H-representation as read-only float arrays (A, b, |row| norms); None without one.
+        """The H-representation as read-only float arrays (A, b, |row| norms).
 
         Built on the first batched query and kept.  Not at construction:
-        polytopes that only scalar tests read, such as the image polytopes
-        of the overlap witness, never need it.
+        polytopes that only scalar tests read never need it.
         """
-        if self.halfspaces is None:
-            return None
         arrays = (
             np.array([[float(v) for v in n] for n, _, _ in self.halfspaces]),
             np.array([float(off) for _, off, _ in self.halfspaces]),
@@ -88,38 +75,6 @@ class Polytope:
         for a in arrays:
             a.flags.writeable = False
         return arrays
-
-    @cached_property
-    def weight_scale(self):
-        """m * max(1, span), span the largest side of the bounding box, exactly.
-
-        In d >= 3 `contains` with a margin asks every convex weight to be
-        at least margin / weight_scale.
-        """
-        lo, hi = self.bounding_box()
-        span = max((Fraction(h) - Fraction(l) for l, h in zip(lo, hi)), default=Fraction(1))
-        return len(self.generators) * max(Fraction(1), span)
-
-    @cached_property
-    def barycentric(self):
-        """(den, adj, det) of a simplex in d >= 3; None for any other hull.
-
-        With M = [generators as columns; a row of ones], den * M is an
-        integer matrix (den from _lattice), adj is its adjugate and det its
-        determinant, both negated if need be so that det > 0.  The convex
-        weights of x are then w = den * adj @ [x; 1] / det, exactly.
-        """
-        if self.dim < 3 or self.halfspaces is None or len(self.generators) != self.dim + 1:
-            return None
-        den, ipts = _lattice(self.generators)
-        mat = [list(col) for col in zip(*ipts)] + [[den] * len(ipts)]
-        size = len(mat)
-        adj = [[(-1) ** (l + j) * _det([r[:l] + r[l + 1:] for i, r in enumerate(mat) if i != j])
-                for j in range(size)] for l in range(size)]
-        det = sum(mat[0][l] * adj[l][0] for l in range(size))  # Laplace along the first row
-        if det < 0:
-            det, adj = -det, [[-a for a in row] for row in adj]
-        return den, adj, det
 
     def bounding_box(self):
         lo = tuple(min(g[k] for g in self.generators) for k in range(self.dim))
@@ -143,11 +98,14 @@ def hull_polytope(generators) -> Polytope:
     d = len(gens[0])
     if any(len(g) != d for g in gens):
         raise DimensionMismatch("generators of mixed dimension")
-    if d <= 2:
-        hs = _halfspaces(gens, d)
-    else:
-        den, ipts = _lattice(gens)
-        hs = _facets(gens, d, den, ipts) if _affine_rank(ipts) == d else None
+    den, ipts = _lattice(gens)
+    rank = _affine_rank(ipts)
+    if rank != d:
+        raise DegenerateAffineHull(
+            f"anchor points span affine dimension {rank} < {d}; "
+            "re-embed them in that dimension"
+        )
+    hs = _halfspaces(gens, d) if d <= 2 else _facets(gens, d, den, ipts)
     return Polytope(generators=gens, halfspaces=hs, dim=d)
 
 
@@ -244,21 +202,6 @@ def _halfspaces(gens, d):
         one = 1 if is_exact_scalar(lo) else 1.0
         return (((-one,), -lo, one), ((one,), hi, one))
     hull = _hull2d(gens)
-    if len(hull) == 1:
-        p = hull[0]
-        return (((1, 0), p[0], 1), ((-1, 0), -p[0], 1), ((0, 1), p[1], 1), ((0, -1), -p[1], 1))
-    if len(hull) == 2:
-        # degenerate segment: clamp to the segment's slab in both axes
-        (x1, y1), (x2, y2) = hull
-        n = (y1 - y2, x2 - x1)
-        out = [
-            (n, n[0] * x1 + n[1] * y1, n[0] ** 2 + n[1] ** 2),
-            ((-n[0], -n[1]), -(n[0] * x1 + n[1] * y1), n[0] ** 2 + n[1] ** 2),
-        ]
-        t = (x2 - x1, y2 - y1)
-        out.append((t, t[0] * x2 + t[1] * y2, t[0] ** 2 + t[1] ** 2))
-        out.append(((-t[0], -t[1]), -(t[0] * x1 + t[1] * y1), t[0] ** 2 + t[1] ** 2))
-        return tuple(out)
     out = []
     for i in range(len(hull)):
         x1, y1 = hull[i]
@@ -272,8 +215,6 @@ def _halfspaces(gens, d):
 def _hull2d(points):
     """Andrew's monotone chain; exact under rational coordinates."""
     pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -288,114 +229,34 @@ def _hull2d(points):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if not hull:  # all collinear: keep extreme pair
-        hull = [pts[0], pts[-1]]
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 def contains(poly: Polytope, x, margin=0, tol=DEFAULT_TOL) -> bool:
-    """Membership of x in poly.
+    """Membership of x in poly, read from its halfspaces in every dimension.
 
     margin == 0 is the Closed mode: on the float path the boundary is
-    widened by `tol`, on the exact path the test is exact.  It reads the
-    halfspaces in every dimension, and only a d >= 3 hull without them
-    (not full-dimensional) solves the convex-combination LP.
+    widened by `tol`, on the exact path the test is exact.
 
-    margin > 0 is InteriorMargin(margin): in dim <= 2 the ball of that
-    radius around x must fit inside, via halfspace distances.  In dim >= 3
-    the margin is applied to the convex-combination weights instead: every
-    weight must be at least delta = margin / poly.weight_scale.  It stays
-    there because the overlap witness rests on it: delta sits below `tol`,
-    so on the float path points on the boundary pass.  On the lambda = 0.8
-    tetrahedron 12 of the 48 vertex images f_k(p_j), all on the boundary
-    of Omega, pass as interior to f_i(Omega); a distance margin passes none
-    of them, and conditions.vertex_overlap_witness would find no witness
-    there.  `margin_verdict` decides the test without the LP where it can
-    (see `_weights_verdict`); the exact LP runs only for what it leaves.
+    margin > 0 is InteriorMargin(margin): the ball of that radius around x
+    must fit inside, via halfspace distances.
     """
     if len(x) != poly.dim:
         raise DimensionMismatch(f"point has dimension {len(x)}, polytope {poly.dim}")
     exact = poly.is_exact and is_exact_point(x) and (margin == 0 or is_exact_scalar(margin))
-    if poly.halfspaces is not None and (margin == 0 or poly.dim <= 2):
-        for n, off, sq in poly.halfspaces:
-            s = off - sum(nv * xv for nv, xv in zip(n, x))
-            if margin == 0:
-                if exact:
-                    if s < 0:
-                        return False
-                elif float(s) < -tol * math.sqrt(float(sq)):
+    for n, off, sq in poly.halfspaces:
+        s = off - sum(nv * xv for nv, xv in zip(n, x))
+        if margin == 0:
+            if exact:
+                if s < 0:
                     return False
-            else:
-                # distance to the edge is s/|n|; require >= margin without sqrt
-                if s < 0 or s * s < margin * margin * sq:
-                    return False
-        return True
-    # dim >= 3: exact feasibility over convex weights
-    if margin == 0:  # only hulls of lower affine dimension
-        res = convex_combination_residual(poly.generators, x)
-        if exact:
-            return res == 0
-        return float(res) <= tol
-    delta = Fraction(margin) / poly.weight_scale
-    verdict = _weights_verdict(poly, x, delta, exact, tol)
-    if verdict is None:
-        res = convex_combination_residual(poly.generators, x, min_weight=delta)
-        verdict = res == 0 if exact else float(res) <= tol
-    return verdict
-
-
-def margin_verdict(poly: Polytope, x, margin, tol=DEFAULT_TOL):
-    """contains(poly, x, margin) for margin > 0, or None where only the weights LP can tell.
-
-    None comes only in d >= 3: for a point in the float tolerance shell of
-    a simplex, for a hull that is not a simplex, and for a margin no
-    weights can meet (delta * m > 1).  A caller that can do without some
-    answers asks `contains` for just the ones it needs.
-    """
-    if poly.dim <= 2:
-        return contains(poly, x, margin=margin, tol=tol)
-    if len(x) != poly.dim:
-        raise DimensionMismatch(f"point has dimension {len(x)}, polytope {poly.dim}")
-    exact = poly.is_exact and is_exact_point(x) and is_exact_scalar(margin)
-    return _weights_verdict(poly, x, Fraction(margin) / poly.weight_scale, exact, tol)
-
-
-def _weights_verdict(poly, x, delta, exact, tol):
-    """The LP's verdict on "x has convex weights all >= delta", where a simplex decides it.
-
-    On a simplex the weights w of x are unique.  The LP (w = v + delta,
-    v >= 0, phase-1 residual) therefore has residual 0 when every
-    w_l >= delta.  A weight short of delta by eps forces a residual of at
-    least eps / max_j |M^-1_lj|, since a unit of residual moves w_l by at
-    most that much (M as in `Polytope.barycentric`).  So the exact verdict
-    is False, and the float verdict float(res) <= tol is False once the
-    float of that bound exceeds tol, float() being monotone.  Returns None,
-    leaving the LP to decide, for a hull that is not a simplex, a margin
-    with delta * m > 1 (the LP's early return) and a float point whose
-    bound is at most tol.
-    """
-    bary = poly.barycentric
-    if bary is None or delta * len(poly.generators) > 1:
-        return None
-    den, adj, det = bary
-    xs = [Fraction(v) for v in x]
-    q = math.lcm(*(v.denominator for v in xs))
-    y = [v.numerator * (q // v.denominator) for v in xs] + [q]  # q * [x; 1], in integers
-    # in integers: w_l = den * (adj_l . y) / (det * q) and delta = dn / dd,
-    # so gap = (delta - w_l) * dd * det * q and eps / max_j |M^-1_lj| is
-    # gap / (dd * q * den * max_j |adj_lj|); int / int rounds correctly
-    dn, dd = delta.numerator, delta.denominator
-    short = False
-    for row in adj:
-        gap = dn * det * q - dd * den * sum(a * b for a, b in zip(row, y))
-        if gap > 0:
-            if exact or gap / (dd * q * den * max(map(abs, row))) > tol:
+            elif float(s) < -tol * math.sqrt(float(sq)):
                 return False
-            short = True
-    if short:
-        return None
-    return exact or 0.0 <= tol  # the residual is exactly 0
+        else:
+            # distance to the facet is s/|n|; require >= margin without sqrt
+            if s < 0 or s * s < margin * margin * sq:
+                return False
+    return True
 
 
 def image_polytope(sys, w) -> Polytope:
@@ -413,8 +274,6 @@ def volume(poly: Polytope):
         return hi[0] - lo[0]
     if poly.dim == 2:
         hull = _hull2d(poly.generators)
-        if len(hull) < 3:
-            return 0 * hull[0][0]
         s = 0
         for i in range(len(hull)):
             x1, y1 = hull[i]
@@ -425,13 +284,7 @@ def volume(poly: Polytope):
 
 
 def np_halfspaces(poly: Polytope):
-    """H-representation as read-only float arrays (A, b, |row| norms), in any dimension.
-
-    Raises UnsupportedDimension for a d >= 3 hull that is not
-    full-dimensional, which has none.
-    """
-    if poly.float_halfspaces is None:
-        raise UnsupportedDimension("no H-representation: a d >= 3 hull of lower affine dimension")
+    """H-representation as read-only float arrays (A, b, |row| norms), in any dimension."""
     return poly.float_halfspaces
 
 
@@ -442,16 +295,11 @@ def contains_many(poly: Polytope, pts, tol=DEFAULT_TOL):
     for bit: per halfspace, s = off - (n_0 x_0 + n_1 x_1 + ...) summed one
     column at a time in that order, and x fails when s < -tol * |n|.  The
     matmul form A x <= b + tol * |n| rounds otherwise and disagrees with
-    `contains` on points within rounding of the tol shell.  A d >= 3 hull
-    without halfspaces (not full-dimensional) is tested point by point
-    with the scalar `contains`.
+    `contains` on points within rounding of the tol shell.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.shape[-1] != poly.dim:
         raise DimensionMismatch(f"points have dimension {pts.shape[-1]}, polytope {poly.dim}")
-    if poly.halfspaces is None:
-        flat = [contains(poly, tuple(p), tol=tol) for p in pts.reshape(-1, poly.dim)]
-        return np.array(flat, dtype=bool).reshape(pts.shape[:-1])
     A, b, norms = poly.float_halfspaces
     cols = np.ascontiguousarray(pts.reshape(-1, poly.dim).T)  # (d, N): one row per coordinate
     acc = np.empty(cols.shape[1])

@@ -1,10 +1,14 @@
 """Shared fixtures and independent oracles.
 
 The oracles here avoid the code paths they are used to check: prefix counts
-come from direct interval images via the closed-form partial sums, and the
-gasket clouds come from explicit base-m digit expansion.
+come from direct interval images via the closed-form partial sums, the
+gasket clouds come from explicit base-m digit expansion, and hull membership
+comes from simplices of the generators, never from facets.
 """
 
+import functools
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -74,3 +78,57 @@ def gasket_corner_cloud(k):
             for (a, b) in anchors
         ]
     return np.array(sorted(set(pts)))
+
+
+def in_hull_exact(points, x):
+    """Exact membership of x in the convex hull of full-dimensional `points`.
+
+    By Caratheodory, x lies in the hull exactly when it lies in the simplex
+    of some d + 1 affinely independent generators.  Each simplex gives x's
+    barycentric weights by an exact inverse.  Integer arithmetic on the
+    rational values of the inputs, so a float counts as the rational it is.
+    """
+    den, simplices = _simplex_inverses(tuple(tuple(Fraction(v) for v in p) for p in points))
+    xs = [Fraction(v) * den for v in x]
+    q = math.lcm(*(v.denominator for v in xs))
+    xq = [v.numerator * (q // v.denominator) for v in xs]  # q * den * x, in integers
+    for base, num, scale in simplices:
+        y = [a - q * b for a, b in zip(xq, base)]
+        w = [sum(r * c for r, c in zip(row, y)) for row in num]  # q * scale * weights
+        if min(w) >= 0 and sum(w) <= q * scale:
+            return True
+    return False
+
+
+@functools.lru_cache(maxsize=None)
+def _simplex_inverses(points):
+    """(den, [(p_0, num, scale)]): den * points are integers, and for every
+    affinely independent (d+1)-subset, num / scale is the exact inverse of
+    M = [p_1 - p_0, ..., p_d - p_0] on those integers, num integer and scale > 0."""
+    den = math.lcm(*(v.denominator for p in points for v in p))
+    ipts = [tuple(int(v * den) for v in p) for p in points]
+    d = len(ipts[0])
+    out = []
+    for sub in itertools.combinations(ipts, d + 1):
+        cols = [[a - b for a, b in zip(p, sub[0])] for p in sub[1:]]
+        inv = _inverse([[Fraction(cols[c][r]) for c in range(d)] for r in range(d)])
+        if inv is not None:
+            scale = math.lcm(*(v.denominator for row in inv for v in row))
+            out.append((sub[0], [[int(v * scale) for v in row] for row in inv], scale))
+    return den, tuple(out)
+def _inverse(a):
+    """Exact Gauss-Jordan inverse of a square Fraction matrix; None when singular."""
+    size = len(a)
+    rows = [list(r) + [Fraction(int(i == j)) for j in range(size)] for i, r in enumerate(a)]
+    for c in range(size):
+        piv = next((r for r in range(c, size) if rows[r][c] != 0), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        top = [v / rows[c][c] for v in rows[c]]
+        rows[c] = top
+        for r in range(size):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [v - f * t for v, t in zip(rows[r], top)]
+    return [r[size:] for r in rows]

@@ -1,26 +1,25 @@
 """The batch kernels against the plain loops they replaced.
 
-Each rewrite of a hot loop (the forcing-block search, mesh counting, the
-chain walk, the CSV rows and the chaos game) performs the same float
-operations in the same order as the loop before it.  The reference loops
-are kept here verbatim, and the CLI outputs are pinned by sha256 digests
-taken from the loop implementations.
+Each rewrite of a hot loop (mesh counting, the chain walk, the CSV rows and
+the chaos game) performs the same float operations in the same order as the
+loop before it.  The reference loops are kept here verbatim, and the CLI
+outputs are pinned by sha256 digests taken from the loop implementations.
+The closed-form overlap witness is checked against a brute-force search
+over block vertices in exact image polytopes.
 """
 
 import hashlib
 import json
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 import pytest
 
-from ifslab import conditions, geometry
+from ifslab import conditions
 from ifslab.cli import main
 from ifslab.core import apply_map, new_ifs, project_prefix
 from ifslab.errors import NoEllFound, UnsupportedDimension
 from ifslab.geometry import DEFAULT_TOL, contains, image_polytope, np_halfspaces
-from ifslab.linfeas import convex_combination_residual
 from ifslab.measure import chain_walk, mesh_count
 
 from helpers import triangle_system, unit_system
@@ -32,62 +31,53 @@ TETRAHEDRON = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0
 # reference loops
 
 
-def reference_minimal_ell(sys, images, i, k, j, tol):
-    """Every vertex image k j^(ell-1)(p) recomputed from scratch for each ell."""
+def exact_twin(sys):
+    """The system on the exact values of its inputs."""
+    return new_ifs(Fraction(sys.lam), [tuple(Fraction(v) for v in p) for p in sys.points])
+
+
+def reference_triple(ex, images, i, k, j):
+    """(f_k(p_j) strictly inside f_i(Omega), least ell whose block fits, or None), by brute force.
+
+    Every vertex of the block k j^(ell-1) is projected from scratch and
+    tested exactly in f_i(Omega) and f_k(Omega); strictness reads the exact
+    facet slacks of f_i(Omega).  The block's vertex from p_j is f_k(p_j)
+    for every ell, so when that point is outside f_i(Omega) no ell fits.
+    """
+    q = apply_map(ex, k, ex.points[j])
+    interior = all(off - sum(a * b for a, b in zip(n, q)) > 0 for n, off, _ in images[i].halfspaces)
+    if not contains(images[i], q):
+        return interior, None
     for ell in range(1, conditions.ELL_CAP + 1):
         word = (k,) + (j,) * (ell - 1)
-        verts = [project_prefix(sys, word, p) for p in sys.points]
-        if all(
-            contains(images[i], v, tol=tol) and contains(images[k], v, tol=tol)
-            for v in verts
-        ):
-            return ell
-    return None
+        verts = [project_prefix(ex, word, p) for p in ex.points]
+        if all(contains(images[i], v) and contains(images[k], v) for v in verts):
+            return interior, ell
+    return interior, None
 
 
-def reference_vertex_interior(image, q, margin, tol):
-    """The vertex test: halfspace distances in d <= 2, else the weights-margin LP itself."""
-    if image.dim <= 2:
-        return contains(image, q, margin=margin, tol=tol)
-    lo, hi = image.bounding_box()
-    span = max(Fraction(h) - Fraction(l) for l, h in zip(lo, hi))
-    delta = Fraction(margin) / (len(image.generators) * max(Fraction(1), span))
-    res = convex_combination_residual(image.generators, q, min_weight=delta)
-    exact = image.is_exact and all(isinstance(v, Rational) for v in q + (margin,))
-    return res == 0 if exact else float(res) <= tol
-
-
-def reference_witness(sys, margin=conditions.WITNESS_MARGIN, tol=DEFAULT_TOL):
-    """The witness search with every hit run to ELL_CAP."""
-    images = [image_polytope(sys, (i,)) for i in range(sys.m)]
-    hits = []
-    for i in range(sys.m):
-        for k in range(sys.m):
+def reference_witness(sys):
+    """The least (grade, ell, i, k, j) over every triple, on the exact twin system."""
+    ex = exact_twin(sys)
+    images = [image_polytope(ex, (i,)) for i in range(ex.m)]
+    found, interior_seen = [], False
+    for i in range(ex.m):
+        for k in range(ex.m):
             if k == i:
                 continue
-            for j in range(sys.m):
-                q = apply_map(sys, k, sys.points[j])
-                if reference_vertex_interior(images[i], q, margin, tol):
-                    hits.append((i, k, j, "vertex-interior"))
-    if not hits and sys.d <= 2:
-        for i in range(sys.m):
-            for k in range(i + 1, sys.m):
-                if conditions._proper_overlap(images[i], images[k]):
-                    for j in range(sys.m):
-                        hits.append((i, k, j, "proper-overlap"))
-    if not hits:
-        return None
-    found = []
-    for i, k, j, grade in hits:
-        ell = reference_minimal_ell(sys, images, i, k, j, tol)
-        if ell is not None:
-            found.append((ell, i, k, j, grade))
+            for j in range(ex.m):
+                interior, ell = reference_triple(ex, images, i, k, j)
+                interior_seen |= interior
+                if ell is not None:
+                    found.append((not interior, ell, i, k, j))
     if not found:
-        raise NoEllFound("no block length closes the containment")
-    found.sort(key=lambda t: (t[0], t[4] != "vertex-interior", t[1], t[2], t[3]))
-    ell, i, k, j, grade = found[0]
-    return conditions.OverlapWitness(i=i, k=k, j=j, ell=ell,
-                                     block0=(k,) + (j,) * (ell - 1), grade=grade)
+        if interior_seen:
+            raise NoEllFound("no block length closes the containment")
+        return None
+    overlap_only, ell, i, k, j = min(found)
+    return conditions.OverlapWitness(
+        i=i, k=k, j=j, ell=ell, block0=(k,) + (j,) * (ell - 1),
+        grade="proper-overlap" if overlap_only else "vertex-interior")
 
 
 def reference_mesh_count(points, epsilon):
@@ -171,9 +161,10 @@ PRISM = tuple(v + (h,) for h in (0.0, 1.0) for v in ((0.0, 0.0), (1.0, 0.0), (0.
 DIM3_CASES = {f"tetrahedron-{lam}": (lam, TETRAHEDRON) for lam in [0.45, 0.5, 0.55, 0.6, 0.7, 0.9]}
 DIM3_CASES.update({
     "tetrahedron-exact-4/5": (Fraction(4, 5), _exact(TETRAHEDRON)),
+    "tetrahedron-exact-1/2": (Fraction(1, 2), _exact(TETRAHEDRON)),
     "skew-tetrahedron-0.7": (0.7, SKEW_TETRAHEDRON),
     "simplex4-0.75": (0.75, SIMPLEX4),
-    "prism-0.8": (0.8, PRISM),  # not a simplex: every open vertex test goes to the LP
+    "prism-0.8": (0.8, PRISM),  # not a simplex
 })
 
 
@@ -183,42 +174,35 @@ def test_witness_matches_reference_dim3(name):
     s = new_ifs(lam, points)
     got = _witness_or_error(conditions.vertex_overlap_witness, s)
     assert got == _witness_or_error(reference_witness, s)
-    if lam != 0.5:  # at 0.5 the images only touch, yet the float search reports a witness
-        assert (got is None) == (lam < 0.5)
+    assert (got is None) == (lam <= 0.5)  # at 0.5 the first-level images only touch
 
 
-def test_witness_resolves_open_triples_at_the_end(monkeypatch):
-    # at lambda = 0.8 every vertex test is decided False or left open, and
-    # the open triples need ell = 3: under a cap of 2 none has an ell, so
-    # only the last pass tells NoEllFound from None
-    monkeypatch.setattr(conditions, "ELL_CAP", 2)
-    s = new_ifs(0.8, TETRAHEDRON)
+def test_no_ell_found_only_with_an_interior_vertex(monkeypatch):
+    # on the interval at 0.6, f_1(p_0) is strictly inside f_0(Omega) and
+    # its block needs ell = 4; on the tetrahedron at 0.8 no vertex image is
+    # strictly inside any image and the overlap blocks need ell = 3
+    monkeypatch.setattr(conditions, "ELL_CAP", 3)
+    s = unit_system(0.6)
     assert _witness_or_error(conditions.vertex_overlap_witness, s) == "NoEllFound"
     assert _witness_or_error(reference_witness, s) == "NoEllFound"
-
-
-def test_tetrahedron_witness_solves_at_most_one_lp(monkeypatch):
-    calls = []
-
-    def counting(points, x, min_weight=0):
-        calls.append(min_weight)
-        return convex_combination_residual(points, x, min_weight=min_weight)
-
-    monkeypatch.setattr(geometry, "convex_combination_residual", counting)
-    w = conditions.vertex_overlap_witness(new_ifs(0.8, TETRAHEDRON))
-    assert (w.i, w.k, w.j, w.ell) == (0, 1, 0, 3)
-    assert len(calls) <= 1
+    monkeypatch.setattr(conditions, "ELL_CAP", 2)
+    s = new_ifs(0.8, TETRAHEDRON)
+    assert conditions.vertex_overlap_witness(s) is None
+    assert reference_witness(s) is None
 
 
 @pytest.mark.parametrize("sys_", [triangle_system(0.65), unit_system(0.6),
                                   new_ifs(Fraction(7, 10), [(Fraction(0),), (Fraction(1),)])])
 def test_minimal_ell_matches_reference_per_triple(sys_):
-    images = [image_polytope(sys_, (i,)) for i in range(sys_.m)]
+    ex = exact_twin(sys_)
+    images = [image_polytope(ex, (i,)) for i in range(ex.m)]
+    u, h = sys_.facet_slacks
     for i in range(sys_.m):
         for k in range(sys_.m):
             for j in range(sys_.m):
-                assert conditions._minimal_ell(sys_, images, i, k, j, DEFAULT_TOL) == \
-                    reference_minimal_ell(sys_, images, i, k, j, DEFAULT_TOL)
+                interior, t = conditions._triple(u[j], [b - a for a, b in zip(h[i], h[k])])
+                got = (interior, conditions._block_ell(Fraction(sys_.lam), t, conditions.ELL_CAP))
+                assert got == reference_triple(ex, images, i, k, j)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,29 +139,25 @@ class TestOverlapWitness:
         q = apply_map(s, w.k, s.points[w.j])
         assert contains(image_polytope(s, (w.i,)), q, margin=1e-9)
 
-    def test_images_built_once(self, monkeypatch):
+    def test_second_witness_builds_no_polytope(self, monkeypatch):
         s = new_ifs(0.8, [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
         w = vertex_overlap_witness(s)
-        assert s.images is s.images
-        for i, img in enumerate(s.images):
-            fresh = image_polytope(s, (i,))
-            assert (img.generators, img.halfspaces) == (fresh.generators, fresh.halfspaces)
+        assert s.facet_slacks is s.facet_slacks
 
         def refuse(*args):
-            raise AssertionError("an image polytope was rebuilt")
+            raise AssertionError("a polytope was built")
 
-        monkeypatch.setattr(core, "image_polytope", refuse)
-        monkeypatch.setattr(geometry, "image_polytope", refuse)
+        monkeypatch.setattr(core, "hull_polytope", refuse)
+        monkeypatch.setattr(geometry, "hull_polytope", refuse)
         assert vertex_overlap_witness(s) == w and verify_witness(s, w)
 
     def test_block_search_gives_up_when_limit_escapes(self):
         # the k j^(ell-1) images contract onto f_k(p_j); aimed at a vertex
         # that never enters the other image, no ell can close the containment
-        from ifslab.conditions import _minimal_ell
-
         s = unit_system(0.6)
-        images = [image_polytope(s, (i,)) for i in range(2)]
-        assert _minimal_ell(s, images, i=0, k=1, j=1, tol=1e-9) is None
+        u, h = s.facet_slacks
+        interior, t = conditions._triple(u[1], [b - a for a, b in zip(h[0], h[1])])
+        assert not interior and conditions._block_ell(Fraction(s.lam), t, conditions.ELL_CAP) is None
 
 
 @pytest.fixture(scope="module")

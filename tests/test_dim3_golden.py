@@ -19,7 +19,10 @@ from ifslab.geometry import sample_uniform, volume_mc
 
 TETRAHEDRON = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
-GOLDEN = "bc47322d614d480a8349e44f022575b7d580ff43b56f72aef0292088c103f34c"
+# The witness is graded "proper-overlap": f_1(p_0) lies on a face of
+# f_0(Omega).  With its grade set back to "vertex-interior" the digest is the
+# one the weights-margin witness gave, bc47322d614d480a8349e44f022575b7d580ff43b56f72aef0292088c103f34c.
+GOLDEN = "3c47e2e4ab9264be86f17fa0ed255e1b5cb7d2ce7d56db5eef7a026d17fdaa99"
 
 F = Fraction
 EXACT_POINTS = (

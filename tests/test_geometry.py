@@ -1,27 +1,22 @@
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifslab import geometry
 from ifslab.core import new_ifs
-from ifslab.errors import DimensionMismatch, UnsupportedDimension
+from ifslab.errors import DegenerateAffineHull, DimensionMismatch, UnsupportedDimension
 from ifslab.geometry import (
     contains,
     contains_many,
     hull_polytope,
     image_polytope,
-    margin_verdict,
-    np_halfspaces,
     sample_uniform,
     volume,
     volume_mc,
 )
-from ifslab.linfeas import convex_combination_residual, halfspace_interior_slack
 
-from helpers import triangle_system, unit_system
+from helpers import in_hull_exact, triangle_system, unit_system
 
 UNIT_TRIANGLE = hull_polytope([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 UNIT_INTERVAL = hull_polytope([(0.0,), (1.0,)])
@@ -89,15 +84,7 @@ class TestLinearFeasibilityPath:
         poly = hull_polytope(gens)
         for _ in range(120):
             x = tuple(rng.uniform(-0.2, 1.2, size=2))
-            by_lp = float(convex_combination_residual(gens, x)) <= 1e-9
-            assert by_lp == contains(poly, x, tol=1e-9) or _near_edge(poly, x)
-
-    def test_interior_slack_signs(self):
-        hs = [(n, off) for n, off, _ in UNIT_TRIANGLE.halfspaces]
-        assert halfspace_interior_slack(hs) > 0
-        # shifted apart: empty intersection
-        hs_empty = [((1.0,), 0.0), ((-1.0,), -1.0)]  # x <= 0 and x >= 1
-        assert halfspace_interior_slack(hs_empty) is None
+            assert in_hull_exact(gens, x) == contains(poly, x, tol=1e-9) or _near_edge(poly, x)
 
 
 def _near_edge(poly, x, eps=1e-8):
@@ -174,7 +161,7 @@ def test_sample_uniform_stays_inside():
 
 
 # ---------------------------------------------------------------------------
-# d >= 3 facets against the convex-combination LP
+# d >= 3 facets against membership in simplices of the generators
 
 
 def _frac_points(pts):
@@ -209,7 +196,7 @@ def test_exact_facets_match_lp(name):
     assert poly.halfspaces is not None
     rng = np.random.default_rng(7)
     for x in _exact_probes(gens, rng, 40):
-        assert contains(poly, x) == (convex_combination_residual(gens, x) == 0), x
+        assert contains(poly, x) == in_hull_exact(gens, x), x
 
 
 @pytest.mark.parametrize("name", list(FACET_CASES))
@@ -222,8 +209,7 @@ def test_float_facets_match_lp(name):
     verts = np.array(gens)
     pts = np.vstack([pts, verts, (verts[:-1] + verts[1:]) / 2])
     for x in map(tuple, pts):
-        by_lp = float(convex_combination_residual(gens, x)) <= 1e-9
-        assert by_lp == contains(poly, x, tol=1e-9) or _near_edge(poly, x)
+        assert in_hull_exact(gens, x) == contains(poly, x, tol=1e-9) or _near_edge(poly, x)
     assert np.array_equal(contains_many(poly, pts), [contains(poly, tuple(x)) for x in pts])
 
 
@@ -233,98 +219,10 @@ def test_facet_counts():
     assert len(hull_polytope(_SIMPLEX4).halfspaces) == 5
 
 
-def test_planar_hull_in_3d_keeps_lp():
-    gens = [(0.0, 0.0, 0.5), (1.0, 0.0, 0.5), (0.0, 1.0, 0.5), (1.0, 1.0, 0.5)]
-    poly = hull_polytope(gens)
-    assert poly.halfspaces is None and poly.float_halfspaces is None
-    rng = np.random.default_rng(9)
-    pts = np.vstack([rng.uniform(-0.2, 1.2, size=(40, 3)), [[0.3, 0.6, 0.5], [1.0, 1.0, 0.5]]])
-    pts[::2, 2] = 0.5
-    want = [float(convex_combination_residual(gens, tuple(x))) <= 1e-9 for x in pts]
-    assert [contains(poly, tuple(x)) for x in pts] == want
-    assert contains_many(poly, pts).tolist() == want
-    assert contains_many(poly, pts.reshape(2, -1, 3)).shape == (2, len(pts) // 2)
-    with pytest.raises(UnsupportedDimension):
-        np_halfspaces(poly)
-
-
-def test_dim3_lp_serves_only_margin_tests(monkeypatch):
-    calls = []
-
-    def counting(points, x, min_weight=0):
-        calls.append(min_weight)
-        return convex_combination_residual(points, x, min_weight=min_weight)
-
-    monkeypatch.setattr(geometry, "convex_combination_residual", counting)
-    tet = hull_polytope(_TET)
-    assert contains(tet, (0.2, 0.2, 0.2)) and contains(tet, (Fraction(1, 3),) * 3)
-    assert calls == []
-    # a simplex decides a margin test from its exact weights; any other hull asks the LP
-    assert contains(tet, (0.2, 0.2, 0.2), margin=1e-3)
-    assert calls == []
-    assert contains(hull_polytope(_CUBE), (0.5, 0.5, 0.5), margin=1e-3)
-    assert len(calls) == 1 and calls[0] > 0
-
-
-def _lp_margin_verdict(poly, x, margin, tol):
-    """The weights-margin verdict of `contains` taken from the LP alone."""
-    lo, hi = poly.bounding_box()
-    span = max(Fraction(h) - Fraction(l) for l, h in zip(lo, hi))
-    delta = Fraction(margin) / (len(poly.generators) * max(Fraction(1), span))
-    res = convex_combination_residual(poly.generators, x, min_weight=delta)
-    exact = poly.is_exact and all(isinstance(v, Rational) for v in x + (margin,))
-    return res == 0 if exact else float(res) <= tol
-
-
-def _simplex_probes(gens, rng, delta):
-    """Points by their exact barycentric weights: inside, on a facet, on an
-    edge, outside, at weight delta, and short of delta by a hair (inside
-    the float tol shell), by amounts across the shell's edge and by a lot."""
-    size = len(gens)
-    hair = Fraction(1, 10**11)
-    weights = []
-    for _ in range(4):
-        i, j = rng.choice(size, 2, replace=False)
-        w = [Fraction(int(v), 1000) for v in rng.integers(1, 400, size=size)]
-        for cut in (w, [0 if k == i else v for k, v in enumerate(w)],
-                    [v if k in (i, j) else 0 for k, v in enumerate(w)]):
-            weights.append([v / sum(cut) for v in cut])
-        across = [delta - Fraction(10 ** float(e)) for e in rng.uniform(-10, -8, size=3)]
-        for wi in [-Fraction(1, 10), delta, delta - hair, delta + hair, delta - Fraction(1, 3), *across]:
-            u = [Fraction(1, size)] * size
-            u[i] = wi
-            u[j] += 1 - sum(u)
-            weights.append(u)
-    return [tuple(sum(wl * g[k] for wl, g in zip(w, gens)) for k in range(len(gens[0])))
-            for w in weights]
-
-
-_SKEW = [(0, 0, 0), (2, Fraction(1, 2), 0), (Fraction(1, 4), Fraction(3, 2), 0),
-         (Fraction(1, 2), Fraction(3, 4), Fraction(5, 4))]
-SIMPLEX_CASES = {"tetrahedron": _TET, "skew": _SKEW, "simplex4": _SIMPLEX4,
-                 "simplex4-small": [tuple(Fraction(v, 7) for v in g) for g in _SIMPLEX4]}
-
-
-@pytest.mark.parametrize("name", list(SIMPLEX_CASES))
-@pytest.mark.parametrize("arith", ["float", "exact"])
-def test_weights_margin_matches_lp(name, arith):
-    """Seeded probes: the LP-free verdict never disagrees with the LP."""
-    gens = _frac_points(SIMPLEX_CASES[name])
-    conv = Fraction if arith == "exact" else float
-    poly = hull_polytope([tuple(conv(v) for v in g) for g in gens])
-    assert poly.barycentric is not None
-    rng = np.random.default_rng(12)
-    big = 2 * poly.weight_scale  # delta * m > 1: the LP's early return
-    decided = disagree = total = 0
-    for margin in (1e-9, 1e-3, Fraction(1, 50), big):
-        delta = Fraction(margin) / poly.weight_scale
-        for p in _simplex_probes(gens, rng, delta):
-            x = tuple(conv(v) for v in p)
-            want = _lp_margin_verdict(poly, x, margin, 1e-9)
-            fast = margin_verdict(poly, x, margin, tol=1e-9)
-            decided += fast is not None
-            disagree += fast not in (None, want)
-            disagree += contains(poly, x, margin=margin) != want
-            total += 1
-    assert disagree == 0
-    assert 0 < decided < total
+def test_degenerate_hulls_raise():
+    planar = [(0.0, 0.0, 0.5), (1.0, 0.0, 0.5), (0.0, 1.0, 0.5), (1.0, 1.0, 0.5)]
+    with pytest.raises(DegenerateAffineHull, match="affine dimension 2 < 3"):
+        hull_polytope(planar)
+    collinear = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)), (Fraction(3), Fraction(6))]
+    with pytest.raises(DegenerateAffineHull, match="affine dimension 1 < 2"):
+        hull_polytope(collinear)
