@@ -9,6 +9,7 @@ source, so identical invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys as _sys
 from fractions import Fraction
@@ -32,9 +33,27 @@ def fmt(v) -> str:
 
 
 def write_csv(stream, header, rows) -> None:
+    """Header line, then one line per row, cells formatted by `fmt`.
+
+    Cells are formatted a column at a time.  A column of plain floats in
+    which some value repeats, as lattice coordinates do, goes through a memo
+    of "%.17g" strings, one per distinct value; zeros bypass the memo,
+    because -0.0 == 0.0 would find each other's key but they print as "-0"
+    and "0".  Every other column goes through `fmt` cell by cell.
+    """
     lines = [",".join(header)]
-    lines += [",".join(map(fmt, row)) for row in rows]
+    lines += map(",".join, zip(*map(_format_column, zip(*rows))))
     stream.write("\n".join(lines) + "\n")
+
+
+def _format_column(col):
+    if all(type(v) is float for v in col):
+        distinct = dict.fromkeys(col)
+        if len(distinct) == len(col):  # no value repeats, so a memo saves nothing
+            return ["%.17g" % v for v in col]
+        memo = {v: "%.17g" % v for v in distinct}
+        return [memo[v] if v else "%.17g" % v for v in col]
+    return list(map(fmt, col))
 
 
 def _parse_floats(text):
@@ -45,7 +64,9 @@ def _parse_fracs(text):
     return tuple(Fraction(v) for v in text.split(","))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one."""
     ap = argparse.ArgumentParser(prog="ifslab")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -139,8 +160,8 @@ def cmd_classify_grid(args) -> int:
     pts = measure.grid_points(sys_, args.resolution)
     bif, dead = measure.chain_walk(sys_, pts, args.depth)
     header = [f"x{k}" for k in range(sys_.d)] + ["single_chain", "first_bifurcation", "dead_end_depth"]
-    rows = [p + [b < 0 and dd < 0, b, dd]
-            for p, b, dd in zip(pts.tolist(), bif.tolist(), dead.tolist())]
+    single = (bif < 0) & (dead < 0)
+    rows = list(zip(*pts.T.tolist(), single.tolist(), bif.tolist(), dead.tolist()))
     with open(args.out, "w", encoding="utf-8", newline="") as f:
         write_csv(f, header, rows)
     print(f"classified {len(pts)} grid points to depth {args.depth} -> {args.out}")
@@ -208,7 +229,8 @@ def cmd_sample_measure(args) -> int:
     sampler = measure.MeasureSampler(sys_, probs, args.seed, trunc=args.depth)
     pts, digs = measure.sample_natural_measure(sampler, args.samples)
     header = [f"x{k}" for k in range(sys_.d)] + ["prefix"]
-    rows = [p + ["".join(map(str, row))] for p, row in zip(pts.tolist(), digs.tolist())]
+    syms = np.array([str(j) for j in range(sys_.m)], dtype=object)
+    rows = list(zip(*pts.T.tolist(), map("".join, syms[digs].tolist())))
     write_csv(_sys.stdout, header, rows)
     print(f"truncation_error={fmt(sampler.truncation_error)}", file=_sys.stderr)
     return 0
@@ -257,9 +279,17 @@ _COMMANDS = {
 }
 
 
+# Least valid value of each count option, checked before any command runs.
+_COUNT_MINIMA = {"depth": 0, "resolution": 1}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, least in _COUNT_MINIMA.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise ValueError(f"--{name} must be at least {least}, got {value}")
         return _COMMANDS[args.command](args)
     except BudgetExceeded as e:
         print(f"error: {e}", file=_sys.stderr)

@@ -283,11 +283,6 @@ def volume(poly: Polytope):
     raise UnsupportedDimension("exact volume is only available for dim <= 2; use volume_mc")
 
 
-def np_halfspaces(poly: Polytope):
-    """H-representation as read-only float arrays (A, b, |row| norms), in any dimension."""
-    return poly.float_halfspaces
-
-
 def contains_many(poly: Polytope, pts, tol=DEFAULT_TOL):
     """Closed membership over the last axis of a (..., d) float array, in any dimension.
 
@@ -315,6 +310,8 @@ def contains_many(poly: Polytope, pts, tol=DEFAULT_TOL):
 
 def sample_uniform(poly: Polytope, n, rng, tol=DEFAULT_TOL):
     """n points uniform over poly by seeded rejection from the bounding box."""
+    if n < 1:
+        raise ValueError("need at least one sample")
     lo, hi = poly.bounding_box()
     lo = np.array([float(v) for v in lo])
     hi = np.array([float(v) for v in hi])
@@ -331,6 +328,8 @@ def sample_uniform(poly: Polytope, n, rng, tol=DEFAULT_TOL):
 
 def volume_mc(poly: Polytope, samples, seed, tol=DEFAULT_TOL):
     """Monte Carlo volume for any dimension: (estimate, standard error)."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     lo, hi = poly.bounding_box()
     lo = np.array([float(v) for v in lo])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from array import array
+from itertools import accumulate
 
 import numpy as np
 
@@ -18,15 +18,16 @@ def chaos_game(sys: IfsSystem, iters: int, burn_in: int, seed: int):
     if not (iters > burn_in >= 100):
         raise ValueError("need iters > burn_in >= 100")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    digits = rng.integers(0, sys.m, size=iters).tolist()
+    digits = rng.integers(0, sys.m, size=iters)
     lam = float(sys.lam)
-    Q = [[(1 - lam) * float(v) for v in p] for p in sys.points]
-    x = [float(v) for v in centroid(sys)]
-    out = array("d")
-    for j in digits:
-        x = [lam * xk + qk for xk, qk in zip(x, Q[j])]
-        out.extend(x)
-    return np.frombuffer(out, dtype=float).reshape(iters, sys.d)[burn_in:]
+    Q = np.array([[(1 - lam) * float(v) for v in p] for p in sys.points])
+    out = np.empty((iters - burn_in, sys.d))
+    # the coordinates never mix, so each runs its own scalar recurrence
+    # x <- lam * x + q_j, in the same float operations as the joint loop
+    for k, x0 in enumerate(float(v) for v in centroid(sys)):
+        orbit = accumulate(Q[digits, k].tolist(), lambda x, q: lam * x + q, initial=x0)
+        out[:, k] = np.fromiter(orbit, dtype=float, count=iters + 1)[burn_in + 1:]
+    return out
 
 
 def bin_to_grid(sys: IfsSystem, pts, resolution: int):
@@ -61,7 +62,5 @@ def render_attractor(sys: IfsSystem, iters: int, burn_in: int, resolution: int, 
 def write_pgm(stream, image) -> None:
     """ASCII PGM (magic P2, maxval 255, row-major pixels)."""
     h, w = image.shape
-    stream.write(f"P2\n{w} {h}\n255\n")
-    for row in image:
-        stream.write(" ".join(str(int(v)) for v in row))
-        stream.write("\n")
+    rows = np.asarray(image).astype(np.int64, copy=False).tolist()
+    stream.write(f"P2\n{w} {h}\n255\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ifslab.core import new_ifs
+from ifslab.core import centroid, new_ifs
 
 RIGHT_TRIANGLE = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 RIGHT_TRIANGLE_EXACT = (
@@ -33,6 +33,24 @@ def triangle_system(lam):
 
 def triangle_system_exact(lam):
     return new_ifs(Fraction(lam), RIGHT_TRIANGLE_EXACT)
+
+
+def chaos_game_reference(sys, iters, burn_in, seed):
+    """The chaos-game orbit as one loop over steps, all coordinates together.
+
+    Same seeded digits, and per coordinate the same float operations in the
+    same order (x <- lam * x + (1 - lam) * p_j), as `render.chaos_game`.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    digits = rng.integers(0, sys.m, size=iters).tolist()
+    lam = float(sys.lam)
+    Q = [[(1 - lam) * float(v) for v in p] for p in sys.points]
+    x = [float(v) for v in centroid(sys)]
+    out = []
+    for j in digits:
+        x = [lam * xk + qk for xk, qk in zip(x, Q[j])]
+        out.append(x)
+    return np.array(out, dtype=float).reshape(iters, sys.d)[burn_in:]
 
 
 def count_true_prefixes_1d(lam, points, x, depth):

@@ -1,14 +1,16 @@
 """The batch kernels against the plain loops they replaced.
 
-Each rewrite of a hot loop (mesh counting, the chain walk, the CSV rows and
+Each rewrite of a hot loop (mesh counting, the chain walk, the CSV cells and
 the chaos game) performs the same float operations in the same order as the
-loop before it.  The reference loops are kept here verbatim, and the CLI
-outputs are pinned by sha256 digests taken from the loop implementations.
+loop before it.  The reference loops are kept here, the chaos game's in
+helpers.py, and the CLI outputs are pinned by sha256 digests taken from the
+loop implementations.
 The closed-form overlap witness is checked against a brute-force search
 over block vertices in exact image polytopes.
 """
 
 import hashlib
+import io
 import json
 from fractions import Fraction
 
@@ -16,13 +18,14 @@ import numpy as np
 import pytest
 
 from ifslab import conditions
-from ifslab.cli import main
+from ifslab.cli import fmt, main, write_csv
 from ifslab.core import apply_map, new_ifs, project_prefix
 from ifslab.errors import NoEllFound, UnsupportedDimension
-from ifslab.geometry import DEFAULT_TOL, contains, image_polytope, np_halfspaces
+from ifslab.geometry import DEFAULT_TOL, contains, image_polytope
 from ifslab.measure import chain_walk, mesh_count
+from ifslab.render import chaos_game
 
-from helpers import triangle_system, unit_system
+from helpers import chaos_game_reference, triangle_system, unit_system
 
 TETRAHEDRON = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -91,7 +94,7 @@ def reference_mesh_count(points, epsilon):
 
 def reference_chain_walk(sys, pts, depth, tol=DEFAULT_TOL):
     """The chain walk over every row at every depth, dead or alive."""
-    A, b, norms = np_halfspaces(sys.omega)
+    A, b, norms = sys.omega.float_halfspaces
     slack = b + tol * norms
     lam = float(sys.lam)
     P = np.array([[float(v) for v in p] for p in sys.points])
@@ -113,6 +116,13 @@ def reference_chain_walk(sys, pts, depth, tol=DEFAULT_TOL):
         pick = np.argmax(feas, axis=1)
         r = cand[np.arange(n), pick]
     return bif, dead
+
+
+def reference_write_csv(stream, header, rows):
+    """The CSV writer as one `fmt` call per cell, row by row."""
+    lines = [",".join(header)]
+    lines += [",".join(map(fmt, row)) for row in rows]
+    stream.write("\n".join(lines) + "\n")
 
 
 def _witness_or_error(fn, sys):
@@ -264,6 +274,59 @@ def test_chain_walk_empty_input():
 def test_chain_walk_still_refuses_dim3():
     with pytest.raises(UnsupportedDimension):
         chain_walk(new_ifs(0.8, TETRAHEDRON), np.zeros((1, 3)), 5)
+
+
+# ---------------------------------------------------------------------------
+# chaos game
+
+
+CHAOS_SYSTEMS = {
+    "d1-m2": unit_system(0.6),
+    "d1-m3": new_ifs(0.45, [(0.0,), (0.5,), (1.0,)]),
+    "d1-m4": new_ifs(0.3, [(-1.0,), (0.25,), (0.5,), (2.0,)]),
+    "d2-m3": triangle_system(0.7),
+    "d2-m4": new_ifs(0.55, [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]),
+    "d2-m3-fraction": new_ifs(Fraction(3, 5), [(Fraction(0), Fraction(0)),
+                                               (Fraction(1), Fraction(0)),
+                                               (Fraction(1, 3), Fraction(2, 3))]),
+}
+
+
+@pytest.mark.parametrize("name", list(CHAOS_SYSTEMS))
+@pytest.mark.parametrize("seed", [0, 7])
+def test_chaos_game_matches_joint_loop(name, seed):
+    s = CHAOS_SYSTEMS[name]
+    got = chaos_game(s, 3000, 150, seed)
+    want = chaos_game_reference(s, 3000, 150, seed)
+    assert got.shape == want.shape == (2850, s.d)
+    assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# CSV cells
+
+
+CSV_CASES = {
+    "signed-zeros": [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0], [0.5, -0.0]],
+    "non-finite": [[float("nan"), float("inf")], [float("-inf"), float("nan")], [1e-300, 0.1]],
+    "bool-int-str": [[True, 3, "ab"], [False, -1, ""], [True, 0, "0"]],
+    "fraction": [[Fraction(1, 3), 0.25], [Fraction(-2), 0.25]],
+    "mixed-int-float": [[1, 0.1], [0.1, 2], [3, 0.30000000000000004]],
+    "numpy-scalars": [[np.float64(0.1), np.int64(4)], [np.float64(-0.0), np.int64(-4)]],
+    "repeats": [[v, -v, v * 3] for v in (0.1, 0.2, 0.1, 0.0, 0.2, 0.1)],
+    "distinct-with-zeros": [[-0.0, 1.0], [0.0, 2.0], [0.25, -0.0]],
+    "zero-rows": [],
+}
+
+
+@pytest.mark.parametrize("name", list(CSV_CASES))
+def test_write_csv_matches_cell_loop(name):
+    rows = CSV_CASES[name]
+    header = ["c%d" % k for k in range(len(rows[0]) if rows else 2)]
+    got, want = io.StringIO(), io.StringIO()
+    write_csv(got, header, rows)
+    reference_write_csv(want, header, rows)
+    assert got.getvalue() == want.getvalue()
 
 
 # ---------------------------------------------------------------------------

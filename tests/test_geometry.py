@@ -160,6 +160,14 @@ def test_sample_uniform_stays_inside():
     assert len(pts) == 500
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_zero_samples_rejected(n):
+    with pytest.raises(ValueError, match="need at least one sample"):
+        sample_uniform(UNIT_TRIANGLE, n, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="need at least one sample"):
+        volume_mc(UNIT_INTERVAL, n, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # d >= 3 facets against membership in simplices of the generators
 

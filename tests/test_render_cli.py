@@ -10,6 +10,8 @@ import pytest
 
 import ifslab
 from ifslab.cli import main
+from ifslab.core import load_system
+from ifslab.measure import MeasureSampler, sample_natural_measure
 from ifslab.render import chaos_game, render_attractor, write_pgm
 
 from helpers import triangle_system, unit_system
@@ -192,12 +194,72 @@ class TestCli:
                      "--eps", "0.01,0.005,0.0025,1e-12", "--out", str(tmp_path / "x.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("argv, option", [
+        ("classify-grid --ifs IFS --resolution 0 --depth 5 --out OUT", "--resolution"),
+        ("classify-grid --ifs IFS --resolution -3 --depth 5 --out OUT", "--resolution"),
+        ("classify-grid --ifs IFS --resolution 8 --depth -1 --out OUT", "--depth"),
+        ("analyze-point --ifs IFS --point 0.3,0.4 --depth -3", "--depth"),
+        ("deleted-digits --digits 0,1,3 --lambda 0.45 --point 1.2 --depth -2", "--depth"),
+        ("box-dim --ifs IFS --set uniqueness --eps 0.1,0.05 --depth -1 --out OUT", "--depth"),
+        ("sample-measure --ifs IFS --samples 5 --depth -2 --seed 1", "--depth"),
+        ("render-attractor --ifs IFS --iters 1000 --burn-in 100 --resolution -1 --seed 1 "
+         "--out OUT", "--resolution"),
+    ])
+    def test_out_of_range_count_exit_code(self, tri_json, tmp_path, capsys, argv, option):
+        out = tmp_path / "x.out"
+        argv = [{"IFS": tri_json, "OUT": str(out)}.get(a, a) for a in argv.split()]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"error: {option} must be at least ")
+        assert captured.err.count("\n") == 1
+
+    def test_zero_samples_exit_code(self, tri_json, capsys):
+        for argv in (["wn-coverage", "--ifs", tri_json, "--n", "4", "--samples", "0", "--seed", "1"],
+                     ["sample-measure", "--ifs", tri_json, "--samples", "0", "--seed", "1"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: need at least one sample\n"
+
+    def test_sample_measure_two_digit_symbols(self, tmp_path, capsys):
+        # with m = 12 the digits 10 and 11 are two characters in the prefix
+        p = tmp_path / "m12.json"
+        p.write_text(json.dumps({"lambda": 0.9, "points": [[k] for k in range(12)]}))
+        assert main(["sample-measure", "--ifs", str(p), "--samples", "60", "--depth", "9",
+                     "--seed", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        sampler = MeasureSampler(load_system(str(p))[0], (1 / 12,) * 12, 5, trunc=9)
+        pts, digs = sample_natural_measure(sampler, 60)
+        assert lines[0] == "x0,prefix"
+        assert lines[1:] == ["%.17g,%s" % (x, "".join(map(str, row)))
+                             for x, row in zip(pts[:, 0].tolist(), digs.tolist())]
+        assert any(len(line.split(",")[1]) > 9 for line in lines[1:])
+
+    def test_repeated_main_matches_fresh_processes(self, tri_json, capsys):
+        # the parser is built once per process; a later call must not see
+        # options left over from an earlier one
+        runs = [["sample-measure", "--ifs", tri_json, "--probs", "0.2,0.3,0.5",
+                 "--samples", "40", "--depth", "12", "--seed", "3"],
+                ["sample-measure", "--ifs", tri_json, "--samples", "40", "--depth", "12",
+                 "--seed", "3"]]
+        in_process = []
+        for argv in runs:
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            in_process.append((captured.out, captured.err))
+        fresh = [(r.stdout, r.stderr) for r in map(_fresh_cli, runs)]
+        assert in_process == fresh
+        assert in_process[0][0] != in_process[1][0]
+
     def test_entry_point_runs(self):
-        # the child imports the same ifslab as this process, installed or not
-        src = str(Path(ifslab.__file__).resolve().parent.parent)
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        r = subprocess.run(
-            [sys.executable, "-m", "ifslab.cli", "triangle-constants"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
+        r = _fresh_cli(["triangle-constants"])
         assert r.returncode == 0 and "lambda0=" in r.stdout
+
+
+def _fresh_cli(argv):
+    """`python -m ifslab.cli argv` in a child that imports the same ifslab as this process."""
+    src = str(Path(ifslab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "ifslab.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
