@@ -18,14 +18,16 @@ def chaos_game(sys: IfsSystem, iters: int, burn_in: int, seed: int):
     if not (iters > burn_in >= 100):
         raise ValueError("need iters > burn_in >= 100")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    digits = rng.integers(0, sys.m, size=iters)
+    digits = rng.integers(0, sys.m, size=iters).tolist()
     lam = float(sys.lam)
-    Q = np.array([[(1 - lam) * float(v) for v in p] for p in sys.points])
+    Q = [[(1 - lam) * float(v) for v in p] for p in sys.points]
     out = np.empty((iters - burn_in, sys.d))
     # the coordinates never mix, so each runs its own scalar recurrence
-    # x <- lam * x + q_j, in the same float operations as the joint loop
+    # x <- lam * x + q_j, in the same float operations as the joint loop;
+    # looking q_j up as the orbit advances keeps no per-iteration float list
     for k, x0 in enumerate(float(v) for v in centroid(sys)):
-        orbit = accumulate(Q[digits, k].tolist(), lambda x, q: lam * x + q, initial=x0)
+        qk = [q[k] for q in Q]
+        orbit = accumulate(map(qk.__getitem__, digits), lambda x, q: lam * x + q, initial=x0)
         out[:, k] = np.fromiter(orbit, dtype=float, count=iters + 1)[burn_in + 1:]
     return out
 
@@ -62,5 +64,5 @@ def render_attractor(sys: IfsSystem, iters: int, burn_in: int, resolution: int, 
 def write_pgm(stream, image) -> None:
     """ASCII PGM (magic P2, maxval 255, row-major pixels)."""
     h, w = image.shape
-    rows = np.asarray(image).astype(np.int64, copy=False).tolist()
-    stream.write(f"P2\n{w} {h}\n255\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+    stream.write(f"P2\n{w} {h}\n255\n")
+    stream.writelines(" ".join(map(str, row.tolist())) + "\n" for row in image)
