@@ -280,7 +280,7 @@ _COMMANDS = {
 
 
 # Least valid value of each count option, checked before any command runs.
-_COUNT_MINIMA = {"depth": 0, "resolution": 1}
+_COUNT_MINIMA = {"depth": 0, "resolution": 1, "n": 1, "seed": 0}
 
 
 def main(argv=None) -> int:

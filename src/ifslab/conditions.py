@@ -16,6 +16,7 @@ Three kinds of certificate live here:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,10 +29,9 @@ from .errors import (
     NoEllFound,
     PointOutsideOmega,
     UnsortedDigits,
-    UnsupportedDimension,
 )
-from .core import IfsSystem, _children, _children_many, project_prefix
-from .geometry import DEFAULT_TOL, contains, contains_many, sample_uniform
+from .core import IfsSystem, _children, _children_many, _feasible_many, project_prefix
+from .geometry import DEFAULT_TOL, contains, sample_uniform
 
 ELL_CAP = 64
 FRONTIER_CAP = 20_000_000  # rows across all samples in the block search
@@ -236,21 +236,12 @@ def verify_witness(sys: IfsSystem, w: OverlapWitness) -> bool:
 # W_n membership and coverage
 
 
-def _block_affine(sys, word):
-    zero = tuple(0.0 for _ in range(sys.d))
-    t = project_prefix(sys, word, zero)
-    beta = float(sys.lam) ** len(word)
-    return beta, np.array([float(v) for v in t])
-
-
 def _block_tables(sys, fam):
-    import itertools
-
+    """(beta, T, idx0): block word w maps x to beta*x + T[w]; row idx0 is the forcing block."""
     words = list(itertools.product(range(sys.m), repeat=fam.ell))
-    T = np.array([_block_affine(sys, w)[1] for w in words])
-    beta = float(sys.lam) ** fam.ell
-    idx0 = words.index(tuple(fam.block0))
-    return beta, T, idx0
+    zero = tuple(0.0 for _ in range(sys.d))
+    T = np.array([[float(v) for v in project_prefix(sys, w, zero)] for w in words])
+    return float(sys.lam) ** fam.ell, T, words.index(tuple(fam.block0))
 
 
 def wn_entry_depths(sys: IfsSystem, fam: BlockFamily, pts, n_max: int, tol=DEFAULT_TOL):
@@ -259,11 +250,10 @@ def wn_entry_depths(sys: IfsSystem, fam: BlockFamily, pts, n_max: int, tol=DEFAU
     Level-synchronous search over block words: a word is expanded only while
     it avoids the forcing block, because once the block is consumable the
     no-holes hypothesis guarantees a feasible continuation of any length.
+    Both steps invert block maps x -> beta*x + T[w] in the batched kernel.
     """
-    if sys.d > 2:
-        raise UnsupportedDimension("the batch W_n search needs dim <= 2")
     beta, T, idx0 = _block_tables(sys, fam)
-    t0 = T[idx0]
+    T0 = T[idx0:idx0 + 1]
     T_avoid = np.delete(T, idx0, axis=0)
 
     pts = np.asarray(pts, dtype=float)
@@ -272,20 +262,17 @@ def wn_entry_depths(sys: IfsSystem, fam: BlockFamily, pts, n_max: int, tol=DEFAU
     r = pts.copy()
     s = np.arange(npts)
     for k in range(1, n_max + 1):
-        rc = (r - t0) / beta
-        ok = contains_many(sys.omega, rc, tol=tol)
-        if ok.any():
-            hit = np.unique(s[ok])
+        hit, _, _ = _feasible_many(sys.omega, r, T0, beta, tol)
+        if len(hit):
+            hit = np.unique(s[hit])
             entry[hit] = np.minimum(entry[hit], k)
         keep = entry[s] > k
         r = r[keep]
         s = s[keep]
         if k == n_max or len(r) == 0:
             break
-        cand = (r[:, None, :] - T_avoid[None, :, :]) / beta
-        mask = contains_many(sys.omega, cand, tol=tol)
-        s = np.repeat(s, len(T_avoid))[mask.ravel()]
-        r = cand[mask]
+        parent, _, r = _feasible_many(sys.omega, r, T_avoid, beta, tol)
+        s = s[parent]
         if len(r) > FRONTIER_CAP:
             raise BudgetExceeded(f"block-word frontier exceeded {FRONTIER_CAP} rows")
     return entry

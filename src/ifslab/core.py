@@ -122,21 +122,33 @@ def _children(sys: IfsSystem, x, tol):
     return out
 
 
+def _feasible_many(omega: Polytope, X, shifts, scale, tol):
+    """Every (row x, map j) with (x - shifts[j])/scale in omega, as (parent, digit, remainders).
+
+    The one batched feasibility kernel, over a (rows, d) float array and
+    any family of inverse steps x -> (x - t_j)/scale: the maps f_j
+    themselves (`_children_many`) or the block words of W_n
+    (conditions.wn_entry_depths).  Pairs come row-major, then map-minor,
+    and `contains_many` repeats the float membership test of `contains`
+    in its order of operations.
+    """
+    cand = (X[:, None, :] - shifts) / scale  # (rows, maps, d)
+    parent, digit = np.nonzero(contains_many(omega, cand, tol=tol))
+    return parent, digit, cand[parent, digit]
+
+
 def _children_many(sys: IfsSystem, X, tol):
     """`_children` of every row of a (rows, d) float array, as (parent, digit, remainders).
 
-    The one batched feasibility kernel.  Children come node-major, then
-    digit-minor, as `_children` lists them, and each is bit for bit what
-    `_children` returns for a row given as a tuple of floats: f_j^{-1}
+    `_feasible_many` on the system's own maps.  Children come node-major,
+    then digit-minor, as `_children` lists them, and each is bit for bit
+    what `_children` returns for a row given as a tuple of floats: f_j^{-1}
     is (x - c_j)/lam with c_j = (1-lam)*p_j taken in the system's own
-    arithmetic and then rounded to float, and `contains_many` repeats the
-    float membership test of `contains` in its order of operations.
+    arithmetic and then rounded to float.
     """
     lam = sys.lam
     shifts = np.array([[float((1 - lam) * v) for v in p] for p in sys.points])
-    cand = (X[:, None, :] - shifts) / float(lam)  # (rows, m, d)
-    parent, digit = np.nonzero(contains_many(sys.omega, cand, tol=tol))
-    return parent, digit, cand[parent, digit]
+    return _feasible_many(sys.omega, X, shifts, float(lam), tol)
 
 
 def project_prefix(sys: IfsSystem, w, x0):

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, CertificateRequired, TooFewScales, UnsupportedDimension
+from .errors import BudgetExceeded, CertificateRequired, TooFewScales
 from .conditions import resolve_no_holes
-from .core import IfsSystem, centroid, check_probs
+from .core import IfsSystem, _children_many, centroid, check_probs
 from .geometry import DEFAULT_TOL, contains_many
 
 
@@ -67,17 +67,12 @@ def project_digit_rows(sys: IfsSystem, digits):
 
 
 def chain_walk(sys: IfsSystem, pts, depth: int, tol=DEFAULT_TOL):
-    """Follow each point's feasible chain while it stays single (dim <= 2).
+    """Follow each point's feasible chain while it stays single.
 
     Returns (bif_depth, dead_depth): per point, the depth of the first step
     with two or more feasible children, and the depth of the first step with
     none; -1 where the event never happens within `depth`.
     """
-    if sys.d > 2:
-        raise UnsupportedDimension("the batch classifier needs dim <= 2")
-    lam = float(sys.lam)
-    P = np.array([[float(v) for v in p] for p in sys.points])
-
     r = np.asarray(pts, dtype=float)
     n = len(r)
     bif = np.full(n, -1, dtype=np.int64)
@@ -86,15 +81,14 @@ def chain_walk(sys: IfsSystem, pts, depth: int, tol=DEFAULT_TOL):
     for dep in range(depth):
         if len(alive) == 0:
             break
-        cand = (r[:, None, :] - (1 - lam) * P[None, :, :]) / lam  # (alive, m, d)
-        feas = contains_many(sys.omega, cand, tol=tol)  # (alive, m)
-        cnt = feas.sum(axis=1)
+        parent, _, rem = _children_many(sys, r, tol)
+        cnt = np.bincount(parent, minlength=len(r))
         bif[alive[cnt >= 2]] = dep
         dead[alive[cnt == 0]] = dep
         # advance single chains to their unique feasible child; drop the rest
         single = cnt == 1
         alive = alive[single]
-        r = cand[single, np.argmax(feas[single], axis=1)]
+        r = rem[single[parent]]
     return bif, dead
 
 
@@ -155,20 +149,22 @@ def box_dim_estimate(points, eps_list):
 
 
 def grid_points(sys: IfsSystem, resolution: int):
-    """Lattice over Omega: interior fractions k/resolution in 1-D, cell centres in 2-D."""
+    """Lattice over Omega: interior fractions k/resolution in 1-D, else cell centres.
+
+    In d >= 2 the bounding box is cut into resolution^d cells, the first
+    axis slowest, and the centres inside Omega are kept.
+    """
     lo, hi = sys.omega.bounding_box()
     if sys.d == 1:
         lo, hi = float(lo[0]), float(hi[0])
         ks = np.arange(1, resolution) / resolution
         return (lo + ks * (hi - lo))[:, None]
-    if sys.d == 2:
-        lo = np.array([float(v) for v in lo])
-        hi = np.array([float(v) for v in hi])
-        c = (np.arange(resolution) + 0.5) / resolution
-        gx, gy = np.meshgrid(c, c, indexing="ij")
-        pts = lo + np.stack([gx.ravel(), gy.ravel()], axis=1) * (hi - lo)
-        return pts[contains_many(sys.omega, pts)]
-    raise UnsupportedDimension("uniqueness grids are built for dim <= 2")
+    lo = np.array([float(v) for v in lo])
+    hi = np.array([float(v) for v in hi])
+    c = (np.arange(resolution) + 0.5) / resolution
+    axes = np.meshgrid(*[c] * sys.d, indexing="ij")
+    pts = lo + np.stack([g.ravel() for g in axes], axis=1) * (hi - lo)
+    return pts[contains_many(sys.omega, pts)]
 
 
 def uniqueness_grid(sys: IfsSystem, resolution: int, depth: int, tol=DEFAULT_TOL):

@@ -21,6 +21,7 @@ RIGHT_TRIANGLE_EXACT = (
     (Fraction(1), Fraction(0)),
     (Fraction(0), Fraction(1)),
 )
+TETRAHEDRON = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 def unit_system(lam):

@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from ifslab import conditions
+from ifslab.addresses import first_bifurcation
 from ifslab.cli import fmt, main, write_csv
 from ifslab.core import apply_map, new_ifs, project_prefix
-from ifslab.errors import NoEllFound, UnsupportedDimension
+from ifslab.errors import NoEllFound
 from ifslab.geometry import DEFAULT_TOL, contains, image_polytope
 from ifslab.measure import chain_walk, mesh_count
 from ifslab.render import chaos_game
@@ -271,9 +272,13 @@ def test_chain_walk_empty_input():
     assert bif.shape == dead.shape == (0,)
 
 
-def test_chain_walk_still_refuses_dim3():
-    with pytest.raises(UnsupportedDimension):
-        chain_walk(new_ifs(0.8, TETRAHEDRON), np.zeros((1, 3)), 5)
+@pytest.mark.parametrize("lam", [0.6, 0.7, 0.8])
+def test_chain_walk_matches_first_bifurcation_tetrahedron(lam):
+    s = new_ifs(lam, TETRAHEDRON)
+    pts = np.random.default_rng(9).dirichlet([1.0] * 4, 300)[:, 1:]
+    bif, _ = chain_walk(s, pts, 30)
+    got = [None if b < 0 else b for b in bif.tolist()]
+    assert got == [first_bifurcation(s, tuple(p), 30) for p in pts.tolist()]
 
 
 # ---------------------------------------------------------------------------

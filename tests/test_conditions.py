@@ -21,7 +21,7 @@ from ifslab import conditions, core, geometry
 from ifslab.errors import BudgetExceeded, CertificateRequired, UnsortedDigits
 from ifslab.geometry import contains, image_polytope
 
-from helpers import triangle_system, unit_system
+from helpers import TETRAHEDRON, triangle_system, unit_system
 
 
 class TestThresholds:
@@ -160,6 +160,21 @@ class TestOverlapWitness:
         assert not interior and conditions._block_ell(Fraction(s.lam), t, conditions.ELL_CAP) is None
 
 
+def brute_force_wn(s, fam, x, n):
+    """Independent W_n oracle: enumerate every word of n blocks outright and
+    test x in F_w(Omega) through the forward image polytope."""
+    import itertools
+
+    blocks = list(itertools.product(range(s.m), repeat=fam.ell))
+    for word in itertools.product(blocks, repeat=n):
+        if fam.block0 not in word:
+            continue
+        digits = tuple(d for blk in word for d in blk)
+        if contains(image_polytope(s, digits), x):
+            return True
+    return False
+
+
 @pytest.fixture(scope="module")
 def tri():
     s = triangle_system(0.7)
@@ -194,29 +209,30 @@ class TestWn:
         assert fam.L == 3**fam.ell
 
     def test_against_brute_force_block_words(self, tri):
-        # independent oracle: enumerate every block word of length n outright
-        # and test x in F_w(Omega) through the forward image polytope
-        import itertools
-
         s, fam = tri
-        blocks = list(itertools.product(range(s.m), repeat=fam.ell))
-
-        def oracle(x, n):
-            for word in itertools.product(blocks, repeat=n):
-                if fam.block0 not in word:
-                    continue
-                digits = tuple(d for blk in word for d in blk)
-                if contains(image_polytope(s, digits), x):
-                    return True
-            return False
-
         rng = np.random.default_rng(19)
         from ifslab.geometry import sample_uniform
 
         pts = sample_uniform(s.omega, 12, rng)
         for p in pts:
             for n in (1, 2):
-                assert wn_membership(s, fam, tuple(p), n) == oracle(tuple(p), n)
+                assert wn_membership(s, fam, tuple(p), n) == brute_force_wn(s, fam, tuple(p), n)
+
+    def test_tetrahedron_against_brute_force_block_words(self):
+        # lam = 0.8 >= 3/4 gives no holes in R^3; the witness block has
+        # length 3, so W_1 is searched over 64 block words
+        s = new_ifs(0.8, TETRAHEDRON)
+        fam = block_family(s, vertex_overlap_witness(s))
+        assert fam.L == 64
+        from ifslab.geometry import sample_uniform
+
+        rng = np.random.default_rng(23)
+        pts = [tuple(p) for p in sample_uniform(s.omega, 30, rng).tolist()]
+        pts += [project_prefix(s, fam.block0, tuple(p))
+                for p in rng.dirichlet([1.0] * 4, 10)[:, 1:].tolist()]
+        got = [wn_membership(s, fam, p, 1) for p in pts]
+        assert got == [brute_force_wn(s, fam, p, 1) for p in pts]
+        assert any(got) and not all(got)
 
     def test_requires_certificate(self):
         s = triangle_system(0.6)  # below the 2/3 threshold

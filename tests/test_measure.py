@@ -1,16 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ifslab.addresses import classify_point
+from ifslab.core import new_ifs
 from ifslab.errors import BadProbabilityVector, CertificateRequired, TooFewScales
+from ifslab.geometry import contains
 from ifslab.measure import (
     MeasureSampler,
     attractor_point_cloud,
     box_dim_estimate,
     chain_walk,
     default_truncation,
+    grid_points,
     mesh_count,
     mu_bifurcation_fraction,
     sample_natural_measure,
@@ -18,7 +22,7 @@ from ifslab.measure import (
 )
 from ifslab.triangle import barycentric_to_point, golden_ratio, pi_point
 
-from helpers import gasket_corner_cloud, triangle_system, unit_system
+from helpers import TETRAHEDRON, gasket_corner_cloud, triangle_system, unit_system
 
 
 class TestSampler:
@@ -133,6 +137,17 @@ class TestUniquenessGrid:
             single = all(c == 1 for c in rep.prefix_counts) and rep.prefix_counts[-1] == 1
             assert (k in marked) == single
 
+    def test_grid_points_tetrahedron_matches_plain_loop(self):
+        s = new_ifs(0.8, TETRAHEDRON)
+        res = 12
+        lo, hi = s.omega.bounding_box()
+        want = []
+        for cell in itertools.product(range(res), repeat=3):
+            x = [a + (k + 0.5) / res * (b - a) for k, a, b in zip(cell, lo, hi)]
+            if contains(s.omega, x):
+                want.append(x)
+        assert grid_points(s, res).tolist() == want
+
 
 class TestChainWalk:
     def test_matches_first_bifurcation(self):
@@ -168,6 +183,11 @@ class TestMuBifurcation:
         s = triangle_system(0.7)
         frac, _ = mu_bifurcation_fraction(MeasureSampler(s, (1.0, 0.0, 0.0), seed=7), 200, 40)
         assert frac == 0.0
+
+    def test_tetrahedron_bifurcates(self):
+        s = new_ifs(0.8, TETRAHEDRON)
+        frac, _ = mu_bifurcation_fraction(MeasureSampler(s, (1 / 4,) * 4, seed=9), 500, 30)
+        assert frac >= 0.99
 
     def test_needs_certificate(self):
         s = triangle_system(0.6)

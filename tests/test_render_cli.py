@@ -121,6 +121,23 @@ class TestCli:
         assert lines[0] == "x0,single_chain,first_bifurcation,dead_end_depth"
         assert len(lines) == 64  # header + 63 interior points
 
+    def test_grid_commands_on_tetrahedron(self, tmp_path, capsys):
+        # lam = 0.8 >= 3/4: no holes in R^3, so the frontier walks apply
+        p = tmp_path / "tet.json"
+        p.write_text(json.dumps({"lambda": 0.8, "points": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+        grid, dims = tmp_path / "grid.csv", tmp_path / "dims.csv"
+        assert main(["classify-grid", "--ifs", str(p), "--resolution", "24", "--depth", "20",
+                     "--out", str(grid)]) == 0
+        assert grid.read_text().splitlines()[0] == (
+            "x0,x1,x2,single_chain,first_bifurcation,dead_end_depth")
+        assert main(["wn-coverage", "--ifs", str(p), "--n", "4", "--samples", "2000",
+                     "--seed", "1"]) == 0
+        assert main(["box-dim", "--ifs", str(p), "--set", "uniqueness",
+                     "--eps", "0.25,0.125,0.0625", "--depth", "9", "--out", str(dims)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("classified ") and out[1] == "n,block,ell,fraction_outside,stderr"
+        assert out[-1].startswith("slope=")
+
     def test_wn_coverage(self, tri_json, capsys):
         assert main(["wn-coverage", "--ifs", tri_json, "--n", "6", "--samples", "2000",
                      "--seed", "3"]) == 0
@@ -204,6 +221,12 @@ class TestCli:
         ("sample-measure --ifs IFS --samples 5 --depth -2 --seed 1", "--depth"),
         ("render-attractor --ifs IFS --iters 1000 --burn-in 100 --resolution -1 --seed 1 "
          "--out OUT", "--resolution"),
+        ("wn-coverage --ifs IFS --n 0 --samples 100 --seed 1", "--n"),
+        ("wn-coverage --ifs IFS --n -3 --samples 100 --seed 1", "--n"),
+        ("wn-coverage --ifs IFS --n 4 --samples 100 --seed -1", "--seed"),
+        ("sample-measure --ifs IFS --samples 5 --seed -1", "--seed"),
+        ("render-attractor --ifs IFS --iters 1000 --burn-in 100 --resolution 8 --seed -2 "
+         "--out OUT", "--seed"),
     ])
     def test_out_of_range_count_exit_code(self, tri_json, tmp_path, capsys, argv, option):
         out = tmp_path / "x.out"
