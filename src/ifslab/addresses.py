@@ -196,8 +196,11 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
       the periodicity extends the single chain to an infinite certificate.
     * MULTIPLE_CERTIFIED -- requires no_holes_certified.  Some node has two
       feasible children; on the float path both must additionally sit
-      inside Omega with interior margin 1e-9 so that rounding cannot have
-      invented the branch.
+      inside Omega with interior margin 1e-9.  That margin does not bound
+      the rounding error of a deep remainder, which grows like u*lam^-n,
+      so a float certificate is not yet a proof: known defect, measured by
+      bench/defects.py (9 false certificates in 3000 points at lam = 0.52,
+      depth 120).  Exact inputs give sound certificates.
     * MULTIPLE_LIKELY -- a bifurcation was seen and at least two prefixes
       survive to the horizon, but no certificate applies.
     * UNKNOWN -- anything else (single float chain, no cycle yet, or the

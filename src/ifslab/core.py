@@ -33,10 +33,16 @@ class IfsSystem:
     points: tuple
     omega: Polytope
     is_exact: bool = field(init=False, repr=False, compare=False)
+    # c_j = (1-lam)*p_j for every anchor, in the system's own arithmetic: the
+    # one definition of the shifts of f_j^{-1}(x) = (x - c_j)/lam, read by
+    # `apply_inverse` and rounded to float by `_children_many`
+    shifts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         exact = is_exact_scalar(self.lam) and all(is_exact_point(p) for p in self.points)
         object.__setattr__(self, "is_exact", exact)
+        c = 1 - self.lam
+        object.__setattr__(self, "shifts", tuple(tuple(c * v for v in p) for p in self.points))
 
     @property
     def m(self) -> int:
@@ -97,11 +103,29 @@ def apply_map(sys: IfsSystem, j: int, x):
 
 
 def apply_inverse(sys: IfsSystem, j: int, x):
-    """f_j^{-1}(x) = (x - (1-lam)*p_j) / lam."""
+    """f_j^{-1}(x) = (x - c_j) / lam, with c_j = (1-lam)*p_j read from `sys.shifts`.
+
+    On floats this is the inline (x - (1-lam)*p_j) / lam bit for bit.  On
+    an exact system and point it is `_inverse_exact`.
+    """
     _check_digit(sys, j)
+    if sys.is_exact and is_exact_point(x):
+        return _inverse_exact(sys.lam, sys.shifts[j], x)
     lam = sys.lam
-    p = sys.points[j]
-    return tuple((xi - (1 - lam) * pi) / lam for xi, pi in zip(x, p))
+    return tuple((xi - ci) / lam for xi, ci in zip(x, sys.shifts[j]))
+
+
+def _inverse_exact(lam, c, x):
+    """(x - c)/lam with each coordinate one Fraction built from integers.
+
+    (a/b - e/f) * v/u = (a*f - e*b)*v / (b*f*u) for lam = u/v, reduced by a
+    single gcd.  Kept out of `apply_inverse`, whose float path then pays
+    nothing for it.
+    """
+    u, v = lam.numerator, lam.denominator
+    return tuple(Fraction((xi.numerator * ci.denominator - ci.numerator * xi.denominator) * v,
+                          xi.denominator * ci.denominator * u)
+                 for xi, ci in zip(x, c))
 
 
 def _children(sys: IfsSystem, x, tol):
@@ -109,10 +133,12 @@ def _children(sys: IfsSystem, x, tol):
 
     The one scalar feasibility kernel: the address walkers expand their
     nodes here, on floats or exactly on rationals, except for the wide
-    float levels that go to its batched twin `_children_many`.  It is
-    private because bench/tracing.py wraps every public function, and its
-    per-layer counts need each apply_inverse and contains call to stay a
-    direct child of the walker that asked for it.
+    float levels that go to its batched twin `_children_many`.  The shifts
+    c_j come cached on the system, and on the exact path `apply_inverse`
+    and `contains` both work on integers.  It is private because
+    bench/tracing.py wraps every public function, and its per-layer counts
+    need each apply_inverse and contains call to stay a direct child of the
+    walker that asked for it.
     """
     out = []
     for j in range(sys.m):
@@ -143,12 +169,11 @@ def _children_many(sys: IfsSystem, X, tol):
     `_feasible_many` on the system's own maps.  Children come node-major,
     then digit-minor, as `_children` lists them, and each is bit for bit
     what `_children` returns for a row given as a tuple of floats: f_j^{-1}
-    is (x - c_j)/lam with c_j = (1-lam)*p_j taken in the system's own
+    is (x - c_j)/lam with c_j = `sys.shifts[j]`, taken in the system's own
     arithmetic and then rounded to float.
     """
-    lam = sys.lam
-    shifts = np.array([[float((1 - lam) * v) for v in p] for p in sys.points])
-    return _feasible_many(sys.omega, X, shifts, float(lam), tol)
+    shifts = np.array([[float(v) for v in c] for c in sys.shifts])
+    return _feasible_many(sys.omega, X, shifts, float(sys.lam), tol)
 
 
 def project_prefix(sys: IfsSystem, w, x0):

@@ -2,14 +2,15 @@
 
 A polytope is stored by its generators (V-representation) and by an
 H-representation derived at construction time; its float arrays are built
-once, at the first batched query.  Every polytope is full-dimensional:
+once, at the first batched query, and its integer rows at the first exact
+one.  Every polytope is full-dimensional:
 `hull_polytope` rejects generators of lower affine rank.  In dimension
 <= 2 the facets come from the hull's edges.  In d >= 3 they are the
 hyperplanes through d generators with every generator on one side, found
 exactly on the rational values of the generators.
 
-`contains` tests one point on the float or the exact-rational path:
-arithmetic stays within the input type, and the interior-margin test is
+`contains` tests one point on the float or the exact-rational path: the
+closed exact test is integer arithmetic, and the interior-margin test is
 phrased with squared quantities so the rational path never needs a square
 root.  `contains_many` is the one batched test, over float point arrays;
 it repeats the float path of `contains` operation for operation, so the
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -75,6 +77,22 @@ class Polytope:
         for a in arrays:
             a.flags.writeable = False
         return arrays
+
+    @cached_property
+    def integer_halfspaces(self):
+        """The H-representation of an exact polytope as integer rows (N, B), N.x <= B.
+
+        Each halfspace is scaled by the lcm of its denominators.  Built on
+        the first exact membership test and kept; `contains` then decides a
+        rational point with one integer sign per facet.
+        """
+        out = []
+        for n, off, _ in self.halfspaces:
+            row = [Fraction(v) for v in (*n, off)]
+            den = math.lcm(*(v.denominator for v in row))
+            *normal, bound = (v.numerator * (den // v.denominator) for v in row)
+            out.append((tuple(normal), bound))
+        return tuple(out)
 
     def bounding_box(self):
         lo = tuple(min(g[k] for g in self.generators) for k in range(self.dim))
@@ -236,21 +254,21 @@ def contains(poly: Polytope, x, margin=0, tol=DEFAULT_TOL) -> bool:
     """Membership of x in poly, read from its halfspaces in every dimension.
 
     margin == 0 is the Closed mode: on the float path the boundary is
-    widened by `tol`, on the exact path the test is exact.
+    widened by `tol`, on the exact path the test is exact.  There x is
+    scaled by the lcm q of its denominators to integers a, and each facet
+    N.x <= B of `integer_halfspaces` is the integer sign test N.a <= B*q.
 
     margin > 0 is InteriorMargin(margin): the ball of that radius around x
     must fit inside, via halfspace distances.
     """
     if len(x) != poly.dim:
         raise DimensionMismatch(f"point has dimension {len(x)}, polytope {poly.dim}")
-    exact = poly.is_exact and is_exact_point(x) and (margin == 0 or is_exact_scalar(margin))
+    if margin == 0 and poly.is_exact and is_exact_point(x):
+        return _contains_exact(poly, x)
     for n, off, sq in poly.halfspaces:
         s = off - sum(nv * xv for nv, xv in zip(n, x))
         if margin == 0:
-            if exact:
-                if s < 0:
-                    return False
-            elif float(s) < -tol * math.sqrt(float(sq)):
+            if float(s) < -tol * math.sqrt(float(sq)):
                 return False
         else:
             # distance to the facet is s/|n|; require >= margin without sqrt
@@ -259,12 +277,28 @@ def contains(poly: Polytope, x, margin=0, tol=DEFAULT_TOL) -> bool:
     return True
 
 
+def _contains_exact(poly, x):
+    # kept out of `contains`, whose float path then pays nothing for it
+    q = math.lcm(*(v.denominator for v in x))
+    a = [v.numerator * (q // v.denominator) for v in x]
+    return all(sum(map(operator.mul, n, a)) <= b * q for n, b in poly.integer_halfspaces)
+
+
 def image_polytope(sys, w) -> Polytope:
-    """Polytope f_w(Omega): generators are the mapped anchor points."""
+    """Polytope f_w(Omega), read off Omega's own halfspaces; no hull is rebuilt.
+
+    f_w(y) = lam^|w| y + f_w(0) is a homothety, so every facet n.y <= b of
+    Omega maps to n.y <= lam^|w| b + n.f_w(0).  The generators are the
+    mapped anchor points.
+    """
     from .core import project_prefix  # deferred: core depends on geometry
 
+    scale = math.prod([sys.lam] * len(w))  # an int 1 for the empty word, as project_prefix
+    t = project_prefix(sys, w, (0,) * sys.d)
+    hs = tuple((n, scale * off + sum(a * b for a, b in zip(n, t)), sq)
+               for n, off, sq in sys.omega.halfspaces)
     gens = tuple(project_prefix(sys, w, p) for p in sys.points)
-    return hull_polytope(gens)
+    return Polytope(generators=gens, halfspaces=hs, dim=sys.d)
 
 
 def volume(poly: Polytope):

@@ -17,6 +17,9 @@ from .core import IfsSystem, _children_many, centroid, check_probs
 from .geometry import DEFAULT_TOL, contains_many
 
 
+GRID_CELL_BUDGET = 2**24  # most cells grid_points lays out
+
+
 def default_truncation(lam, tol=DEFAULT_TOL) -> int:
     """Depth at which the sampling truncation error drops below the tolerance."""
     return max(1, math.ceil(math.log(tol) / math.log(float(lam))))
@@ -152,8 +155,14 @@ def grid_points(sys: IfsSystem, resolution: int):
     """Lattice over Omega: interior fractions k/resolution in 1-D, else cell centres.
 
     In d >= 2 the bounding box is cut into resolution^d cells, the first
-    axis slowest, and the centres inside Omega are kept.
+    axis slowest, and the centres inside Omega are kept.  More than
+    GRID_CELL_BUDGET cells raise BudgetExceeded before anything is allocated.
     """
+    if resolution**sys.d > GRID_CELL_BUDGET:
+        raise BudgetExceeded(
+            f"grid of resolution {resolution} in dimension {sys.d} has {resolution**sys.d} cells "
+            f"(budget {GRID_CELL_BUDGET}); use a coarser resolution"
+        )
     lo, hi = sys.omega.bounding_box()
     if sys.d == 1:
         lo, hi = float(lo[0]), float(hi[0])

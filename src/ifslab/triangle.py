@@ -9,6 +9,7 @@ Cartesian systems are converted through an affine change of basis first.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -159,21 +160,30 @@ def digit_forcing(lam, target, max_steps: int = 10_000) -> ForcingResult:
     if sum(triple) != 1:
         raise ValueError("barycentric target must satisfy x + y + z = 1 exactly")
 
-    top = 1 / (1 - lam)
-    state = tuple(v / (1 - lam) for v in triple)
+    # state_c = x_c/(1-lam) as integer numerators s_c over one denominator D;
+    # with lam = u/v a digit d moves state_c to (state_c - [c == d])/lam,
+    # i.e. numerators v*t_c over u*D with t_c = s_c - D*[c == d], feasible
+    # when 0 <= t_c/(u*D) * v <= v/(v-u) for all c.  The tuple reduced by
+    # its gcd is canonical, so it is the exact cycle key.
+    u, v = lam.numerator, lam.denominator
+    q = math.lcm(*(c.denominator for c in triple))
+    state = _reduced([c.numerator * (q // c.denominator) * v for c in triple], q * (v - u))
     seen = {state: 0}
     digits = []
     for step in range(max_steps):
+        *s, den = state
+        cap = u * den
         feasible = []
         for d in range(3):
-            nxt = tuple((state[c] - (1 if c == d else 0)) / lam for c in range(3))
-            if all(0 <= v <= top for v in nxt):
-                feasible.append((d, nxt))
+            t = [sc - den if c == d else sc for c, sc in enumerate(s)]
+            if all(0 <= tc and tc * (v - u) <= cap for tc in t):
+                feasible.append((d, t))
         if not feasible:
             return ForcingResult(ForcingKind.DEAD_END, step, None, tuple(digits))
         if len(feasible) >= 2:
             return ForcingResult(ForcingKind.FORCED_PREFIX_THEN_BRANCH, step, None, tuple(digits))
-        d, state = feasible[0]
+        d, t = feasible[0]
+        state = _reduced([tc * v for tc in t], cap)
         digits.append(d)
         if state in seen:
             return ForcingResult(
@@ -181,6 +191,12 @@ def digit_forcing(lam, target, max_steps: int = 10_000) -> ForcingResult:
             )
         seen[state] = step + 1
     return ForcingResult(ForcingKind.EXHAUSTED, max_steps, None, tuple(digits))
+
+
+def _reduced(nums, den):
+    """(*nums, den) divided by the gcd of all its entries; den > 0."""
+    g = math.gcd(den, *nums)
+    return (*(n // g for n in nums), den // g)
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +236,25 @@ def gamma_uniqueness_scan(lam, resolution: int = 60, max_steps: int = 400):
     digit forcing certifies a unique address.  This probes the conjecture
     that only the two period-3 cycles survive for 2/3 <= lam < lambda0; it
     is reported as-is and asserted nowhere.
+
+    A cell (i0, i1, i2)/resolution lies in Gamma_i when i_i < res*(1-lam)/lam
+    and every other i_j < res*(1-lam).  For integers these read i_i <= wide
+    and i_j <= narrow, with both bounds computed once, so the test needs no
+    Fraction per cell.
     """
     lam = Fraction(lam)
+    if not (0 < lam < 1):
+        raise ValueError(f"lambda must lie in (0,1), got {lam}")
+    wide = math.ceil(resolution * (1 - lam) / lam) - 1
+    narrow = math.ceil(resolution * (1 - lam)) - 1
     out = []
     for ix in range(1, resolution):
         for iy in range(1, resolution - ix):
-            t = BarycentricTriple(
-                Fraction(ix, resolution),
-                Fraction(iy, resolution),
-                Fraction(resolution - ix - iy, resolution),
-            )
-            if not any(in_gamma_region(t, i, lam) for i in range(3)):
+            cell = (ix, iy, resolution - ix - iy)
+            if not any(cell[i] <= wide and all(c <= narrow for j, c in enumerate(cell) if j != i)
+                       for i in range(3)):
                 continue
+            t = BarycentricTriple(*(Fraction(c, resolution) for c in cell))
             r = digit_forcing(lam, t, max_steps=max_steps)
             if r.kind is ForcingKind.UNIQUE_BY_CYCLE:
                 out.append((t, r))
