@@ -98,30 +98,16 @@ class ClassificationReport:
     exact: bool = False
 
 
-def _require_mode(sys, x, mode, no_holes_certified, tol):
-    if mode is Mode.EXACT_NO_HOLES:
-        if not no_holes_certified:
-            raise CertificateRequired(
-                "exact-no-holes mode needs a no-holes certificate "
-                "(conditions.no_holes_sufficient or a Pedicini certificate)"
-            )
-        if not contains(sys.omega, x, tol=tol):
-            raise PointOutsideOmega(f"{x} is outside Omega")
-
-
-def feasible_children(sys: IfsSystem, x, mode=Mode.RELAXED_OMEGA,
-                      no_holes_certified=False, tol=DEFAULT_TOL):
+def feasible_children(sys: IfsSystem, x, tol=DEFAULT_TOL):
     """Digits i with f_i^{-1}(x) in Omega (closed membership).
 
-    In exact-no-holes mode this equals the set of true first address digits;
-    in relaxed mode it is a superset of it.
+    A superset of the true first address digits of x, and equal to them
+    when the attractor has no holes.
     """
-    _require_mode(sys, x, mode, no_holes_certified, tol)
     return tuple(j for j, _ in _children(sys, x, tol))
 
 
-def enumerate_prefixes(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
-                       no_holes_certified=False, tol=DEFAULT_TOL,
+def enumerate_prefixes(sys: IfsSystem, x, depth: int, tol=DEFAULT_TOL,
                        node_budget=DEFAULT_NODE_BUDGET) -> PrefixTree:
     """Breadth-first tree of every feasible prefix of x down to `depth`.
 
@@ -129,7 +115,6 @@ def enumerate_prefixes(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
     study is the address count, not the remainder orbit.  The levels are
     kept as arrays and turned into PrefixNodes only when `levels` is read.
     """
-    _require_mode(sys, x, mode, no_holes_certified, tol)
     x = tuple(x)
     steps = []
     frontier = [x]
@@ -169,10 +154,8 @@ def _expand(sys, frontier, tol):
     return parents, digits, rems
 
 
-def first_bifurcation(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
-                      no_holes_certified=False, tol=DEFAULT_TOL):
+def first_bifurcation(sys: IfsSystem, x, depth: int, tol=DEFAULT_TOL):
     """Least n at which a common prefix of length n has two feasible continuations."""
-    _require_mode(sys, x, mode, no_holes_certified, tol)
     r = tuple(x)
     for dep in range(depth):
         ch = _children(sys, r, tol)
@@ -205,8 +188,19 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
       survive to the horizon, but no certificate applies.
     * UNKNOWN -- anything else (single float chain, no cycle yet, or the
       tree died out, which in relaxed mode means x is not in the attractor).
+
+    Exact-no-holes mode checks its premises and changes no verdict: it
+    raises CertificateRequired without no_holes_certified, and
+    PointOutsideOmega for x outside Omega.
     """
-    _require_mode(sys, x, mode, no_holes_certified, tol)
+    if mode is Mode.EXACT_NO_HOLES:
+        if not no_holes_certified:
+            raise CertificateRequired(
+                "exact-no-holes mode needs a no-holes certificate "
+                "(conditions.no_holes_sufficient or a Pedicini certificate)"
+            )
+        if not contains(sys.omega, x, tol=tol):
+            raise PointOutsideOmega(f"{x} is outside Omega")
     x = tuple(x)
     exact = sys.is_exact and is_exact_point(x)
 

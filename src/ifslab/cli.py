@@ -19,8 +19,8 @@ import numpy as np
 from . import addresses, conditions, measure, render, triangle
 from .core import load_system
 from .deleted_digits import DigitSet, as_ifs, count_expansions
-from .errors import BudgetExceeded, IfsLabError
-from .geometry import DEFAULT_TOL
+from .errors import BudgetExceeded, IfsLabError, PointOutsideOmega
+from .geometry import DEFAULT_TOL, contains
 
 
 def fmt(v) -> str:
@@ -138,12 +138,10 @@ def cmd_analyze_point(args) -> int:
         pt = _parse_fracs(args.point) if args.exact else _parse_floats(args.point)
         if len(pt) == 3 and sys_.d == 2 and sys_.m == 3:
             raise ValueError("got 3 coordinates for a planar triangle; use --bary x,y,z")
-    certified = conditions.no_holes_sufficient(sys_)[0]
-    rep = addresses.classify_point(
-        sys_, pt, args.depth,
-        mode=addresses.Mode.EXACT_NO_HOLES if certified else addresses.Mode.RELAXED_OMEGA,
-        no_holes_certified=certified, tol=args.tol,
-    )
+    if not contains(sys_.omega, pt, tol=args.tol):
+        raise PointOutsideOmega(f"{pt} is outside Omega")
+    rep = addresses.classify_point(sys_, pt, args.depth, tol=args.tol,
+                                   no_holes_certified=conditions.no_holes_sufficient(sys_)[0])
     write_csv(_sys.stdout,
               ["verdict", "explored_depth", "first_bifurcation", "final_count",
                "exact", "cycle_entry", "cycle_period"],

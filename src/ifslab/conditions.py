@@ -50,13 +50,6 @@ def no_holes_sufficient(sys: IfsSystem):
     return float(sys.lam) >= threshold, threshold
 
 
-def resolve_no_holes(sys: IfsSystem, certified=None) -> bool:
-    """Normalise a caller-supplied certificate flag (None = use the threshold)."""
-    if certified is None:
-        return no_holes_sufficient(sys)[0]
-    return bool(certified)
-
-
 def pedicini_holds(digits, lam):
     """(max gap < lam*(a_m - a_1)/(1-lam), max gap, that bound)."""
     seq = tuple(getattr(digits, "digits", digits))
@@ -278,10 +271,9 @@ def wn_entry_depths(sys: IfsSystem, fam: BlockFamily, pts, n_max: int, tol=DEFAU
     return entry
 
 
-def wn_membership(sys: IfsSystem, fam: BlockFamily, x, n: int,
-                  no_holes_certified=None, tol=DEFAULT_TOL) -> bool:
+def wn_membership(sys: IfsSystem, fam: BlockFamily, x, n: int, tol=DEFAULT_TOL) -> bool:
     """Is x in W_n, the union of n-block images whose word uses the forcing block?"""
-    if not resolve_no_holes(sys, no_holes_certified):
+    if not no_holes_sufficient(sys)[0]:
         raise CertificateRequired("W_n membership is only exact under a no-holes certificate")
     if not contains(sys.omega, x, tol=tol):
         raise PointOutsideOmega(f"{x} is outside Omega")
@@ -292,9 +284,9 @@ def wn_membership(sys: IfsSystem, fam: BlockFamily, x, n: int,
 
 
 def wn_coverage_estimate(sys: IfsSystem, fam: BlockFamily, n: int, samples: int, seed: int,
-                         no_holes_certified=None, tol=DEFAULT_TOL):
+                         tol=DEFAULT_TOL):
     """Monte Carlo (fraction of Omega outside W_n, standard error)."""
-    if not resolve_no_holes(sys, no_holes_certified):
+    if not no_holes_sufficient(sys)[0]:
         raise CertificateRequired("W_n coverage is only exact under a no-holes certificate")
     rng = np.random.default_rng(seed)
     pts = sample_uniform(sys.omega, samples, rng, tol=tol)

@@ -78,12 +78,8 @@ def count_expansions(A: DigitSet, lam, x, depth: int, tol=DEFAULT_TOL,
     pt = (x,) if not isinstance(x, tuple) else x
     if not contains(sys.omega, pt, tol=tol):
         raise PointOutsideOmega(f"{x} is outside the attractor interval")
-    certified = pedicini_holds(A, lam)[0]
-    return addresses.classify_point(
-        sys, pt, depth,
-        mode=addresses.Mode.EXACT_NO_HOLES if certified else addresses.Mode.RELAXED_OMEGA,
-        no_holes_certified=certified, tol=tol, node_budget=node_budget,
-    )
+    return addresses.classify_point(sys, pt, depth, no_holes_certified=pedicini_holds(A, lam)[0],
+                                    tol=tol, node_budget=node_budget)
 
 
 def multiplicity_lambda_estimate(A: DigitSet, grid: int = 200, depth: int = 50,
@@ -97,16 +93,9 @@ def multiplicity_lambda_estimate(A: DigitSet, grid: int = 200, depth: int = 50,
     """
     for k in range(1, grid):
         lam = k / grid
-        if not (0 < lam < 1):
-            continue
-        try:
-            sys = as_ifs(A, lam)
-        except ValueError:
-            continue
+        sys = as_ifs(A, lam)
         lo, hi = attractor_interval(A, lam)
         width = hi - lo
-        if width <= 0:
-            continue
         all_branch = True
         for t in range(1, probes + 1):
             x = lo + width * t / (probes + 1)

@@ -12,17 +12,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, CertificateRequired, TooFewScales
-from .conditions import resolve_no_holes
+from .conditions import no_holes_sufficient
 from .core import IfsSystem, _children_many, centroid, check_probs
 from .geometry import DEFAULT_TOL, contains_many
 
 
 GRID_CELL_BUDGET = 2**24  # most cells grid_points lays out
+CLOUD_POINT_BUDGET = 4_000_000  # most points attractor_point_cloud projects
 
 
-def default_truncation(lam, tol=DEFAULT_TOL) -> int:
-    """Depth at which the sampling truncation error drops below the tolerance."""
-    return max(1, math.ceil(math.log(tol) / math.log(float(lam))))
+def default_truncation(lam) -> int:
+    """Depth at which the sampling truncation error drops below DEFAULT_TOL."""
+    return max(1, math.ceil(math.log(DEFAULT_TOL) / math.log(float(lam))))
 
 
 @dataclass
@@ -95,10 +96,9 @@ def chain_walk(sys: IfsSystem, pts, depth: int, tol=DEFAULT_TOL):
     return bif, dead
 
 
-def mu_bifurcation_fraction(sampler: MeasureSampler, n: int, depth: int,
-                            no_holes_certified=None, tol=DEFAULT_TOL):
+def mu_bifurcation_fraction(sampler: MeasureSampler, n: int, depth: int, tol=DEFAULT_TOL):
     """(fraction of mu-samples that bifurcate within depth, standard error)."""
-    if not resolve_no_holes(sampler.sys, no_holes_certified):
+    if not no_holes_sufficient(sampler.sys)[0]:
         raise CertificateRequired("bifurcation fractions are only meaningful with no holes")
     pts, _ = sample_natural_measure(sampler, n)
     bif, _ = chain_walk(sampler.sys, pts, depth, tol=tol)
@@ -192,7 +192,7 @@ def uniqueness_grid(sys: IfsSystem, resolution: int, depth: int, tol=DEFAULT_TOL
     return pts[(bif < 0) & (dead < 0)]
 
 
-def attractor_point_cloud(sys: IfsSystem, finest_eps, max_points: int = 4_000_000):
+def attractor_point_cloud(sys: IfsSystem, finest_eps):
     """Deterministic attractor cloud: every depth-K projection, K matched to finest_eps.
 
     K is the smallest depth at which image diameters drop below finest_eps,
@@ -201,10 +201,10 @@ def attractor_point_cloud(sys: IfsSystem, finest_eps, max_points: int = 4_000_00
     lam = float(sys.lam)
     diam = sys.diameter()
     K = max(1, math.ceil(math.log(float(finest_eps) / diam) / math.log(lam)))
-    if sys.m**K > max_points:
+    if sys.m**K > CLOUD_POINT_BUDGET:
         raise BudgetExceeded(
             f"attractor cloud at scale {finest_eps} needs {sys.m**K} points "
-            f"(budget {max_points}); use a coarser scale"
+            f"(budget {CLOUD_POINT_BUDGET}); use a coarser scale"
         )
     idx = np.arange(sys.m**K, dtype=np.int64)
     digits = np.empty((len(idx), K), dtype=np.int64)

@@ -35,10 +35,6 @@ class BarycentricTriple:
     def as_tuple(self):
         return (self.x, self.y, self.z)
 
-    @property
-    def is_exact(self):
-        return all(isinstance(v, Rational) for v in self.as_tuple())
-
 
 def golden_ratio() -> float:
     """(sqrt(5)-1)/2, the sharp one-dimensional multiplicity threshold."""

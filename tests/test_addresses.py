@@ -32,13 +32,6 @@ class TestFeasibleChildren:
         s = triangle_system(0.7)
         assert feasible_children(s, s.points[2]) == (2,)
 
-    def test_exact_mode_guards(self):
-        s = unit_system(0.6)
-        with pytest.raises(CertificateRequired):
-            feasible_children(s, (0.5,), mode=Mode.EXACT_NO_HOLES)
-        with pytest.raises(PointOutsideOmega):
-            feasible_children(s, (1.5,), mode=Mode.EXACT_NO_HOLES, no_holes_certified=True)
-
 
 class TestEnumerate:
     def test_depth_one_overlap(self):
@@ -144,6 +137,13 @@ class TestClassify:
         assert rep.verdict is Verdict.MULTIPLE_LIKELY
         assert rep.first_bifurcation == 0
 
+    def test_exact_mode_guards(self):
+        s = unit_system(0.6)
+        with pytest.raises(CertificateRequired):
+            classify_point(s, (0.5,), 10, mode=Mode.EXACT_NO_HOLES)
+        with pytest.raises(PointOutsideOmega):
+            classify_point(s, (1.5,), 10, mode=Mode.EXACT_NO_HOLES, no_holes_certified=True)
+
     def test_dead_end_reports_unknown(self):
         # lam < 1/2 leaves gaps: the midpoint of the first gap has no address
         s = unit_system(0.4)
@@ -169,9 +169,7 @@ def test_counts_non_decreasing_no_holes():
     rng = np.random.default_rng(31)
     for _ in range(15):
         x = float(rng.uniform(0, 1))
-        counts = enumerate_prefixes(
-            s, (x,), 12, mode=Mode.EXACT_NO_HOLES, no_holes_certified=True
-        ).counts
+        counts = enumerate_prefixes(s, (x,), 12).counts
         assert all(a <= b for a, b in zip(counts, counts[1:]))
         # once a bifurcation happened the count stays above one
         if any(c >= 2 for c in counts):
@@ -186,7 +184,7 @@ class TestExtensionProperty:
         rng = np.random.default_rng(5)
         for _ in range(25):
             x = float(rng.uniform(0, 1))
-            tree = enumerate_prefixes(s, (x,), 30, mode=Mode.EXACT_NO_HOLES, no_holes_certified=True)
+            tree = enumerate_prefixes(s, (x,), 30)
             for dep in range(30):
                 children = {n.prefix[:dep] for n in tree.levels[dep + 1] for _ in (0,)}
                 for node in tree.levels[dep]:
@@ -199,4 +197,4 @@ class TestExtensionProperty:
         rng = np.random.default_rng(6)
         pts = sample_uniform(s.omega, 200, rng)
         for p in pts:
-            assert feasible_children(s, tuple(p), mode=Mode.EXACT_NO_HOLES, no_holes_certified=True)
+            assert feasible_children(s, tuple(p))

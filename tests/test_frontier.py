@@ -153,6 +153,17 @@ def test_enumerate_prefixes_equals_scalar_reference(name, kernel_rows):
     assert max(kernel_rows) >= 1000
 
 
+def test_a_batched_level_of_one_row_steps_through_the_scalar_kernel(kernel_rows):
+    # the two-row levels at depths 2-5 run on the kernel and leave one child
+    # at depth 6, which _expand must take back to the scalar kernel
+    sys, x, depth = triangle_system(0.6), (0.31183145201048545, 0.42332644897257565), 14
+    tree = enumerate_prefixes(sys, x, depth)
+    assert tree.counts[:8] == [1, 1, 2, 2, 2, 2, 1, 2]
+    got = [[(nd.prefix, nd.remainder) for nd in lv] for lv in tree.levels]
+    assert repr(got) == repr(_ref_enumerate(sys, x, depth))
+    assert kernel_rows
+
+
 def test_levels_of_other_arithmetic_stay_scalar(kernel_rows):
     # a Fraction coordinate under an exact system stays exact, and numpy
     # scalars stay numpy scalars: the kernel would round both to float

@@ -94,6 +94,19 @@ class TestCli:
         assert out[0].startswith("verdict,explored_depth,first_bifurcation")
         assert "multiple-certified" in out[1]
 
+    @pytest.mark.parametrize("lam, points, point", [
+        (0.45, [[0], [1]], "5"), (0.55, [[0], [1]], "5"),
+        (0.6, [[0, 0], [1, 0], [0, 1]], "2,2"), (0.7, [[0, 0], [1, 0], [0, 1]], "2,2"),
+    ], ids=["interval-0.45", "interval-0.55", "triangle-0.6", "triangle-0.7"])
+    def test_analyze_point_outside_omega_exit_code(self, tmp_path, capsys, lam, points, point):
+        # the same exit below and above the no-holes threshold d/(d+1)
+        p = tmp_path / "ifs.json"
+        p.write_text(json.dumps({"lambda": lam, "points": points}))
+        assert main(["analyze-point", "--ifs", str(p), "--point", point, "--depth", "20"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith(" is outside Omega\n")
+
     def test_analyze_point_bary_exact(self, tmp_path, capsys):
         p = tmp_path / "tri.json"
         p.write_text(json.dumps({"lambda": 0.6, "points": [[0, 0], [1, 0], [0, 1]]}))

@@ -209,3 +209,15 @@ def test_gamma_scan_reports_only_cycles():
     hits = gamma_uniqueness_scan(Fraction(67, 100), resolution=24, max_steps=200)
     for t, r in hits:
         assert r.kind is ForcingKind.UNIQUE_BY_CYCLE
+
+
+def test_gamma_scan_finds_the_rotations_of_both_period_three_points():
+    # pi(2/3) = (4, 6, 9)/19 lies on the resolution-19 grid, and so do the
+    # rotations of it and of its reversal pi'(2/3)
+    lam = Fraction(2, 3)
+    assert pi_point(lam).as_tuple() == tuple(Fraction(k, 19) for k in (4, 6, 9))
+    assert pi_prime_point(lam).as_tuple() == tuple(Fraction(k, 19) for k in (9, 6, 4))
+    hits = gamma_uniqueness_scan(lam, resolution=19)
+    assert [tuple(int(v * 19) for v in t.as_tuple()) for t, _ in hits] == [
+        (4, 6, 9), (4, 9, 6), (6, 4, 9), (6, 9, 4), (9, 4, 6), (9, 6, 4)]
+    assert all(r.kind is ForcingKind.UNIQUE_BY_CYCLE and r.period == 3 for _, r in hits)
