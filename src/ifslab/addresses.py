@@ -13,6 +13,12 @@ finite-depth observations into certificates:
   since the over-approximation already bounds the true tree from above.
 
 Float-path single chains are never certified: they report Unknown.
+
+`enumerate_prefixes` and `classify_point` walk the tree a level at a time
+through `_expand`: a float level of two or more nodes runs on the batched
+kernel `core._children_many`, every other level on the scalar
+`core._children`.  Both give the same remainders bit for bit, so verdicts
+and counts do not depend on which kernel ran.
 """
 
 from __future__ import annotations
@@ -115,6 +121,7 @@ def enumerate_prefixes(sys: IfsSystem, x, depth: int, tol=DEFAULT_TOL,
     study is the address count, not the remainder orbit.  The levels are
     kept as arrays and turned into PrefixNodes only when `levels` is read.
     """
+    _check_depth(depth)
     x = tuple(x)
     steps = []
     frontier = [x]
@@ -133,7 +140,8 @@ def enumerate_prefixes(sys: IfsSystem, x, depth: int, tol=DEFAULT_TOL,
 def _expand(sys, frontier, tol):
     """(parents, digits, remainders) of every feasible child of a level, node-major.
 
-    A level of two or more float remainders goes through the batched kernel
+    The one level step of `enumerate_prefixes` and `classify_point`.  A
+    level of two or more float remainders goes through the batched kernel
     as one (rows, d) array, and its children stay one.  A single node, or
     a level in exact or mixed arithmetic, steps through the scalar kernel.
     Either way every remainder is bit for bit what `_children` computes.
@@ -154,8 +162,31 @@ def _expand(sys, frontier, tol):
     return parents, digits, rems
 
 
+def _fork_spans(parents):
+    """[start, stop) child spans of every node of a level with two or more children."""
+    if isinstance(parents, np.ndarray):
+        cuts = (np.flatnonzero(parents[1:] != parents[:-1]) + 1).tolist()
+    else:
+        cuts = [i for i in range(1, len(parents)) if parents[i] != parents[i - 1]]
+    bounds = [0, *cuts, len(parents)]
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if b - a >= 2]
+
+
+def _solid(sys, rems, tol):
+    """How many of these remainders lie CERT_MARGIN or more inside Omega."""
+    if isinstance(rems, np.ndarray):
+        rems = rems.tolist()
+    return sum(contains(sys.omega, r, margin=CERT_MARGIN, tol=tol) for r in rems)
+
+
+def _check_depth(depth):
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
+
+
 def first_bifurcation(sys: IfsSystem, x, depth: int, tol=DEFAULT_TOL):
     """Least n at which a common prefix of length n has two feasible continuations."""
+    _check_depth(depth)
     r = tuple(x)
     for dep in range(depth):
         ch = _children(sys, r, tol)
@@ -189,10 +220,18 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
     * UNKNOWN -- anything else (single float chain, no cycle yet, or the
       tree died out, which in relaxed mode means x is not in the attractor).
 
+    The tree is walked a level at a time through `_expand`, so its wide
+    float levels run on the batched kernel.  Verdicts, counts and the
+    budget are those of a walk over `_children` one node at a time: the
+    certifying node is the first in node-major order that qualifies, the
+    last count runs to its last child, and it wins over the node budget
+    only when the nodes before it stayed within the budget.
+
     Exact-no-holes mode checks its premises and changes no verdict: it
     raises CertificateRequired without no_holes_certified, and
     PointOutsideOmega for x outside Omega.
     """
+    _check_depth(depth)
     if mode is Mode.EXACT_NO_HOLES:
         if not no_holes_certified:
             raise CertificateRequired(
@@ -204,7 +243,7 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
     x = tuple(x)
     exact = sys.is_exact and is_exact_point(x)
 
-    frontier = [(None, x)]  # (last digit, remainder)
+    frontier = [x]
     counts = [1]
     bifurcation = None
     seen = {x: 0} if exact else None
@@ -213,31 +252,32 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
     total_nodes = 1
 
     for dep in range(depth):
-        nxt = []
-        for _, r in frontier:
-            children = _children(sys, r, tol)
-            if len(children) >= 2:
-                if bifurcation is None:
-                    bifurcation = dep
-                if no_holes_certified:
-                    if exact:
-                        solid = children
-                    else:
-                        solid = [c for c in children if contains(sys.omega, c[1], margin=CERT_MARGIN, tol=tol)]
-                    if len(solid) >= 2:
-                        counts.append(len(nxt) + len(children))
-                        return ClassificationReport(
-                            verdict=Verdict.MULTIPLE_CERTIFIED,
-                            explored_depth=dep + 1,
-                            first_bifurcation=bifurcation,
-                            prefix_counts=counts,
-                            exact=exact,
-                        )
-            nxt.extend(children)
-            total_nodes += len(children)
-            if total_nodes > node_budget:
-                raise BudgetExceeded(f"classification exceeded {node_budget} nodes at depth {dep + 1}")
-        if not nxt:
+        parents, digits, frontier = _expand(sys, frontier, tol)
+        n = len(digits)
+        # the node whose children first push the count past the budget: the
+        # walk stops there, so only nodes up to it may certify
+        over = None
+        if total_nodes + n > node_budget:
+            over = parents[max(node_budget - total_nodes, 0)] if n else 0
+        total_nodes += n
+        forks = _fork_spans(parents) if n >= 2 and (no_holes_certified or bifurcation is None) else ()
+        if forks and bifurcation is None:
+            bifurcation = dep
+        for a, b in forks if no_holes_certified else ():
+            if over is not None and parents[a] > over:
+                break
+            if exact or _solid(sys, frontier[a:b], tol) >= 2:
+                counts.append(b)  # the children of every node up to this one
+                return ClassificationReport(
+                    verdict=Verdict.MULTIPLE_CERTIFIED,
+                    explored_depth=dep + 1,
+                    first_bifurcation=bifurcation,
+                    prefix_counts=counts,
+                    exact=exact,
+                )
+        if over is not None:
+            raise BudgetExceeded(f"classification exceeded {node_budget} nodes at depth {dep + 1}")
+        if not n:
             counts.append(0)
             return ClassificationReport(
                 verdict=Verdict.UNKNOWN,
@@ -246,9 +286,10 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
                 prefix_counts=counts,
                 exact=exact,
             )
-        counts.append(len(nxt))
-        if pure_chain and len(nxt) == 1:
-            j, r = nxt[0]
+        counts.append(n)
+        if pure_chain and n == 1:
+            # a pure chain's levels hold one node, so they stay scalar lists
+            j, r = digits[0], frontier[0]
             chain_digits.append(j)
             if exact:
                 if r in seen:
@@ -266,7 +307,6 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
                 seen[r] = dep + 1
         else:
             pure_chain = False
-        frontier = nxt
 
     if counts[-1] >= 2:
         verdict = Verdict.MULTIPLE_LIKELY

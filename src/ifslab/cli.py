@@ -288,6 +288,9 @@ def main(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None and value < least:
                 raise ValueError(f"--{name} must be at least {least}, got {value}")
+        tol = getattr(args, "tol", None)
+        if tol is not None and not 0 <= tol < math.inf:
+            raise ValueError(f"--tol must be finite and at least 0, got {tol}")
         return _COMMANDS[args.command](args)
     except BudgetExceeded as e:
         print(f"error: {e}", file=_sys.stderr)

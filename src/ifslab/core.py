@@ -35,7 +35,7 @@ class IfsSystem:
     is_exact: bool = field(init=False, repr=False, compare=False)
     # c_j = (1-lam)*p_j for every anchor, in the system's own arithmetic: the
     # one definition of the shifts of f_j^{-1}(x) = (x - c_j)/lam, read by
-    # `apply_inverse` and rounded to float by `_children_many`
+    # `apply_inverse` and rounded to float once in `float_shifts`
     shifts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -54,6 +54,18 @@ class IfsSystem:
 
     def diameter(self) -> float:
         return self.omega.diameter()
+
+    @cached_property
+    def float_shifts(self):
+        """`shifts` rounded to a read-only (m, d) float array, for `_children_many`.
+
+        Built on the first batched expansion and kept.  The scalar
+        `apply_inverse` reads the plain `shifts` field instead: a cached
+        property costs an attribute lookup more on every scalar step.
+        """
+        a = np.array([[float(v) for v in c] for c in self.shifts])
+        a.flags.writeable = False
+        return a
 
     @cached_property
     def facet_slacks(self) -> tuple:
@@ -133,7 +145,8 @@ def _children(sys: IfsSystem, x, tol):
 
     The one scalar feasibility kernel: the address walkers expand their
     nodes here, on floats or exactly on rationals, except for the wide
-    float levels that go to its batched twin `_children_many`.  The shifts
+    float levels of `enumerate_prefixes` and `classify_point`, which
+    `addresses._expand` sends to its batched twin `_children_many`.  The shifts
     c_j come cached on the system, and on the exact path `apply_inverse`
     and `contains` both work on integers.  It is private because
     bench/tracing.py wraps every public function, and its per-layer counts
@@ -172,8 +185,7 @@ def _children_many(sys: IfsSystem, X, tol):
     is (x - c_j)/lam with c_j = `sys.shifts[j]`, taken in the system's own
     arithmetic and then rounded to float.
     """
-    shifts = np.array([[float(v) for v in c] for c in sys.shifts])
-    return _feasible_many(sys.omega, X, shifts, float(sys.lam), tol)
+    return _feasible_many(sys.omega, X, sys.float_shifts, float(sys.lam), tol)
 
 
 def project_prefix(sys: IfsSystem, w, x0):

@@ -259,7 +259,8 @@ def contains(poly: Polytope, x, margin=0, tol=DEFAULT_TOL) -> bool:
     N.x <= B of `integer_halfspaces` is the integer sign test N.a <= B*q.
 
     margin > 0 is InteriorMargin(margin): the ball of that radius around x
-    must fit inside, via halfspace distances.
+    must fit inside, via halfspace distances.  Both tests fail on a NaN
+    slack, so a point with a NaN coordinate lies in no polytope.
     """
     if len(x) != poly.dim:
         raise DimensionMismatch(f"point has dimension {len(x)}, polytope {poly.dim}")
@@ -268,11 +269,11 @@ def contains(poly: Polytope, x, margin=0, tol=DEFAULT_TOL) -> bool:
     for n, off, sq in poly.halfspaces:
         s = off - sum(nv * xv for nv, xv in zip(n, x))
         if margin == 0:
-            if float(s) < -tol * math.sqrt(float(sq)):
+            if not float(s) >= -tol * math.sqrt(float(sq)):
                 return False
         else:
             # distance to the facet is s/|n|; require >= margin without sqrt
-            if s < 0 or s * s < margin * margin * sq:
+            if not (s >= 0 and s * s >= margin * margin * sq):
                 return False
     return True
 
@@ -322,9 +323,10 @@ def contains_many(poly: Polytope, pts, tol=DEFAULT_TOL):
 
     The one batched feasibility test, and the float path of `contains` bit
     for bit: per halfspace, s = off - (n_0 x_0 + n_1 x_1 + ...) summed one
-    column at a time in that order, and x fails when s < -tol * |n|.  The
+    column at a time in that order, and x passes when s >= -tol * |n|.  The
     matmul form A x <= b + tol * |n| rounds otherwise and disagrees with
-    `contains` on points within rounding of the tol shell.
+    `contains` on points within rounding of the tol shell.  A NaN slack
+    fails, as in `contains`, so a NaN point lies in no polytope.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.shape[-1] != poly.dim:
@@ -333,13 +335,13 @@ def contains_many(poly: Polytope, pts, tol=DEFAULT_TOL):
     cols = np.ascontiguousarray(pts.reshape(-1, poly.dim).T)  # (d, N): one row per coordinate
     acc = np.empty(cols.shape[1])
     tmp = np.empty_like(acc)
-    fails = np.zeros(cols.shape[1], dtype=bool)
+    inside = np.ones(cols.shape[1], dtype=bool)
     for n, off, thr in zip(A.tolist(), b.tolist(), (-float(tol) * norms).tolist()):
         np.multiply(cols[0], n[0], out=acc)
         for k in range(1, poly.dim):
             acc += np.multiply(cols[k], n[k], out=tmp)
-        fails |= np.subtract(off, acc, out=acc) < thr  # a NaN slack passes, as in `contains`
-    return ~fails.reshape(pts.shape[:-1])
+        inside &= np.subtract(off, acc, out=acc) >= thr
+    return inside.reshape(pts.shape[:-1])
 
 
 def sample_uniform(poly: Polytope, n, rng, tol=DEFAULT_TOL):

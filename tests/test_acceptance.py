@@ -8,7 +8,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from ifslab.addresses import Verdict, classify_point
 from ifslab.conditions import (

@@ -164,6 +164,12 @@ class TestClassify:
                 assert all(c == 1 for c in oracle)
 
 
+@pytest.mark.parametrize("walk", [classify_point, enumerate_prefixes, first_bifurcation])
+def test_negative_depth_is_rejected(walk):
+    with pytest.raises(ValueError, match="depth must be at least 0, got -3"):
+        walk(triangle_system(0.7), (0.3, 0.4), -3)
+
+
 def test_counts_non_decreasing_no_holes():
     s = unit_system(0.6)
     rng = np.random.default_rng(31)

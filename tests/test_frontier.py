@@ -20,7 +20,7 @@ from ifslab.deleted_digits import DigitSet, as_ifs
 from ifslab.errors import BudgetExceeded, DimensionMismatch
 from ifslab.geometry import DEFAULT_TOL, contains, contains_many, hull_polytope, sample_uniform
 
-from helpers import RIGHT_TRIANGLE_EXACT, triangle_system, unit_system
+from helpers import RIGHT_TRIANGLE_EXACT, triangle_system, triangle_system_exact, unit_system
 
 TETRAHEDRON = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -121,6 +121,58 @@ def _ref_enumerate(sys, x, depth, tol=DEFAULT_TOL, node_budget=addresses.DEFAULT
     return levels
 
 
+def _ref_classify(sys, x, depth, no_holes_certified=False, tol=DEFAULT_TOL,
+                  node_budget=addresses.DEFAULT_NODE_BUDGET):
+    """`classify_point` node by node over `_children`, as it was before the batched kernel."""
+    Report, Verdict = addresses.ClassificationReport, addresses.Verdict
+    x = tuple(x)
+    exact = sys.is_exact and all(isinstance(v, Fraction) for v in x)
+    frontier = [(None, x)]
+    counts = [1]
+    bifurcation = None
+    seen = {x: 0} if exact else None
+    chain_digits = []
+    pure_chain = True
+    total_nodes = 1
+    for dep in range(depth):
+        nxt = []
+        for _, r in frontier:
+            children = _children(sys, r, tol)
+            if len(children) >= 2:
+                if bifurcation is None:
+                    bifurcation = dep
+                if no_holes_certified:
+                    if exact:
+                        solid = children
+                    else:
+                        solid = [c for c in children
+                                 if contains(sys.omega, c[1], margin=addresses.CERT_MARGIN, tol=tol)]
+                    if len(solid) >= 2:
+                        counts.append(len(nxt) + len(children))
+                        return Report(Verdict.MULTIPLE_CERTIFIED, dep + 1, bifurcation, counts, exact=exact)
+            nxt.extend(children)
+            total_nodes += len(children)
+            if total_nodes > node_budget:
+                raise BudgetExceeded(f"classification exceeded {node_budget} nodes at depth {dep + 1}")
+        if not nxt:
+            counts.append(0)
+            return Report(Verdict.UNKNOWN, dep + 1, bifurcation, counts, exact=exact)
+        counts.append(len(nxt))
+        if pure_chain and len(nxt) == 1:
+            j, r = nxt[0]
+            chain_digits.append(j)
+            if exact:
+                if r in seen:
+                    cert = addresses.CycleCertificate(seen[r], (dep + 1) - seen[r], tuple(chain_digits))
+                    return Report(Verdict.UNIQUE_CERTIFIED, dep + 1, None, counts, cert, exact=True)
+                seen[r] = dep + 1
+        else:
+            pure_chain = False
+        frontier = nxt
+    verdict = Verdict.MULTIPLE_LIKELY if counts[-1] >= 2 else Verdict.UNKNOWN
+    return Report(verdict, depth, bifurcation, counts, exact=exact)
+
+
 def _ref_covering(sys, n, samples, seed, tol=DEFAULT_TOL):
     pts = sample_uniform(sys.omega, samples, np.random.default_rng(seed), tol=tol)
     misses = sum(not conditions._covered(sys, tuple(p), n, tol) for p in pts)
@@ -198,3 +250,94 @@ def test_prefix_budget_fires_with_the_same_message_on_both_paths(kernel_rows):
     assert str(got.value) == str(want.value) == f"prefix tree exceeded {budget} nodes at depth {depth}"
     assert kernel_rows
 
+
+
+def _outcome(classify, sys, x, depth, **kw):
+    """repr of the report, or the message of the BudgetExceeded raised instead."""
+    try:
+        return repr(classify(sys, x, depth, **kw))
+    except BudgetExceeded as e:
+        return f"BudgetExceeded: {e}"
+
+
+CLASSIFY = {**WIDE, "unit-0.55": (unit_system(0.55), 60)}
+
+
+@pytest.mark.parametrize("name", list(CLASSIFY))
+def test_classify_point_equals_scalar_reference(name, kernel_rows):
+    sys, depth = CLASSIFY[name]
+    for x in _points(sys, 13, 3):
+        for certified in (False, True):
+            got = addresses.classify_point(sys, x, depth, no_holes_certified=certified)
+            want = _ref_classify(sys, x, depth, no_holes_certified=certified)
+            assert repr(got) == repr(want)
+    assert max(kernel_rows) >= 100
+
+
+EXACT_SYSTEMS = {
+    "triangle-1/2": triangle_system_exact(Fraction(1, 2)),
+    "triangle-7/10": triangle_system_exact(Fraction(7, 10)),
+    "unit-3/5": new_ifs(Fraction(3, 5), ((Fraction(0),), (Fraction(1),))),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_SYSTEMS))
+def test_exact_classify_point_equals_scalar_reference(name, kernel_rows):
+    # rational points of small height: their chains close into cycles or fork
+    sys = EXACT_SYSTEMS[name]
+    rng = np.random.default_rng(14)
+    verdicts = set()
+    for _ in range(40):
+        q = int(rng.integers(2, 30))
+        a = rng.integers(0, q + 1, size=sys.d)
+        if sys.d == 2 and a.sum() > q:
+            a = q - a
+        x = tuple(Fraction(int(v), q) for v in a)
+        # a relaxed exact tree grows without a certificate to stop it: keep it short
+        for certified, depth in ((False, 10), (True, 30)):
+            got = addresses.classify_point(sys, x, depth, no_holes_certified=certified)
+            assert repr(got) == repr(_ref_classify(sys, x, depth, no_holes_certified=certified))
+            verdicts.add(got.verdict)
+    assert {addresses.Verdict.UNIQUE_CERTIFIED, addresses.Verdict.MULTIPLE_CERTIFIED} <= verdicts
+    assert kernel_rows == []
+
+
+def test_a_later_fork_of_the_level_certifies_when_the_first_fails_the_margin(monkeypatch, kernel_rows):
+    # a wide margin makes forks that fail it common enough for a seeded
+    # search; the partial count must then run to the certifying node
+    monkeypatch.setattr(addresses, "CERT_MARGIN", 0.05)
+    sys, depth = triangle_system(0.7), 20
+
+    def first_fork_stop(x, level):
+        heads = [nd.prefix[:-1] for nd in enumerate_prefixes(sys, x, level).levels[level]]
+        i = next(i for i in range(len(heads) - 1) if heads[i] == heads[i + 1])
+        return max(k for k, h in enumerate(heads) if h == heads[i]) + 1
+
+    def late(x):
+        rep = _ref_classify(sys, x, depth, no_holes_certified=True)
+        return (rep.verdict is addresses.Verdict.MULTIPLE_CERTIFIED
+                and rep.prefix_counts[-1] > first_fork_stop(x, rep.explored_depth))
+
+    x = next(x for x in _points(sys, 17, 300) if late(x))
+    kernel_rows.clear()
+    want = _ref_classify(sys, x, depth, no_holes_certified=True)
+    assert repr(addresses.classify_point(sys, x, depth, no_holes_certified=True)) == repr(want)
+    assert kernel_rows
+    # budgets that end the walk at every node of the last level
+    total = sum(want.prefix_counts)
+    for budget in range(total - want.prefix_counts[-1] - 1, total + 1):
+        kw = dict(no_holes_certified=True, node_budget=budget)
+        assert (_outcome(addresses.classify_point, sys, x, depth, **kw)
+                == _outcome(_ref_classify, sys, x, depth, **kw))
+
+
+@pytest.mark.parametrize("certified", [False, True])
+def test_classify_budget_matches_scalar_reference(certified, kernel_rows):
+    sys, depth = WIDE["triangle-0.7"]
+    for x in _points(sys, 16, 4):
+        total = sum(_ref_classify(sys, x, depth, no_holes_certified=certified).prefix_counts)
+        for budget in (total, total - 1):
+            kw = dict(no_holes_certified=certified, node_budget=budget)
+            assert (_outcome(addresses.classify_point, sys, x, depth, **kw)
+                    == _outcome(_ref_classify, sys, x, depth, **kw))
+    assert kernel_rows or certified  # these points certify at single-node levels

@@ -16,7 +16,7 @@ from ifslab.geometry import (
     volume_mc,
 )
 
-from helpers import in_hull_exact, triangle_system, unit_system
+from helpers import TETRAHEDRON, in_hull_exact, triangle_system, unit_system
 
 UNIT_TRIANGLE = hull_polytope([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 UNIT_INTERVAL = hull_polytope([(0.0,), (1.0,)])
@@ -62,6 +62,19 @@ class TestContains:
         eps = Fraction(1, 10**30)
         assert contains(tri, (Fraction(1, 2), Fraction(1, 2)))
         assert not contains(tri, (Fraction(1, 2) + eps, Fraction(1, 2)))
+
+    @pytest.mark.parametrize("poly", [UNIT_INTERVAL, UNIT_TRIANGLE, hull_polytope(TETRAHEDRON)],
+                             ids=["interval", "triangle", "tetrahedron"])
+    def test_nan_lies_in_no_polytope(self, poly):
+        # a NaN slack compares false either way round, so each test must
+        # ask for s >= threshold, not fail on s < threshold
+        inner = [0.2] * poly.dim
+        probes = [tuple(float("nan") if k == i else v for k, v in enumerate(inner))
+                  for i in range(poly.dim)] + [(float("nan"),) * poly.dim, tuple(inner)]
+        want = [False] * (len(probes) - 1) + [True]
+        assert [contains(poly, p) for p in probes] == want
+        assert [contains(poly, p, margin=0.01) for p in probes] == want
+        assert contains_many(poly, np.array(probes)).tolist() == want
 
     def test_exact_interior_margin(self):
         seg = hull_polytope([(Fraction(0),), (Fraction(1),)])

@@ -20,7 +20,7 @@ from ifslab.measure import (
     sample_natural_measure,
     uniqueness_grid,
 )
-from ifslab.triangle import barycentric_to_point, golden_ratio, pi_point
+from ifslab.triangle import barycentric_to_point, pi_point
 
 from helpers import TETRAHEDRON, gasket_corner_cloud, triangle_system, unit_system
 

@@ -250,6 +250,23 @@ class TestCli:
         assert captured.err.startswith(f"error: {option} must be at least ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        ("analyze-point --ifs IFS --point nan,0.3", "error: (nan, 0.3) is outside Omega"),
+        ("analyze-point --ifs IFS --bary nan,0.3,0.3", "error: (nan, nan) is outside Omega"),
+        ("deleted-digits --digits 0,1,3 --lambda 0.45 --point nan",
+         "error: nan is outside the attractor interval"),
+        ("analyze-point --ifs IFS --point 5,5 --tol nan", "error: --tol must be finite and at least 0, got nan"),
+        ("analyze-point --ifs IFS --point 5,5 --tol inf", "error: --tol must be finite and at least 0, got inf"),
+        ("analyze-point --ifs IFS --point 0.3,0.3 --tol=-1e-9",
+         "error: --tol must be finite and at least 0, got -1e-09"),
+    ])
+    def test_nan_point_or_bad_tol_exit_code(self, tri_json, capsys, argv, message):
+        # a NaN coordinate lies in no hull, and a tol that is not a finite
+        # nonnegative number would make every hull test meaningless
+        assert main([tri_json if a == "IFS" else a for a in argv.split()]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n"
+
     def test_zero_samples_exit_code(self, tri_json, capsys):
         for argv in (["wn-coverage", "--ifs", tri_json, "--n", "4", "--samples", "0", "--seed", "1"],
                      ["sample-measure", "--ifs", tri_json, "--samples", "0", "--seed", "1"]):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ifslab.addresses import Verdict, classify_point, first_bifurcation
+from ifslab.addresses import Verdict, classify_point
 from ifslab.errors import IrrationalInput
 from ifslab.triangle import (
     BarycentricTriple,
