@@ -30,12 +30,11 @@ from .errors import (
     PointOutsideOmega,
     UnsortedDigits,
 )
-from .core import IfsSystem, _children, _children_many, _feasible_many, project_prefix
+from .core import IfsSystem, _children_many, _feasible_many, project_prefix
 from .geometry import DEFAULT_TOL, contains, sample_uniform
 
 ELL_CAP = 64
-FRONTIER_CAP = 20_000_000  # rows across all samples in the block search
-COVER_NODE_BUDGET = 1_000_000  # nodes expanded per sample by the covering search
+FRONTIER_CAP = 20_000_000  # rows across all samples in the block and covering searches
 
 
 def osc_failure_sufficient(sys: IfsSystem):
@@ -55,7 +54,7 @@ def pedicini_holds(digits, lam):
     seq = tuple(getattr(digits, "digits", digits))
     if len(seq) < 2:
         raise UnsortedDigits("need at least two digits")
-    if any(a >= b for a, b in zip(seq, seq[1:])):
+    if not all(a < b for a, b in zip(seq, seq[1:])):  # NaN fails too
         raise UnsortedDigits(f"digits must be strictly increasing: {seq}")
     lhs = max(b - a for a, b in zip(seq, seq[1:]))
     rhs = lam * (seq[-1] - seq[0]) / (1 - lam)
@@ -69,18 +68,17 @@ def pedicini_holds(digits, lam):
 def covering_deficiency(sys: IfsSystem, n: int, samples: int, seed: int, tol=DEFAULT_TOL):
     """Fraction of uniform Omega samples not in any depth-n image f_w(Omega).
 
-    Decided per sample by a pruned depth-n feasibility search: zero is
-    consistent with no holes, and an excess beyond ~3 standard errors
-    certifies holes at that depth.  One batched dive first follows every
-    sample's first feasible child; a sample it carries to depth n is
-    covered, and only the others get the full search.
+    Decided per sample by a depth-n feasibility search on the batched
+    kernel: zero is consistent with no holes, and an excess beyond ~3
+    standard errors certifies holes at that depth.  A dive along every
+    sample's first feasible child covers most samples; the rest get a
+    breadth-first search over all feasible children, capped at FRONTIER_CAP
+    rows a level.
     """
     rng = np.random.default_rng(seed)
     pts = sample_uniform(sys.omega, samples, rng, tol=tol)
-    misses = 0
-    for p in pts[~_dive(sys, pts, n, tol)]:
-        if not _covered(sys, tuple(p), n, tol):
-            misses += 1
+    rest = pts[~_dive(sys, pts, n, tol)]
+    misses = len(rest) - _reached(sys, rest, n, tol)
     frac = misses / samples
     stderr = math.sqrt(max(frac * (1 - frac), 1.0 / samples) / samples)
     return frac, stderr
@@ -103,16 +101,15 @@ def _dive(sys, pts, n, tol):
     return reached
 
 
-def _covered(sys, x, n, tol):
-    stack = [(x, 0)]
-    for _ in range(COVER_NODE_BUDGET):
-        if not stack:
-            return False
-        r, lev = stack.pop()
-        if lev == n:
-            return True
-        stack.extend((rj, lev + 1) for _, rj in _children(sys, r, tol))
-    raise BudgetExceeded(f"covering search undecided after {COVER_NODE_BUDGET} nodes of one sample")
+def _reached(sys, pts, n, tol):
+    """Number of rows of pts with some chain of feasible children of depth n, breadth first."""
+    r, s = pts, np.arange(len(pts))
+    for _ in range(n):
+        parent, _, r = _children_many(sys, r, tol)
+        s = s[parent]
+        if len(r) > FRONTIER_CAP:
+            raise BudgetExceeded(f"covering-search frontier exceeded {FRONTIER_CAP} rows")
+    return len(np.unique(s))
 
 
 # ---------------------------------------------------------------------------

@@ -249,8 +249,8 @@ def check_probs(probs, m) -> tuple:
     p = tuple(float(v) for v in probs)
     if len(p) != m:
         raise BadProbabilityVector(f"need {m} probabilities, got {len(p)}")
-    if any(v < 0 for v in p):
+    if not all(v >= 0 for v in p):  # each check asks for the good case: NaN fails
         raise BadProbabilityVector("probabilities must be nonnegative")
-    if abs(sum(p) - 1.0) > 1e-9:
+    if not abs(sum(p) - 1.0) <= 1e-9:
         raise BadProbabilityVector(f"probabilities sum to {sum(p)}, need 1 +- 1e-9")
     return p

@@ -29,7 +29,7 @@ class DigitSet:
         seq = tuple(self.digits)
         if len(seq) < 2:
             raise UnsortedDigits("a digit set needs at least two digits")
-        if any(a >= b for a, b in zip(seq, seq[1:])):
+        if not all(a < b for a, b in zip(seq, seq[1:])):  # NaN fails too
             raise UnsortedDigits(f"digits must be strictly increasing: {seq}")
         object.__setattr__(self, "digits", seq)
 

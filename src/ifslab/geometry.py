@@ -4,10 +4,10 @@ A polytope is stored by its generators (V-representation) and by an
 H-representation derived at construction time; its float arrays are built
 once, at the first batched query, and its integer rows at the first exact
 one.  Every polytope is full-dimensional:
-`hull_polytope` rejects generators of lower affine rank.  In dimension
-<= 2 the facets come from the hull's edges.  In d >= 3 they are the
-hyperplanes through d generators with every generator on one side, found
-exactly on the rational values of the generators.
+`hull_polytope` rejects generators of lower affine rank.  In every
+dimension the facets are the hyperplanes through d generators with every
+generator on one side, found exactly on the rational values of the
+generators, and `volume` reads its exact value from the same facets.
 
 `contains` tests one point on the float or the exact-rational path: the
 closed exact test is integer arithmetic, and the interior-margin test is
@@ -29,7 +29,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import DegenerateAffineHull, DimensionMismatch, UnsupportedDimension
+from .errors import DegenerateAffineHull, DimensionMismatch
 
 DEFAULT_TOL = 1e-9
 
@@ -47,9 +47,9 @@ class Polytope:
     """Full-dimensional convex hull of `generators` with its halfspaces.
 
     Each halfspace is (normal, offset, sq_norm) with the inside convention
-    normal . x <= offset, in the generators' own arithmetic.  Normals are
-    *not* unit length, so they stay exact on the rational path; sq_norm
-    carries |normal|^2 for margin tests.
+    normal . x <= offset: exact rationals on exact generators, else floats.
+    Normals are *not* unit length, so they stay exact on the rational path;
+    sq_norm carries |normal|^2 for margin tests.
     `float_halfspaces` is the same H-representation as float arrays, the
     only form the batched test `contains_many` reads.
     """
@@ -82,16 +82,14 @@ class Polytope:
     def integer_halfspaces(self):
         """The H-representation of an exact polytope as integer rows (N, B), N.x <= B.
 
-        Each halfspace is scaled by the lcm of its denominators.  Built on
-        the first exact membership test and kept; `contains` then decides a
-        rational point with one integer sign per facet.
+        Exact normals are integers (`_facets`), so each halfspace is scaled
+        by the denominator of its offset.  Built on the first exact
+        membership test and kept; `contains` then decides a rational point
+        with one integer sign per facet.
         """
         out = []
-        for n, off, _ in self.halfspaces:
-            row = [Fraction(v) for v in (*n, off)]
-            den = math.lcm(*(v.denominator for v in row))
-            *normal, bound = (v.numerator * (den // v.denominator) for v in row)
-            out.append((tuple(normal), bound))
+        for n, off, _ in self.halfspaces:  # off is an int or a Fraction
+            out.append((tuple(a * off.denominator for a in n), off.numerator))
         return tuple(out)
 
     def bounding_box(self):
@@ -123,8 +121,7 @@ def hull_polytope(generators) -> Polytope:
             f"anchor points span affine dimension {rank} < {d}; "
             "re-embed them in that dimension"
         )
-    hs = _halfspaces(gens, d) if d <= 2 else _facets(gens, d, den, ipts)
-    return Polytope(generators=gens, halfspaces=hs, dim=d)
+    return Polytope(generators=gens, halfspaces=_facets(gens, d, den, ipts), dim=d)
 
 
 def _lattice(pts):
@@ -155,7 +152,7 @@ def _affine_rank(ipts):
 
 
 def _facets(gens, d, den, ipts):
-    """Facet halfspaces of a full-dimensional hull in R^d, d >= 3, found exactly.
+    """Facet halfspaces of a full-dimensional hull in R^d, found exactly.
 
     Each facet holds d affinely independent generators, so it is one of the
     hyperplanes through d generators; one is kept when every generator lies
@@ -163,9 +160,10 @@ def _facets(gens, d, den, ipts):
     their common denominator to integers, so normals (cofactor vectors of
     the difference vectors) and side tests are exact integer arithmetic:
     a float side test would drop a facet through four coplanar vertices.
-    `den` and `ipts` are that scaling, from _lattice.  The result is
-    stored as Fractions for an exact polytope and as floats, normals
-    scaled to a largest entry of 1, for a float one.
+    `den` and `ipts` are that scaling, from _lattice.  An exact polytope
+    keeps integer normals and |n|^2, and whole offsets as ints, which keeps
+    the float test of `contains` cheap on integer generators; a float one
+    stores floats, normals scaled to a largest entry of 1.
     """
     exact = all(is_exact_point(g) for g in gens)
     pts = sorted(set(map(tuple, ipts)))
@@ -186,7 +184,8 @@ def _facets(gens, d, den, ipts):
     out = []
     for n, off in dict.fromkeys(planes):
         if exact:
-            out.append((tuple(Fraction(a) for a in n), Fraction(off, den), Fraction(sum(a * a for a in n))))
+            b = Fraction(off, den)
+            out.append((n, b.numerator if b.denominator == 1 else b, sum(a * a for a in n)))
         else:
             big = max(abs(a) for a in n)
             nf = tuple(a / big for a in n)
@@ -198,6 +197,8 @@ def _det(a):
     """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
     a = [list(r) for r in a]
     size = len(a)
+    if not size:
+        return 1  # the empty matrix: d = 1 facets have the normal (1,)
     sign, prev = 1, 1
     for k in range(size - 1):
         if a[k][k] == 0:
@@ -211,43 +212,6 @@ def _det(a):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[-1][-1]
-
-
-def _halfspaces(gens, d):
-    if d == 1:
-        lo = min(g[0] for g in gens)
-        hi = max(g[0] for g in gens)
-        one = 1 if is_exact_scalar(lo) else 1.0
-        return (((-one,), -lo, one), ((one,), hi, one))
-    hull = _hull2d(gens)
-    out = []
-    for i in range(len(hull)):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % len(hull)]
-        # hull is counter-clockwise, so (dy, -dx) points outward
-        n = (y2 - y1, x1 - x2)
-        out.append((n, n[0] * x1 + n[1] * y1, n[0] * n[0] + n[1] * n[1]))
-    return tuple(out)
-
-
-def _hull2d(points):
-    """Andrew's monotone chain; exact under rational coordinates."""
-    pts = sorted(set(points))
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
 
 
 def contains(poly: Polytope, x, margin=0, tol=DEFAULT_TOL) -> bool:
@@ -303,19 +267,35 @@ def image_polytope(sys, w) -> Polytope:
 
 
 def volume(poly: Polytope):
-    """Exact volume for dim <= 2 (interval length / shoelace area)."""
-    if poly.dim == 1:
-        lo, hi = poly.bounding_box()
-        return hi[0] - lo[0]
-    if poly.dim == 2:
-        hull = _hull2d(poly.generators)
-        s = 0
-        for i in range(len(hull)):
-            x1, y1 = hull[i]
-            x2, y2 = hull[(i + 1) % len(hull)]
-            s += x1 * y2 - x2 * y1
-        return abs(s) / 2
-    raise UnsupportedDimension("exact volume is only available for dim <= 2; use volume_mc")
+    """Exact volume in every dimension, by cones over the facets (`_volume`).
+
+    A `Fraction` for an exact polytope, and the float of that value for a float one.
+    """
+    den, ipts = _lattice(poly.generators)
+    vol = _volume(ipts, poly.dim) / den ** poly.dim
+    return vol if poly.is_exact else float(vol)
+
+
+def _volume(pts, d):
+    """Volume of the hull of integer points spanning R^d, as a Fraction.
+
+    Lasserre's cone decomposition (J. Optim. Theory Appl. 39, 1983): with
+    apex v = pts[0], vol = (1/d) sum_f (b - n.v)/|n| vol(F_f) over the facets
+    n.x <= b.  Each F_f is measured projected along a coordinate k with
+    n_k != 0, a full-dimensional hull in R^(d-1) of volume vol(F_f)|n_k|/|n|,
+    so the |n| cancel and no square root is taken.
+    """
+    if d == 1:
+        return Fraction(max(p[0] for p in pts) - min(p[0] for p in pts))
+    v = pts[0]
+    total = Fraction(0)
+    for n, b, _ in _facets(pts, d, 1, pts):
+        height = b - sum(map(operator.mul, n, v))
+        if height:  # facets through the apex span empty cones
+            k = next(i for i, a in enumerate(n) if a)
+            face = [p[:k] + p[k + 1:] for p in pts if sum(map(operator.mul, n, p)) == b]
+            total += height * _volume(face, d - 1) / abs(n[k])
+    return total / d
 
 
 def contains_many(poly: Polytope, pts, tol=DEFAULT_TOL):

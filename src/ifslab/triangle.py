@@ -27,9 +27,9 @@ class BarycentricTriple:
 
     def __post_init__(self):
         s = self.x + self.y + self.z
-        if abs(float(s) - 1.0) > SUM_TOL:
+        if not abs(float(s) - 1.0) <= SUM_TOL:  # each check asks for the good case: NaN fails
             raise ValueError(f"barycentric coordinates must sum to 1, got {float(s)}")
-        if min(float(self.x), float(self.y), float(self.z)) < -SUM_TOL:
+        if not all(float(v) >= -SUM_TOL for v in (self.x, self.y, self.z)):
             raise ValueError(f"barycentric coordinates must be nonnegative: {self}")
 
     def as_tuple(self):

@@ -67,6 +67,10 @@ class TestPedicini:
         with pytest.raises(UnsortedDigits):
             pedicini_holds((1,), 0.5)
 
+    def test_nan_digit_rejected(self):
+        with pytest.raises(UnsortedDigits, match="strictly increasing"):
+            pedicini_holds((0, float("nan"), 3), 0.45)
+
 
 @settings(max_examples=150, deadline=None)
 @given(
@@ -96,10 +100,10 @@ class TestCoveringDeficiency:
 
     def test_node_budget_raises(self, monkeypatch):
         # the batched dive decides the samples its first-child chain covers;
-        # a sample it drops whose tree outlives depth 4 needs more than 5
-        # nodes of the budgeted scalar search
-        monkeypatch.setattr(conditions, "COVER_NODE_BUDGET", 5)
-        with pytest.raises(BudgetExceeded, match="after 5 nodes"):
+        # the breadth-first search over the samples it drops holds more
+        # than 5 rows at some level
+        monkeypatch.setattr(conditions, "FRONTIER_CAP", 5)
+        with pytest.raises(BudgetExceeded, match="exceeded 5 rows"):
             covering_deficiency(triangle_system(0.5), n=6, samples=50, seed=2)
 
 

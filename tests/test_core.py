@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from ifslab.core import (
     apply_inverse,
     apply_map,
+    check_probs,
     load_system,
     new_ifs,
     prefix_closed_form,
@@ -188,3 +189,8 @@ class TestLoadSystem:
             system_from_dict({"lambda": 0.5, "points": [[0], [1]], "probs": [0.5, 0.6]})
         with pytest.raises(BadProbabilityVector):
             system_from_dict({"lambda": 0.5, "points": [[0], [1]], "probs": [1.0]})
+
+    def test_nan_probs_rejected(self):
+        for probs in [(float("nan"), 0.5, 0.5), (0.5, 0.5, float("nan"))]:
+            with pytest.raises(BadProbabilityVector):
+                check_probs(probs, 3)

@@ -28,6 +28,10 @@ class TestDigitSet:
         with pytest.raises(UnsortedDigits):
             DigitSet((2,))
 
+    def test_nan_digit_rejected(self):
+        with pytest.raises(UnsortedDigits, match="strictly increasing"):
+            DigitSet((0, float("nan"), 3))
+
 
 class TestAttractorInterval:
     def test_binary(self):

@@ -173,9 +173,20 @@ def _ref_classify(sys, x, depth, no_holes_certified=False, tol=DEFAULT_TOL,
     return Report(verdict, depth, bifurcation, counts, exact=exact)
 
 
+def _ref_covered(sys, x, n, tol):
+    """Depth-first search for one chain of feasible children of depth n."""
+    stack = [(x, 0)]
+    while stack:
+        r, lev = stack.pop()
+        if lev == n:
+            return True
+        stack.extend((rj, lev + 1) for _, rj in _children(sys, r, tol))
+    return False
+
+
 def _ref_covering(sys, n, samples, seed, tol=DEFAULT_TOL):
     pts = sample_uniform(sys.omega, samples, np.random.default_rng(seed), tol=tol)
-    misses = sum(not conditions._covered(sys, tuple(p), n, tol) for p in pts)
+    misses = sum(not _ref_covered(sys, tuple(p), n, tol) for p in pts)
     return misses / samples
 
 

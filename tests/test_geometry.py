@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ifslab.core import new_ifs
-from ifslab.errors import DegenerateAffineHull, DimensionMismatch, UnsupportedDimension
+from ifslab.deleted_digits import DigitSet, as_ifs
+from ifslab.errors import DegenerateAffineHull, DimensionMismatch
 from ifslab.geometry import (
     contains,
     contains_many,
@@ -16,7 +18,7 @@ from ifslab.geometry import (
     volume_mc,
 )
 
-from helpers import TETRAHEDRON, in_hull_exact, triangle_system, unit_system
+from helpers import RIGHT_TRIANGLE_EXACT, TETRAHEDRON, in_hull_exact, triangle_system, unit_system
 
 UNIT_TRIANGLE = hull_polytope([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 UNIT_INTERVAL = hull_polytope([(0.0,), (1.0,)])
@@ -147,12 +149,55 @@ class TestVolume:
         ratio = volume(img) / volume(s.omega)
         assert ratio == pytest.approx(0.7**6, rel=1e-9)
 
-    def test_dim3_exact_raises(self):
+    def test_dim3_exact(self):
         tet = hull_polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        with pytest.raises(UnsupportedDimension):
-            volume(tet)
+        assert volume(tet) == Fraction(1, 6) and isinstance(volume(tet), Fraction)
         est, err = volume_mc(tet, 4000, seed=5)
         assert est == pytest.approx(1 / 6, abs=4 * err + 0.01)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_simplex_is_det_over_d_factorial(self, d):
+        rng = np.random.default_rng(20 + d)
+        for _ in range(5):
+            gens = [tuple(Fraction(int(a), int(b)) for a, b in zip(rng.integers(-9, 10, d),
+                                                                  rng.integers(1, 7, d)))
+                    for _ in range(d + 1)]
+            det = _fraction_det([[a - b for a, b in zip(g, gens[0])] for g in gens[1:]])
+            if det == 0:
+                continue
+            got = volume(hull_polytope(gens))
+            assert isinstance(got, Fraction) and got == abs(det) / math.factorial(d)
+
+    def test_unit_cube_is_one(self):
+        assert volume(hull_polytope(_frac_points(_CUBE))) == Fraction(1)
+        assert volume(hull_polytope(_CUBE)) == 1
+
+    @pytest.mark.parametrize("points", [((0,), (1,), (3,)), RIGHT_TRIANGLE_EXACT, TETRAHEDRON],
+                             ids=["digits013", "triangle", "tetrahedron"])
+    def test_exact_image_scaling(self, points):
+        lam = Fraction(4, 5)
+        s = new_ifs(lam, _frac_points(points))
+        base = volume(s.omega)
+        for w in [(0,), (1, 2 % s.m), (0, 1, 2 % s.m)]:
+            assert volume(image_polytope(s, w)) == lam ** (s.d * len(w)) * base
+
+
+def _fraction_det(rows):
+    """Determinant by Gaussian elimination over Fractions."""
+    a = [[Fraction(v) for v in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        piv = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,7 +227,7 @@ def test_zero_samples_rejected(n):
 
 
 # ---------------------------------------------------------------------------
-# d >= 3 facets against membership in simplices of the generators
+# facets in every dimension against membership in simplices of the generators
 
 
 def _frac_points(pts):
@@ -193,7 +238,14 @@ _TET = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 _CUBE = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 _HULL10 = [tuple(v) for v in np.random.default_rng(11).uniform(0, 1, size=(10, 3)).round(3)]
 _SIMPLEX4 = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1)]
-FACET_CASES = {"tetrahedron": _TET, "cube": _CUBE, "hull10": _HULL10, "simplex4": _SIMPLEX4}
+_INTERVAL = [(0,), (1,), (3,)]
+_SQUARE_MIDPOINTS = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0), (1, 0.5), (0.5, 1), (0, 0.5)]
+_PENTAGON = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0)), (Fraction(5, 2), Fraction(3, 2)),
+             (Fraction(1), Fraction(7, 3)), (Fraction(-1, 2), Fraction(4, 3))]
+_RANDOM6 = [tuple(v) for v in np.random.default_rng(12).uniform(0, 1, size=(6, 2)).round(3)]
+FACET_CASES = {"tetrahedron": _TET, "cube": _CUBE, "hull10": _HULL10, "simplex4": _SIMPLEX4,
+               "interval": _INTERVAL, "square-midpoints": _SQUARE_MIDPOINTS,
+               "pentagon": _PENTAGON, "random6": _RANDOM6}
 
 
 def _exact_probes(gens, rng, count):
@@ -235,6 +287,9 @@ def test_float_facets_match_lp(name):
 
 
 def test_facet_counts():
+    assert len(hull_polytope(_INTERVAL).halfspaces) == 2
+    assert len(hull_polytope(_SQUARE_MIDPOINTS).halfspaces) == 4  # midpoints lie on the edges
+    assert len(hull_polytope(_PENTAGON).halfspaces) == 5
     assert len(hull_polytope(_TET).halfspaces) == 4
     assert len(hull_polytope(_CUBE).halfspaces) == 6  # coplanar face vertices kept
     assert len(hull_polytope(_SIMPLEX4).halfspaces) == 5
@@ -247,3 +302,33 @@ def test_degenerate_hulls_raise():
     collinear = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)), (Fraction(3), Fraction(6))]
     with pytest.raises(DegenerateAffineHull, match="affine dimension 1 < 2"):
         hull_polytope(collinear)
+
+
+@pytest.mark.parametrize("name", ["tetrahedron-0.8", "tetrahedron-0.8-f012", "hull10"])
+def test_float_volume_agrees_with_monte_carlo(name):
+    tet = new_ifs(0.8, TETRAHEDRON)
+    poly = {"tetrahedron-0.8": tet.omega, "tetrahedron-0.8-f012": image_polytope(tet, (0, 1, 2)),
+            "hull10": hull_polytope(_HULL10)}[name]
+    got = volume(poly)
+    est, err = volume_mc(poly, 100_000, seed=9)
+    assert isinstance(got, float) and abs(got - est) <= 4 * err
+
+
+def test_exact_entries_stay_int_where_whole():
+    # ints keep the float test of `contains` cheap on integer generators
+    for n, off, sq in hull_polytope(RIGHT_TRIANGLE_EXACT).halfspaces + hull_polytope(_TET).halfspaces:
+        assert all(type(v) is int for v in (*n, off, sq))
+    skew = hull_polytope([(Fraction(1, 3), Fraction(1, 7)), (Fraction(5, 2), Fraction(2, 9)),
+                          (Fraction(3, 4), Fraction(9, 5))])
+    assert {type(off) for _, off, _ in skew.halfspaces} == {int, Fraction}
+
+
+def test_float_halfspaces_of_lattice_systems():
+    # the benchmark's right triangle and {0,1,3} digit intervals: their
+    # exact facets round to these values, normals scaled to a largest entry of 1
+    tri = {((-1.0, 0.0), 0.0, 1.0), ((0.0, -1.0), 0.0, 1.0), ((1.0, 1.0), 1.0, 2.0)}
+    assert set(triangle_system(0.7).omega.halfspaces) == tri
+    for lam in (0.35, 0.45):
+        hi = lam * 3 / (1 - lam)  # as_ifs's anchor of the digit 3
+        want = {((-1.0,), 0.0, 1.0), ((1.0,), hi, 1.0)}
+        assert set(as_ifs(DigitSet((0, 1, 3)), lam).omega.halfspaces) == want

@@ -126,6 +126,19 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("lambda,lo,hi,verdict")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["deleted-digits", "--digits", "0,nan,3", "--lambda", "0.45", "--point", "0.5"],
+         "error: digits must be strictly increasing: (0.0, nan, 3.0)\n"),
+        (["sample-measure", "--probs", "nan,0.5,0.5", "--samples", "3", "--seed", "1"],
+         "error: probabilities must be nonnegative\n"),
+    ], ids=["digits", "probs"])
+    def test_nan_input_exits_2_with_its_own_message(self, tri_json, capsys, argv, message):
+        if argv[0] == "sample-measure":
+            argv = argv + ["--ifs", tri_json]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == message
+
     def test_classify_grid(self, interval_json, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert main(["classify-grid", "--ifs", interval_json, "--resolution", "64",
@@ -252,7 +265,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         ("analyze-point --ifs IFS --point nan,0.3", "error: (nan, 0.3) is outside Omega"),
-        ("analyze-point --ifs IFS --bary nan,0.3,0.3", "error: (nan, nan) is outside Omega"),
+        ("analyze-point --ifs IFS --bary nan,0.3,0.3",
+         "error: barycentric coordinates must sum to 1, got nan"),
         ("deleted-digits --digits 0,1,3 --lambda 0.45 --point nan",
          "error: nan is outside the attractor interval"),
         ("analyze-point --ifs IFS --point 5,5 --tol nan", "error: --tol must be finite and at least 0, got nan"),
@@ -261,7 +275,8 @@ class TestCli:
          "error: --tol must be finite and at least 0, got -1e-09"),
     ])
     def test_nan_point_or_bad_tol_exit_code(self, tri_json, capsys, argv, message):
-        # a NaN coordinate lies in no hull, and a tol that is not a finite
+        # a NaN coordinate lies in no hull (a NaN barycentric one fails the
+        # triple's own check first), and a tol that is not a finite
         # nonnegative number would make every hull test meaningless
         assert main([tri_json if a == "IFS" else a for a in argv.split()]) == 2
         captured = capsys.readouterr()

@@ -118,6 +118,8 @@ class TestBarycentricConversion:
             BarycentricTriple(0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
             BarycentricTriple(1.2, -0.1, -0.1)
+        with pytest.raises(ValueError, match="must sum to 1"):
+            BarycentricTriple(float("nan"), 0.5, 0.5)
 
 
 class TestDigitForcing:
