@@ -20,9 +20,7 @@ from .addresses import (
     first_bifurcation,
 )
 from .conditions import (
-    BlockFamily,
     OverlapWitness,
-    block_family,
     covering_deficiency,
     no_holes_sufficient,
     osc_failure_sufficient,

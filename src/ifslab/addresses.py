@@ -33,7 +33,7 @@ from .errors import BudgetExceeded, CertificateRequired, PointOutsideOmega
 from .core import IfsSystem, _children, _children_many
 from .geometry import DEFAULT_TOL, contains, is_exact_point
 
-DEFAULT_NODE_BUDGET = 10**6
+NODE_BUDGET = 10**6  # most nodes a prefix tree or a classification may hold
 CERT_MARGIN = 1e-9  # interior margin required of both branches before certifying multiplicity
 
 
@@ -104,40 +104,41 @@ class ClassificationReport:
     exact: bool = False
 
 
-def feasible_children(sys: IfsSystem, x, tol=DEFAULT_TOL):
+def feasible_children(sys: IfsSystem, x):
     """Digits i with f_i^{-1}(x) in Omega (closed membership).
 
     A superset of the true first address digits of x, and equal to them
     when the attractor has no holes.
     """
-    return tuple(j for j, _ in _children(sys, x, tol))
+    return tuple(j for j, _ in _children(sys, x))
 
 
-def enumerate_prefixes(sys: IfsSystem, x, depth: int, tol=DEFAULT_TOL,
-                       node_budget=DEFAULT_NODE_BUDGET) -> PrefixTree:
+def enumerate_prefixes(sys: IfsSystem, x, depth: int) -> PrefixTree:
     """Breadth-first tree of every feasible prefix of x down to `depth`.
 
     Distinct prefixes with equal remainders are kept distinct: the object of
     study is the address count, not the remainder orbit.  The levels are
     kept as arrays and turned into PrefixNodes only when `levels` is read.
+    More than NODE_BUDGET nodes raise BudgetExceeded.
     """
     _check_depth(depth)
+    budget = NODE_BUDGET
     x = tuple(x)
     steps = []
     frontier = [x]
     total = 1
     for dep in range(depth):
-        parents, digits, frontier = _expand(sys, frontier, tol)
+        parents, digits, frontier = _expand(sys, frontier)
         steps.append((parents, digits, frontier))
         total += len(digits)
-        if total > node_budget:
-            raise BudgetExceeded(f"prefix tree exceeded {node_budget} nodes at depth {dep + 1}")
+        if total > budget:
+            raise BudgetExceeded(f"prefix tree exceeded {budget} nodes at depth {dep + 1}")
         if not len(digits):
             break
     return PrefixTree(point=x, steps=steps)
 
 
-def _expand(sys, frontier, tol):
+def _expand(sys, frontier, tol=DEFAULT_TOL):
     """(parents, digits, remainders) of every feasible child of a level, node-major.
 
     The one level step of `enumerate_prefixes` and `classify_point`.  A
@@ -172,7 +173,7 @@ def _fork_spans(parents):
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if b - a >= 2]
 
 
-def _solid(sys, rems, tol):
+def _solid(sys, rems, tol=DEFAULT_TOL):
     """How many of these remainders lie CERT_MARGIN or more inside Omega."""
     if isinstance(rems, np.ndarray):
         rems = rems.tolist()
@@ -184,12 +185,12 @@ def _check_depth(depth):
         raise ValueError(f"depth must be at least 0, got {depth}")
 
 
-def first_bifurcation(sys: IfsSystem, x, depth: int, tol=DEFAULT_TOL):
+def first_bifurcation(sys: IfsSystem, x, depth: int):
     """Least n at which a common prefix of length n has two feasible continuations."""
     _check_depth(depth)
     r = tuple(x)
     for dep in range(depth):
-        ch = _children(sys, r, tol)
+        ch = _children(sys, r)
         if len(ch) >= 2:
             return dep
         if not ch:
@@ -199,8 +200,7 @@ def first_bifurcation(sys: IfsSystem, x, depth: int, tol=DEFAULT_TOL):
 
 
 def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
-                   no_holes_certified=False, tol=DEFAULT_TOL,
-                   node_budget=DEFAULT_NODE_BUDGET) -> ClassificationReport:
+                   no_holes_certified=False, tol=DEFAULT_TOL) -> ClassificationReport:
     """Classify the address structure of x from its feasible-prefix tree.
 
     Verdicts:
@@ -225,7 +225,8 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
     budget are those of a walk over `_children` one node at a time: the
     certifying node is the first in node-major order that qualifies, the
     last count runs to its last child, and it wins over the node budget
-    only when the nodes before it stayed within the budget.
+    only when the nodes before it stayed within the budget.  More than
+    NODE_BUDGET nodes raise BudgetExceeded.
 
     Exact-no-holes mode checks its premises and changes no verdict: it
     raises CertificateRequired without no_holes_certified, and
@@ -240,6 +241,7 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
             )
         if not contains(sys.omega, x, tol=tol):
             raise PointOutsideOmega(f"{x} is outside Omega")
+    budget = NODE_BUDGET
     x = tuple(x)
     exact = sys.is_exact and is_exact_point(x)
 
@@ -257,8 +259,8 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
         # the node whose children first push the count past the budget: the
         # walk stops there, so only nodes up to it may certify
         over = None
-        if total_nodes + n > node_budget:
-            over = parents[max(node_budget - total_nodes, 0)] if n else 0
+        if total_nodes + n > budget:
+            over = parents[max(budget - total_nodes, 0)] if n else 0
         total_nodes += n
         forks = _fork_spans(parents) if n >= 2 and (no_holes_certified or bifurcation is None) else ()
         if forks and bifurcation is None:
@@ -276,7 +278,7 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
                     exact=exact,
                 )
         if over is not None:
-            raise BudgetExceeded(f"classification exceeded {node_budget} nodes at depth {dep + 1}")
+            raise BudgetExceeded(f"classification exceeded {budget} nodes at depth {dep + 1}")
         if not n:
             counts.append(0)
             return ClassificationReport(

@@ -210,12 +210,11 @@ def cmd_wn_coverage(args) -> int:
     w = conditions.vertex_overlap_witness(sys_)
     if w is None:
         raise ValueError("no overlap witness: the covering construction does not apply")
-    fam = conditions.block_family(sys_, w)
-    frac, err = conditions.wn_coverage_estimate(sys_, fam, args.n, args.samples, args.seed)
+    frac, err = conditions.wn_coverage_estimate(sys_, w, args.n, args.samples, args.seed)
     block = "".join(str(d) for d in w.block0)
     write_csv(_sys.stdout,
               ["n", "block", "ell", "fraction_outside", "stderr"],
-              [[args.n, block, fam.ell, frac, err]])
+              [[args.n, block, w.ell, frac, err]])
     return 0
 
 

@@ -31,7 +31,7 @@ from .errors import (
     UnsortedDigits,
 )
 from .core import IfsSystem, _children_many, _feasible_many, project_prefix
-from .geometry import DEFAULT_TOL, contains, sample_uniform
+from .geometry import contains, sample_uniform
 
 ELL_CAP = 64
 FRONTIER_CAP = 20_000_000  # rows across all samples in the block and covering searches
@@ -65,7 +65,7 @@ def pedicini_holds(digits, lam):
 # covering deficiency
 
 
-def covering_deficiency(sys: IfsSystem, n: int, samples: int, seed: int, tol=DEFAULT_TOL):
+def covering_deficiency(sys: IfsSystem, n: int, samples: int, seed: int):
     """Fraction of uniform Omega samples not in any depth-n image f_w(Omega).
 
     Decided per sample by a depth-n feasibility search on the batched
@@ -76,22 +76,22 @@ def covering_deficiency(sys: IfsSystem, n: int, samples: int, seed: int, tol=DEF
     rows a level.
     """
     rng = np.random.default_rng(seed)
-    pts = sample_uniform(sys.omega, samples, rng, tol=tol)
-    rest = pts[~_dive(sys, pts, n, tol)]
-    misses = len(rest) - _reached(sys, rest, n, tol)
+    pts = sample_uniform(sys.omega, samples, rng)
+    rest = pts[~_dive(sys, pts, n)]
+    misses = len(rest) - _reached(sys, rest, n)
     frac = misses / samples
     stderr = math.sqrt(max(frac * (1 - frac), 1.0 / samples) / samples)
     return frac, stderr
 
 
-def _dive(sys, pts, n, tol):
+def _dive(sys, pts, n):
     """Mask of the rows of pts whose chain of first feasible children reaches depth n."""
     rows = np.arange(len(pts))
     r = pts
     for _ in range(n):
         if not len(r):
             break
-        parent, _, rem = _children_many(sys, r, tol)
+        parent, _, rem = _children_many(sys, r)
         first = np.ones(len(parent), dtype=bool)
         first[1:] = parent[1:] != parent[:-1]
         rows = rows[parent[first]]
@@ -101,11 +101,11 @@ def _dive(sys, pts, n, tol):
     return reached
 
 
-def _reached(sys, pts, n, tol):
+def _reached(sys, pts, n):
     """Number of rows of pts with some chain of feasible children of depth n, breadth first."""
     r, s = pts, np.arange(len(pts))
     for _ in range(n):
-        parent, _, r = _children_many(sys, r, tol)
+        parent, _, r = _children_many(sys, r)
         s = s[parent]
         if len(r) > FRONTIER_CAP:
             raise BudgetExceeded(f"covering-search frontier exceeded {FRONTIER_CAP} rows")
@@ -124,13 +124,6 @@ class OverlapWitness:
     ell: int
     block0: tuple
     grade: str  # "vertex-interior" when f_k(p_j) is strictly inside f_i(Omega), else "proper-overlap"
-
-
-@dataclass(frozen=True)
-class BlockFamily:
-    ell: int
-    block0: tuple
-    L: int
 
 
 def vertex_overlap_witness(sys: IfsSystem):
@@ -209,10 +202,6 @@ def _block_ell(lam, t, cap):
     return None
 
 
-def block_family(sys: IfsSystem, witness: OverlapWitness) -> BlockFamily:
-    return BlockFamily(ell=witness.ell, block0=witness.block0, L=sys.m ** witness.ell)
-
-
 def verify_witness(sys: IfsSystem, w: OverlapWitness) -> bool:
     """Post-hoc re-check of the witness invariants at the stated grade."""
     if w.i == w.k or w.block0 != (w.k,) + (w.j,) * (w.ell - 1):
@@ -226,23 +215,23 @@ def verify_witness(sys: IfsSystem, w: OverlapWitness) -> bool:
 # W_n membership and coverage
 
 
-def _block_tables(sys, fam):
-    """(beta, T, idx0): block word w maps x to beta*x + T[w]; row idx0 is the forcing block."""
-    words = list(itertools.product(range(sys.m), repeat=fam.ell))
+def _block_tables(sys, w):
+    """(beta, T, idx0): block word u maps x to beta*x + T[u]; row idx0 is the forcing block of w."""
+    words = list(itertools.product(range(sys.m), repeat=w.ell))
     zero = tuple(0.0 for _ in range(sys.d))
-    T = np.array([[float(v) for v in project_prefix(sys, w, zero)] for w in words])
-    return float(sys.lam) ** fam.ell, T, words.index(tuple(fam.block0))
+    T = np.array([[float(v) for v in project_prefix(sys, u, zero)] for u in words])
+    return float(sys.lam) ** w.ell, T, words.index(tuple(w.block0))
 
 
-def wn_entry_depths(sys: IfsSystem, fam: BlockFamily, pts, n_max: int, tol=DEFAULT_TOL):
+def wn_entry_depths(sys: IfsSystem, w: OverlapWitness, pts, n_max: int):
     """Minimal block count n at which each point joins W_n (n_max+1 = not by n_max).
 
     Level-synchronous search over block words: a word is expanded only while
     it avoids the forcing block, because once the block is consumable the
     no-holes hypothesis guarantees a feasible continuation of any length.
-    Both steps invert block maps x -> beta*x + T[w] in the batched kernel.
+    Both steps invert block maps x -> beta*x + T[u] in the batched kernel.
     """
-    beta, T, idx0 = _block_tables(sys, fam)
+    beta, T, idx0 = _block_tables(sys, w)
     T0 = T[idx0:idx0 + 1]
     T_avoid = np.delete(T, idx0, axis=0)
 
@@ -252,7 +241,7 @@ def wn_entry_depths(sys: IfsSystem, fam: BlockFamily, pts, n_max: int, tol=DEFAU
     r = pts.copy()
     s = np.arange(npts)
     for k in range(1, n_max + 1):
-        hit, _, _ = _feasible_many(sys.omega, r, T0, beta, tol)
+        hit, _, _ = _feasible_many(sys.omega, r, T0, beta)
         if len(hit):
             hit = np.unique(s[hit])
             entry[hit] = np.minimum(entry[hit], k)
@@ -261,35 +250,34 @@ def wn_entry_depths(sys: IfsSystem, fam: BlockFamily, pts, n_max: int, tol=DEFAU
         s = s[keep]
         if k == n_max or len(r) == 0:
             break
-        parent, _, r = _feasible_many(sys.omega, r, T_avoid, beta, tol)
+        parent, _, r = _feasible_many(sys.omega, r, T_avoid, beta)
         s = s[parent]
         if len(r) > FRONTIER_CAP:
             raise BudgetExceeded(f"block-word frontier exceeded {FRONTIER_CAP} rows")
     return entry
 
 
-def wn_membership(sys: IfsSystem, fam: BlockFamily, x, n: int, tol=DEFAULT_TOL) -> bool:
+def wn_membership(sys: IfsSystem, w: OverlapWitness, x, n: int) -> bool:
     """Is x in W_n, the union of n-block images whose word uses the forcing block?"""
     if not no_holes_sufficient(sys)[0]:
         raise CertificateRequired("W_n membership is only exact under a no-holes certificate")
-    if not contains(sys.omega, x, tol=tol):
+    if not contains(sys.omega, x):
         raise PointOutsideOmega(f"{x} is outside Omega")
     if n < 1:
         return False
-    entry = wn_entry_depths(sys, fam, [tuple(float(v) for v in x)], n, tol=tol)
+    entry = wn_entry_depths(sys, w, [tuple(float(v) for v in x)], n)
     return bool(entry[0] <= n)
 
 
-def wn_coverage_estimate(sys: IfsSystem, fam: BlockFamily, n: int, samples: int, seed: int,
-                         tol=DEFAULT_TOL):
+def wn_coverage_estimate(sys: IfsSystem, w: OverlapWitness, n: int, samples: int, seed: int):
     """Monte Carlo (fraction of Omega outside W_n, standard error)."""
     if not no_holes_sufficient(sys)[0]:
         raise CertificateRequired("W_n coverage is only exact under a no-holes certificate")
     rng = np.random.default_rng(seed)
-    pts = sample_uniform(sys.omega, samples, rng, tol=tol)
+    pts = sample_uniform(sys.omega, samples, rng)
     if n < 1:
         return 1.0, 0.0
-    entry = wn_entry_depths(sys, fam, pts, n, tol=tol)
+    entry = wn_entry_depths(sys, w, pts, n)
     frac = float(np.mean(entry > n))
     stderr = math.sqrt(max(frac * (1 - frac), 1.0 / samples) / samples)
     return frac, stderr

@@ -23,8 +23,8 @@ from .errors import (
     DuplicatePoints,
     LambdaOutOfRange,
 )
-from .geometry import (Polytope, contains, contains_many, hull_polytope, is_exact_point,
-                       is_exact_scalar)
+from .geometry import (DEFAULT_TOL, Polytope, contains, contains_many, hull_polytope,
+                       is_exact_point, is_exact_scalar)
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def _inverse_exact(lam, c, x):
                  for xi, ci in zip(x, c))
 
 
-def _children(sys: IfsSystem, x, tol):
+def _children(sys: IfsSystem, x, tol=DEFAULT_TOL):
     """[(j, f_j^{-1}(x))] for every digit j whose image lies in Omega (closed test).
 
     The one scalar feasibility kernel: the address walkers expand their
@@ -161,7 +161,7 @@ def _children(sys: IfsSystem, x, tol):
     return out
 
 
-def _feasible_many(omega: Polytope, X, shifts, scale, tol):
+def _feasible_many(omega: Polytope, X, shifts, scale, tol=DEFAULT_TOL):
     """Every (row x, map j) with (x - shifts[j])/scale in omega, as (parent, digit, remainders).
 
     The one batched feasibility kernel, over a (rows, d) float array and
@@ -176,7 +176,7 @@ def _feasible_many(omega: Polytope, X, shifts, scale, tol):
     return parent, digit, cand[parent, digit]
 
 
-def _children_many(sys: IfsSystem, X, tol):
+def _children_many(sys: IfsSystem, X, tol=DEFAULT_TOL):
     """`_children` of every row of a (rows, d) float array, as (parent, digit, remainders).
 
     `_feasible_many` on the system's own maps.  Children come node-major,
@@ -245,11 +245,13 @@ def system_from_dict(raw):
 
 
 def check_probs(probs, m) -> tuple:
-    """The probability vector as floats: m nonnegative entries summing to 1 +- 1e-9."""
+    """The probability vector as floats: m finite nonnegative entries summing to 1 +- 1e-9."""
     p = tuple(float(v) for v in probs)
     if len(p) != m:
         raise BadProbabilityVector(f"need {m} probabilities, got {len(p)}")
-    if not all(v >= 0 for v in p):  # each check asks for the good case: NaN fails
+    if not all(map(math.isfinite, p)):
+        raise BadProbabilityVector(f"probabilities must be finite, got {p}")
+    if not all(v >= 0 for v in p):
         raise BadProbabilityVector("probabilities must be nonnegative")
     if not abs(sum(p) - 1.0) <= 1e-9:
         raise BadProbabilityVector(f"probabilities sum to {sum(p)}, need 1 +- 1e-9")

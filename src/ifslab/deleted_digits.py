@@ -15,7 +15,8 @@ from .errors import PointOutsideOmega, UnsortedDigits
 from . import addresses
 from .conditions import pedicini_holds
 from .core import IfsSystem, new_ifs
-from .geometry import DEFAULT_TOL, contains
+from .geometry import contains
+from .measure import chain_walk
 
 # Komornik-Loreti constant, cited numeric value (transcendental; 6 digits).
 KOMORNIK_LORETI = 0.559525
@@ -66,8 +67,7 @@ def _as_ifs(typed_digits, typed_lam):
     return new_ifs(lam, [(lam * a / (1 - lam),) for _, a in typed_digits])
 
 
-def count_expansions(A: DigitSet, lam, x, depth: int, tol=DEFAULT_TOL,
-                     node_budget=addresses.DEFAULT_NODE_BUDGET):
+def count_expansions(A: DigitSet, lam, x, depth: int):
     """Classification report for the expansions of x in this digit system.
 
     The no-holes certificate is exactly the Pedicini condition: when the
@@ -76,14 +76,13 @@ def count_expansions(A: DigitSet, lam, x, depth: int, tol=DEFAULT_TOL,
     """
     sys = as_ifs(A, lam)
     pt = (x,) if not isinstance(x, tuple) else x
-    if not contains(sys.omega, pt, tol=tol):
+    if not contains(sys.omega, pt):
         raise PointOutsideOmega(f"{x} is outside the attractor interval")
-    return addresses.classify_point(sys, pt, depth, no_holes_certified=pedicini_holds(A, lam)[0],
-                                    tol=tol, node_budget=node_budget)
+    return addresses.classify_point(sys, pt, depth, no_holes_certified=pedicini_holds(A, lam)[0])
 
 
 def multiplicity_lambda_estimate(A: DigitSet, grid: int = 200, depth: int = 50,
-                                 probes: int = 64, tol=DEFAULT_TOL):
+                                 probes: int = 64):
     """Empirical estimate of the smallest lambda with no unique expansions.
 
     Scans a lambda grid and returns the smallest grid value at which every
@@ -93,15 +92,10 @@ def multiplicity_lambda_estimate(A: DigitSet, grid: int = 200, depth: int = 50,
     """
     for k in range(1, grid):
         lam = k / grid
-        sys = as_ifs(A, lam)
         lo, hi = attractor_interval(A, lam)
         width = hi - lo
-        all_branch = True
-        for t in range(1, probes + 1):
-            x = lo + width * t / (probes + 1)
-            if addresses.first_bifurcation(sys, (x,), depth, tol=tol) is None:
-                all_branch = False
-                break
-        if all_branch:
+        probe_pts = [(lo + width * t / (probes + 1),) for t in range(1, probes + 1)]
+        bif, _ = chain_walk(as_ifs(A, lam), probe_pts, depth)
+        if (bif >= 0).all():
             return lam
     return None

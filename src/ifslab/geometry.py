@@ -156,7 +156,8 @@ def _facets(gens, d, den, ipts):
 
     Each facet holds d affinely independent generators, so it is one of the
     hyperplanes through d generators; one is kept when every generator lies
-    on its closed inside.  The generators' rational values are scaled by
+    on its closed inside, and dropped at the first generator on the side
+    opposite an earlier one.  The generators' rational values are scaled by
     their common denominator to integers, so normals (cofactor vectors of
     the difference vectors) and side tests are exact integer arithmetic:
     a float side test would drop a facet through four coplanar vertices.
@@ -174,13 +175,17 @@ def _facets(gens, d, den, ipts):
         if not any(n):
             continue  # affinely dependent subset
         off = sum(a * b for a, b in zip(n, sub[0]))
-        sides = [off - sum(a * b for a, b in zip(n, p)) for p in pts]
-        if min(sides) < 0:
-            if max(sides) > 0:
-                continue
-            n, off = [-a for a in n], -off
-        g = math.gcd(*n)
-        planes.append((tuple(a // g for a in n), off // g))
+        side = 0
+        for p in pts:
+            s = off - sum(a * b for a, b in zip(n, p))
+            if s * side < 0:
+                break
+            side = side or s
+        else:
+            if side < 0:
+                n, off = [-a for a in n], -off
+            g = math.gcd(*n)
+            planes.append((tuple(a // g for a in n), off // g))
     out = []
     for n, off in dict.fromkeys(planes):
         if exact:
@@ -324,7 +329,7 @@ def contains_many(poly: Polytope, pts, tol=DEFAULT_TOL):
     return inside.reshape(pts.shape[:-1])
 
 
-def sample_uniform(poly: Polytope, n, rng, tol=DEFAULT_TOL):
+def sample_uniform(poly: Polytope, n, rng):
     """n points uniform over poly by seeded rejection from the bounding box."""
     if n < 1:
         raise ValueError("need at least one sample")
@@ -335,14 +340,14 @@ def sample_uniform(poly: Polytope, n, rng, tol=DEFAULT_TOL):
     have = 0
     while have < n:
         cand = lo + rng.random((max(n, 128), poly.dim)) * (hi - lo)
-        keep = cand[contains_many(poly, cand, tol=tol)]
+        keep = cand[contains_many(poly, cand)]
         if len(keep):
             out.append(keep)
             have += len(keep)
     return np.concatenate(out)[:n]
 
 
-def volume_mc(poly: Polytope, samples, seed, tol=DEFAULT_TOL):
+def volume_mc(poly: Polytope, samples, seed):
     """Monte Carlo volume for any dimension: (estimate, standard error)."""
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -352,7 +357,7 @@ def volume_mc(poly: Polytope, samples, seed, tol=DEFAULT_TOL):
     hi = np.array([float(v) for v in hi])
     box = float(np.prod(hi - lo))
     pts = lo + rng.random((samples, poly.dim)) * (hi - lo)
-    hits = int(np.count_nonzero(contains_many(poly, pts, tol=tol)))
+    hits = int(np.count_nonzero(contains_many(poly, pts)))
     frac = hits / samples
     err = box * math.sqrt(max(frac * (1 - frac), 1e-12) / samples)
     return box * frac, err

@@ -70,7 +70,7 @@ def project_digit_rows(sys: IfsSystem, digits):
     return pts + lam**T * x0
 
 
-def chain_walk(sys: IfsSystem, pts, depth: int, tol=DEFAULT_TOL):
+def chain_walk(sys: IfsSystem, pts, depth: int):
     """Follow each point's feasible chain while it stays single.
 
     Returns (bif_depth, dead_depth): per point, the depth of the first step
@@ -85,7 +85,7 @@ def chain_walk(sys: IfsSystem, pts, depth: int, tol=DEFAULT_TOL):
     for dep in range(depth):
         if len(alive) == 0:
             break
-        parent, _, rem = _children_many(sys, r, tol)
+        parent, _, rem = _children_many(sys, r)
         cnt = np.bincount(parent, minlength=len(r))
         bif[alive[cnt >= 2]] = dep
         dead[alive[cnt == 0]] = dep
@@ -96,12 +96,12 @@ def chain_walk(sys: IfsSystem, pts, depth: int, tol=DEFAULT_TOL):
     return bif, dead
 
 
-def mu_bifurcation_fraction(sampler: MeasureSampler, n: int, depth: int, tol=DEFAULT_TOL):
+def mu_bifurcation_fraction(sampler: MeasureSampler, n: int, depth: int):
     """(fraction of mu-samples that bifurcate within depth, standard error)."""
     if not no_holes_sufficient(sampler.sys)[0]:
         raise CertificateRequired("bifurcation fractions are only meaningful with no holes")
     pts, _ = sample_natural_measure(sampler, n)
-    bif, _ = chain_walk(sampler.sys, pts, depth, tol=tol)
+    bif, _ = chain_walk(sampler.sys, pts, depth)
     frac = float(np.mean(bif >= 0))
     stderr = math.sqrt(max(frac * (1 - frac), 1.0 / n) / n)
     return frac, stderr
@@ -176,7 +176,7 @@ def grid_points(sys: IfsSystem, resolution: int):
     return pts[contains_many(sys.omega, pts)]
 
 
-def uniqueness_grid(sys: IfsSystem, resolution: int, depth: int, tol=DEFAULT_TOL):
+def uniqueness_grid(sys: IfsSystem, resolution: int, depth: int):
     """Grid points whose feasible-prefix tree is a single chain to `depth`.
 
     A shrinking over-approximation of the set of uniqueness: deepening can
@@ -188,7 +188,7 @@ def uniqueness_grid(sys: IfsSystem, resolution: int, depth: int, tol=DEFAULT_TOL
     if resolution < 8:
         raise ValueError(f"resolution must be at least 8, got {resolution}")
     pts = grid_points(sys, resolution)
-    bif, dead = chain_walk(sys, pts, depth, tol=tol)
+    bif, dead = chain_walk(sys, pts, depth)
     return pts[(bif < 0) & (dead < 0)]
 
 

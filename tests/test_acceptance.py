@@ -11,7 +11,6 @@ import numpy as np
 
 from ifslab.addresses import Verdict, classify_point
 from ifslab.conditions import (
-    block_family,
     covering_deficiency,
     no_holes_sufficient,
     osc_failure_sufficient,
@@ -160,10 +159,9 @@ def test_criterion_7_wn_coverage():
     s = triangle_system(0.7)
     w = vertex_overlap_witness(s)
     assert w is not None
-    fam = block_family(s, w)
     results = []
     for n in range(1, 13):
-        frac, err = wn_coverage_estimate(s, fam, n, samples=10_000, seed=71)
+        frac, err = wn_coverage_estimate(s, w, n, samples=10_000, seed=71)
         results.append((n, frac, err))
     for (_, f1, e1), (_, f2, e2) in zip(results, results[1:]):
         assert f2 <= f1 + 2 * (e1 + e2)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ifslab import addresses
 from ifslab.addresses import (
     Mode,
     Verdict,
@@ -61,12 +62,13 @@ class TestEnumerate:
                 got = enumerate_prefixes(s, (x,), 10).counts
                 assert got == want
 
-    def test_budget_errors_out(self):
+    def test_budget_errors_out(self, monkeypatch):
         s = unit_system(0.9)
-        with pytest.raises(BudgetExceeded):
-            enumerate_prefixes(s, (0.5,), 60, node_budget=2000)
-        with pytest.raises(BudgetExceeded):
-            classify_point(s, (0.5,), 60, node_budget=2000)
+        monkeypatch.setattr(addresses, "NODE_BUDGET", 2000)
+        with pytest.raises(BudgetExceeded, match="exceeded 2000 nodes"):
+            enumerate_prefixes(s, (0.5,), 60)
+        with pytest.raises(BudgetExceeded, match="exceeded 2000 nodes"):
+            classify_point(s, (0.5,), 60)
 
     def test_shift_consistency(self):
         s = triangle_system_exact(Fraction(7, 10))

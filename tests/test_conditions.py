@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ifslab.conditions import (
-    block_family,
     covering_deficiency,
     no_holes_sufficient,
     osc_failure_sufficient,
@@ -164,14 +163,14 @@ class TestOverlapWitness:
         assert not interior and conditions._block_ell(Fraction(s.lam), t, conditions.ELL_CAP) is None
 
 
-def brute_force_wn(s, fam, x, n):
+def brute_force_wn(s, w, x, n):
     """Independent W_n oracle: enumerate every word of n blocks outright and
     test x in F_w(Omega) through the forward image polytope."""
     import itertools
 
-    blocks = list(itertools.product(range(s.m), repeat=fam.ell))
+    blocks = list(itertools.product(range(s.m), repeat=w.ell))
     for word in itertools.product(blocks, repeat=n):
-        if fam.block0 not in word:
+        if w.block0 not in word:
             continue
         digits = tuple(d for blk in word for d in blk)
         if contains(image_polytope(s, digits), x):
@@ -182,74 +181,75 @@ def brute_force_wn(s, fam, x, n):
 @pytest.fixture(scope="module")
 def tri():
     s = triangle_system(0.7)
-    w = vertex_overlap_witness(s)
-    return s, block_family(s, w)
+    return s, vertex_overlap_witness(s)
 
 
 class TestWn:
     def test_block0_image_is_w1(self, tri):
-        s, fam = tri
-        x = project_prefix(s, fam.block0, (0.2, 0.3))
-        assert wn_membership(s, fam, x, 1)
+        s, w = tri
+        x = project_prefix(s, w.block0, (0.2, 0.3))
+        assert wn_membership(s, w, x, 1)
 
     def test_vertex_never_member(self, tri):
-        s, fam = tri
+        s, w = tri
         for n in (1, 2, 4):
-            assert not wn_membership(s, fam, s.points[0], n)
+            assert not wn_membership(s, w, s.points[0], n)
 
     def test_monotone_in_n(self, tri):
-        s, fam = tri
+        s, w = tri
         rng = np.random.default_rng(7)
         from ifslab.geometry import sample_uniform
 
         pts = sample_uniform(s.omega, 100, rng)
-        entry = wn_entry_depths(s, fam, pts, 6)
+        entry = wn_entry_depths(s, w, pts, 6)
         for p, e in zip(pts, entry):
             for n in (1, 2, 3, 4, 5, 6):
-                assert wn_membership(s, fam, tuple(p), n) == (e <= n)
+                assert wn_membership(s, w, tuple(p), n) == (e <= n)
 
     def test_family_size(self, tri):
-        s, fam = tri
-        assert fam.L == 3**fam.ell
+        # one translation per block word: m^ell of them, the forcing block among them
+        s, w = tri
+        beta, T, idx0 = conditions._block_tables(s, w)
+        assert T.shape == (3**w.ell, 2) and beta == 0.7**w.ell
+        assert np.allclose(project_prefix(s, w.block0, (0.0, 0.0)), T[idx0])
 
     def test_against_brute_force_block_words(self, tri):
-        s, fam = tri
+        s, w = tri
         rng = np.random.default_rng(19)
         from ifslab.geometry import sample_uniform
 
         pts = sample_uniform(s.omega, 12, rng)
         for p in pts:
             for n in (1, 2):
-                assert wn_membership(s, fam, tuple(p), n) == brute_force_wn(s, fam, tuple(p), n)
+                assert wn_membership(s, w, tuple(p), n) == brute_force_wn(s, w, tuple(p), n)
 
     def test_tetrahedron_against_brute_force_block_words(self):
         # lam = 0.8 >= 3/4 gives no holes in R^3; the witness block has
         # length 3, so W_1 is searched over 64 block words
         s = new_ifs(0.8, TETRAHEDRON)
-        fam = block_family(s, vertex_overlap_witness(s))
-        assert fam.L == 64
+        w = vertex_overlap_witness(s)
+        assert w.ell == 3
         from ifslab.geometry import sample_uniform
 
         rng = np.random.default_rng(23)
         pts = [tuple(p) for p in sample_uniform(s.omega, 30, rng).tolist()]
-        pts += [project_prefix(s, fam.block0, tuple(p))
+        pts += [project_prefix(s, w.block0, tuple(p))
                 for p in rng.dirichlet([1.0] * 4, 10)[:, 1:].tolist()]
-        got = [wn_membership(s, fam, p, 1) for p in pts]
-        assert got == [brute_force_wn(s, fam, p, 1) for p in pts]
+        got = [wn_membership(s, w, p, 1) for p in pts]
+        assert got == [brute_force_wn(s, w, p, 1) for p in pts]
         assert any(got) and not all(got)
 
     def test_requires_certificate(self):
         s = triangle_system(0.6)  # below the 2/3 threshold
         w = vertex_overlap_witness(s)
-        fam = block_family(s, w)
         with pytest.raises(CertificateRequired):
-            wn_membership(s, fam, (0.2, 0.2), 2)
+            wn_membership(s, w, (0.2, 0.2), 2)
 
     def test_coverage_decreases(self, tri):
-        s, fam = tri
+        s, w = tri
         fracs = []
         for n in (1, 3, 6, 9):
-            frac, err = wn_coverage_estimate(s, fam, n, samples=2000, seed=11)
+            frac, err = wn_coverage_estimate(s, w, n, samples=2000, seed=11)
             fracs.append((frac, err))
         for (f1, e1), (f2, e2) in zip(fracs, fracs[1:]):
             assert f2 <= f1 + 2 * (e1 + e2)

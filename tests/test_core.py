@@ -191,6 +191,8 @@ class TestLoadSystem:
             system_from_dict({"lambda": 0.5, "points": [[0], [1]], "probs": [1.0]})
 
     def test_nan_probs_rejected(self):
-        for probs in [(float("nan"), 0.5, 0.5), (0.5, 0.5, float("nan"))]:
-            with pytest.raises(BadProbabilityVector):
+        # named as not finite, before the sign and sum checks they would fail
+        nan, inf = float("nan"), float("inf")
+        for probs in [(nan, 0.5, 0.5), (0.5, 0.5, nan), (inf, 0.5, 0.5), (0.5, -inf, inf)]:
+            with pytest.raises(BadProbabilityVector, match="must be finite"):
                 check_probs(probs, 3)

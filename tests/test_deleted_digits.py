@@ -142,3 +142,9 @@ def test_multiplicity_lambda_estimate_is_plausible():
     est = multiplicity_lambda_estimate(DigitSet((0, 1)), grid=40, depth=40, probes=24)
     assert est is not None
     assert 0.5 < est <= 0.7
+
+
+@pytest.mark.parametrize("digits, want", [((0, 1), 0.55), ((0, 1, 3), 0.4)])
+def test_multiplicity_lambda_estimate_is_pinned(digits, want):
+    # the values of the scan over the scalar first_bifurcation, one probe at a time
+    assert multiplicity_lambda_estimate(DigitSet(digits), grid=40) == want

@@ -104,7 +104,8 @@ def test_kernel_equals_scalar_children(name):
 # scalar references: the walkers as they were before the batched kernel
 
 
-def _ref_enumerate(sys, x, depth, tol=DEFAULT_TOL, node_budget=addresses.DEFAULT_NODE_BUDGET):
+def _ref_enumerate(sys, x, depth, tol=DEFAULT_TOL):
+    budget = addresses.NODE_BUDGET
     levels = [[((), tuple(x))]]
     total = 1
     for dep in range(depth):
@@ -113,17 +114,17 @@ def _ref_enumerate(sys, x, depth, tol=DEFAULT_TOL, node_budget=addresses.DEFAULT
             for j, rj in _children(sys, r, tol):
                 nxt.append((prefix + (j,), rj))
                 total += 1
-                if total > node_budget:
-                    raise BudgetExceeded(f"prefix tree exceeded {node_budget} nodes at depth {dep + 1}")
+                if total > budget:
+                    raise BudgetExceeded(f"prefix tree exceeded {budget} nodes at depth {dep + 1}")
         levels.append(nxt)
         if not nxt:
             break
     return levels
 
 
-def _ref_classify(sys, x, depth, no_holes_certified=False, tol=DEFAULT_TOL,
-                  node_budget=addresses.DEFAULT_NODE_BUDGET):
+def _ref_classify(sys, x, depth, no_holes_certified=False, tol=DEFAULT_TOL):
     """`classify_point` node by node over `_children`, as it was before the batched kernel."""
+    budget = addresses.NODE_BUDGET
     Report, Verdict = addresses.ClassificationReport, addresses.Verdict
     x = tuple(x)
     exact = sys.is_exact and all(isinstance(v, Fraction) for v in x)
@@ -152,8 +153,8 @@ def _ref_classify(sys, x, depth, no_holes_certified=False, tol=DEFAULT_TOL,
                         return Report(Verdict.MULTIPLE_CERTIFIED, dep + 1, bifurcation, counts, exact=exact)
             nxt.extend(children)
             total_nodes += len(children)
-            if total_nodes > node_budget:
-                raise BudgetExceeded(f"classification exceeded {node_budget} nodes at depth {dep + 1}")
+            if total_nodes > budget:
+                raise BudgetExceeded(f"classification exceeded {budget} nodes at depth {dep + 1}")
         if not nxt:
             counts.append(0)
             return Report(Verdict.UNKNOWN, dep + 1, bifurcation, counts, exact=exact)
@@ -185,7 +186,7 @@ def _ref_covered(sys, x, n, tol):
 
 
 def _ref_covering(sys, n, samples, seed, tol=DEFAULT_TOL):
-    pts = sample_uniform(sys.omega, samples, np.random.default_rng(seed), tol=tol)
+    pts = sample_uniform(sys.omega, samples, np.random.default_rng(seed))
     misses = sum(not _ref_covered(sys, tuple(p), n, tol) for p in pts)
     return misses / samples
 
@@ -195,7 +196,7 @@ def kernel_rows(monkeypatch):
     """Rows the batched kernel expanded, counted through both walkers' imports."""
     rows = []
 
-    def counting(sys, X, tol):
+    def counting(sys, X, tol=DEFAULT_TOL):
         rows.append(len(X))
         return _children_many(sys, X, tol)
 
@@ -250,14 +251,15 @@ def test_covering_deficiency_equals_scalar_reference(sys, n, kernel_rows):
     assert max(kernel_rows) >= 1000
 
 
-def test_prefix_budget_fires_with_the_same_message_on_both_paths(kernel_rows):
+def test_prefix_budget_fires_with_the_same_message_on_both_paths(monkeypatch, kernel_rows):
     sys, depth = WIDE["triangle-0.7"]
     x = _points(sys, 16, 1)[0]
     budget = sum(len(lv) for lv in _ref_enumerate(sys, x, depth)) - 1
+    monkeypatch.setattr(addresses, "NODE_BUDGET", budget)
     with pytest.raises(BudgetExceeded) as want:
-        _ref_enumerate(sys, x, depth, node_budget=budget)
+        _ref_enumerate(sys, x, depth)
     with pytest.raises(BudgetExceeded) as got:
-        enumerate_prefixes(sys, x, depth, node_budget=budget)
+        enumerate_prefixes(sys, x, depth)
     assert str(got.value) == str(want.value) == f"prefix tree exceeded {budget} nodes at depth {depth}"
     assert kernel_rows
 
@@ -337,18 +339,19 @@ def test_a_later_fork_of_the_level_certifies_when_the_first_fails_the_margin(mon
     # budgets that end the walk at every node of the last level
     total = sum(want.prefix_counts)
     for budget in range(total - want.prefix_counts[-1] - 1, total + 1):
-        kw = dict(no_holes_certified=True, node_budget=budget)
-        assert (_outcome(addresses.classify_point, sys, x, depth, **kw)
-                == _outcome(_ref_classify, sys, x, depth, **kw))
+        monkeypatch.setattr(addresses, "NODE_BUDGET", budget)
+        assert (_outcome(addresses.classify_point, sys, x, depth, no_holes_certified=True)
+                == _outcome(_ref_classify, sys, x, depth, no_holes_certified=True))
 
 
 @pytest.mark.parametrize("certified", [False, True])
-def test_classify_budget_matches_scalar_reference(certified, kernel_rows):
+def test_classify_budget_matches_scalar_reference(certified, monkeypatch, kernel_rows):
     sys, depth = WIDE["triangle-0.7"]
     for x in _points(sys, 16, 4):
         total = sum(_ref_classify(sys, x, depth, no_holes_certified=certified).prefix_counts)
         for budget in (total, total - 1):
-            kw = dict(no_holes_certified=certified, node_budget=budget)
-            assert (_outcome(addresses.classify_point, sys, x, depth, **kw)
-                    == _outcome(_ref_classify, sys, x, depth, **kw))
+            with monkeypatch.context() as mp:
+                mp.setattr(addresses, "NODE_BUDGET", budget)
+                assert (_outcome(addresses.classify_point, sys, x, depth, no_holes_certified=certified)
+                        == _outcome(_ref_classify, sys, x, depth, no_holes_certified=certified))
     assert kernel_rows or certified  # these points certify at single-node levels

@@ -243,9 +243,10 @@ _SQUARE_MIDPOINTS = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0), (1, 0.5), (0.5, 1
 _PENTAGON = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(0)), (Fraction(5, 2), Fraction(3, 2)),
              (Fraction(1), Fraction(7, 3)), (Fraction(-1, 2), Fraction(4, 3))]
 _RANDOM6 = [tuple(v) for v in np.random.default_rng(12).uniform(0, 1, size=(6, 2)).round(3)]
+_RANDOM40 = [tuple(v) for v in np.random.default_rng(13).uniform(0, 1, size=(40, 2)).round(3)]
 FACET_CASES = {"tetrahedron": _TET, "cube": _CUBE, "hull10": _HULL10, "simplex4": _SIMPLEX4,
                "interval": _INTERVAL, "square-midpoints": _SQUARE_MIDPOINTS,
-               "pentagon": _PENTAGON, "random6": _RANDOM6}
+               "pentagon": _PENTAGON, "random6": _RANDOM6, "random40": _RANDOM40}
 
 
 def _exact_probes(gens, rng, count):

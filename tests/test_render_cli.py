@@ -130,8 +130,10 @@ class TestCli:
         (["deleted-digits", "--digits", "0,nan,3", "--lambda", "0.45", "--point", "0.5"],
          "error: digits must be strictly increasing: (0.0, nan, 3.0)\n"),
         (["sample-measure", "--probs", "nan,0.5,0.5", "--samples", "3", "--seed", "1"],
-         "error: probabilities must be nonnegative\n"),
-    ], ids=["digits", "probs"])
+         "error: probabilities must be finite, got (nan, 0.5, 0.5)\n"),
+        (["sample-measure", "--probs", "0.5,inf,0.5", "--samples", "3", "--seed", "1"],
+         "error: probabilities must be finite, got (0.5, inf, 0.5)\n"),
+    ], ids=["digits", "probs", "probs-inf"])
     def test_nan_input_exits_2_with_its_own_message(self, tri_json, capsys, argv, message):
         if argv[0] == "sample-measure":
             argv = argv + ["--ifs", tri_json]
