@@ -202,15 +202,6 @@ def _block_ell(lam, t, cap):
     return None
 
 
-def verify_witness(sys: IfsSystem, w: OverlapWitness) -> bool:
-    """Post-hoc re-check of the witness invariants at the stated grade."""
-    if w.i == w.k or w.block0 != (w.k,) + (w.j,) * (w.ell - 1):
-        return False
-    u, h = sys.facet_slacks
-    interior, t = _triple(u[w.j], [b - a for a, b in zip(h[w.i], h[w.k])])
-    return Fraction(sys.lam) ** (w.ell - 1) <= t and (interior or w.grade != "vertex-interior")
-
-
 # ---------------------------------------------------------------------------
 # W_n membership and coverage
 

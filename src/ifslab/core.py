@@ -196,19 +196,6 @@ def project_prefix(sys: IfsSystem, w, x0):
     return x
 
 
-def prefix_closed_form(sys: IfsSystem, w, x0):
-    """lam^n * x0 + (1-lam) * sum_k lam^(k-1) p_{w_k}; regression oracle for project_prefix."""
-    lam = sys.lam
-    n = len(w)
-    acc = [lam**n * v for v in x0]
-    scale = 1 - lam
-    for k, j in enumerate(tuple(w)):
-        _check_digit(sys, j)
-        c = scale * lam**k
-        acc = [a + c * pv for a, pv in zip(acc, sys.points[j])]
-    return tuple(acc)
-
-
 def centroid(sys: IfsSystem):
     m = sys.m
     return tuple(sum(p[k] for p in sys.points) / m for k in range(sys.d))

@@ -108,23 +108,31 @@ def mu_bifurcation_fraction(sampler: MeasureSampler, n: int, depth: int):
 
 
 def mesh_count(points, epsilon) -> int:
-    """Number of occupied eps-mesh cells; the cell of x is floor(x_i/eps) per axis."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    """Number of occupied eps-mesh cells; the cell of x is floor(x_i/eps) per axis.
+
+    Counts by sorting: each cell gets one mixed-radix int64 key, the keys are
+    sorted in place, and the count is one plus the number of value changes.
+    Cells are laid out one contiguous row per axis.  When the extents
+    multiply past int64, unique cell columns are counted instead.
+    """
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if len(pts) == 0:
         return 0
-    cells = np.floor(pts / epsilon).astype(np.int64)
-    lo = cells.min(axis=0)
-    extent = [h - l + 1 for l, h in zip(lo.tolist(), cells.max(axis=0).tolist())]
+    cells = np.floor(np.ascontiguousarray(pts.T) / epsilon).astype(np.int64)
+    lo = cells.min(axis=1).tolist()
+    extent = [h - l + 1 for l, h in zip(lo, cells.max(axis=1).tolist())]
     if math.prod(extent) >= 2**63:
-        return len(np.unique(cells, axis=0))
-    key = np.zeros(len(cells), dtype=np.int64)  # one mixed-radix key per cell
-    for k, e in enumerate(extent):
-        key = key * e + (cells[:, k] - lo[k])
-    return len(np.unique(key))
+        return np.unique(cells, axis=1).shape[1]
+    key = cells[0] - lo[0]  # one mixed-radix key per cell
+    for k in range(1, len(extent)):
+        key *= extent[k]
+        key += cells[k] - lo[k]
+    key.sort()
+    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
 
 
 def box_dim_estimate(points, eps_list):
@@ -135,6 +143,8 @@ def box_dim_estimate(points, eps_list):
     slope blindly.
     """
     eps = [float(e) for e in eps_list]
+    if not all(0 < e < math.inf for e in eps):
+        raise ValueError(f"scales must be positive and finite, got {eps}")
     if len(set(eps)) < 3:
         raise TooFewScales("need at least three distinct scales")
     if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -197,6 +207,13 @@ def attractor_point_cloud(sys: IfsSystem, finest_eps):
 
     K is the smallest depth at which image diameters drop below finest_eps,
     so the cloud resolves every requested mesh scale without randomness.
+    Row i is the word whose digit t is (i // m^t) % m, projected from the
+    centroid c: per coordinate, 0.0 + (1-lam)*lam^t * p_{d_t} for t = 0..K-1
+    in that order, then + lam^K * c.  The partial sum over digits t' < t
+    depends only on i mod m^t, so the cloud grows one digit at a time and no
+    digit matrix is built.  project_digit_rows' einsum adds in this order in
+    d >= 2 (numpy 2.4); in d = 1 it adds in SIMD-lane order, so the two
+    clouds may differ in the last bits there.
     """
     lam = float(sys.lam)
     diam = sys.diameter()
@@ -206,8 +223,11 @@ def attractor_point_cloud(sys: IfsSystem, finest_eps):
             f"attractor cloud at scale {finest_eps} needs {sys.m**K} points "
             f"(budget {CLOUD_POINT_BUDGET}); use a coarser scale"
         )
-    idx = np.arange(sys.m**K, dtype=np.int64)
-    digits = np.empty((len(idx), K), dtype=np.int64)
+    P = np.array([[float(v) for v in p] for p in sys.points])
+    terms = ((1 - lam) * lam ** np.arange(K))[:, None, None] * P
+    pts = np.zeros((1, sys.d))
     for t in range(K):
-        digits[:, t] = (idx // sys.m**t) % sys.m
-    return project_digit_rows(sys, digits)
+        # row j*m^t + i: digit t is j, the lower digits are those of row i
+        pts = (terms[t][:, None, :] + pts).reshape(-1, sys.d)
+    pts += lam**K * np.array([float(v) for v in centroid(sys)])
+    return pts

@@ -102,20 +102,6 @@ def m_separation_holds(lam) -> bool:
     return z > 1 - lam
 
 
-def in_delta_region(t: BarycentricTriple, i: int, lam) -> bool:
-    """Membership in Delta_i = Delta minus the other two map images (closed complement)."""
-    coords = t.as_tuple()
-    return all(coords[j] < 1 - lam for j in range(3) if j != i)
-
-
-def in_gamma_region(t: BarycentricTriple, i: int, lam) -> bool:
-    """Membership in Gamma_i, the sub-corner of Delta_i that survives one pull-back."""
-    coords = t.as_tuple()
-    if not coords[i] < (1 - lam) / lam:
-        return False
-    return all(coords[j] < 1 - lam for j in range(3) if j != i)
-
-
 class ForcingKind(enum.Enum):
     UNIQUE_BY_CYCLE = "unique-by-cycle"
     FORCED_PREFIX_THEN_BRANCH = "forced-prefix-then-branch"

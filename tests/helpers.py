@@ -3,7 +3,10 @@
 The oracles here avoid the code paths they are used to check: prefix counts
 come from direct interval images via the closed-form partial sums, the
 gasket clouds come from explicit base-m digit expansion, and hull membership
-comes from simplices of the generators, never from facets.
+comes from simplices of the generators, never from facets.  Attractor clouds
+are summed word by word in Python floats, mesh counts come from a set of
+integer tuples, and the triangle regions come from their defining
+inequalities.
 """
 
 import functools
@@ -13,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ifslab.conditions import _triple
 from ifslab.core import centroid, new_ifs
 
 RIGHT_TRIANGLE = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
@@ -52,6 +56,72 @@ def chaos_game_reference(sys, iters, burn_in, seed):
         x = [lam * xk + qk for xk, qk in zip(x, Q[j])]
         out.append(x)
     return np.array(out, dtype=float).reshape(iters, sys.d)[burn_in:]
+
+
+def prefix_closed_form(sys, w, x0):
+    """lam^n * x0 + (1-lam) * sum_k lam^(k-1) p_{w_k}; regression oracle for project_prefix."""
+    lam = sys.lam
+    n = len(w)
+    acc = [lam**n * v for v in x0]
+    scale = 1 - lam
+    for k, j in enumerate(tuple(w)):
+        c = scale * lam**k
+        acc = [a + c * pv for a, pv in zip(acc, sys.points[j])]
+    return tuple(acc)
+
+
+def attractor_cloud_reference(sys, K):
+    """Every depth-K projection, one word at a time in Python floats.
+
+    Row i is the word whose digit t is (i // m^t) % m.  Per coordinate the
+    sum starts at 0.0, adds (1-lam)*lam^t * p_{d_t} for t = 0..K-1 in order,
+    then adds lam^K times the centroid.  The powers lam^t are numpy's, which
+    are not always Python's correctly rounded ones (0.6**4 is an ulp apart).
+    """
+    lam = float(sys.lam)
+    P = [[float(v) for v in p] for p in sys.points]
+    c = [float(v) for v in centroid(sys)]
+    weights = ((1 - lam) * lam ** np.arange(K)).tolist()
+    rows = []
+    for i in range(sys.m**K):
+        x = [0.0] * sys.d
+        for t, w in enumerate(weights):
+            p = P[(i // sys.m**t) % sys.m]
+            x = [xk + w * pk for xk, pk in zip(x, p)]
+        rows.append([xk + lam**K * ck for xk, ck in zip(x, c)])
+    return np.array(rows, dtype=float).reshape(sys.m**K, sys.d)
+
+
+def reference_mesh_count(points, epsilon):
+    """Occupied cells as a set of integer tuples."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    cells = np.floor(pts / epsilon).astype(np.int64)
+    return len(set(map(tuple, cells.tolist())))
+
+
+def verify_witness(sys, w):
+    """Post-hoc re-check of the overlap witness invariants at the stated grade."""
+    if w.i == w.k or w.block0 != (w.k,) + (w.j,) * (w.ell - 1):
+        return False
+    u, h = sys.facet_slacks
+    interior, t = _triple(u[w.j], [b - a for a, b in zip(h[w.i], h[w.k])])
+    return Fraction(sys.lam) ** (w.ell - 1) <= t and (interior or w.grade != "vertex-interior")
+
+
+def in_delta_region(t, i, lam):
+    """Membership of a barycentric triple in Delta_i = Delta minus the other two map images."""
+    coords = t.as_tuple()
+    return all(coords[j] < 1 - lam for j in range(3) if j != i)
+
+
+def in_gamma_region(t, i, lam):
+    """Membership in Gamma_i, the sub-corner of Delta_i that survives one pull-back."""
+    coords = t.as_tuple()
+    if not coords[i] < (1 - lam) / lam:
+        return False
+    return all(coords[j] < 1 - lam for j in range(3) if j != i)
 
 
 def count_true_prefixes_1d(lam, points, x, depth):
@@ -102,8 +172,15 @@ def gasket_corner_cloud(k):
 def in_hull_exact(points, x):
     """Exact membership of x in the convex hull of full-dimensional `points`.
 
-    By Caratheodory, x lies in the hull exactly when it lies in the simplex
-    of some d + 1 affinely independent generators.  Each simplex gives x's
+    x lies in the hull exactly when it lies in the simplex of some d + 1
+    affinely independent generators that include the first one, p_0.  If
+    x = p_0, any such simplex holds it.  Otherwise let y be the last point
+    of the ray from p_0 through x inside the hull.  Some facet F of the hull
+    holds y but not p_0: were p_0 on every facet through y, the ray could go
+    on past y.  By Caratheodory in F's d - 1 dimensions, y lies in the
+    simplex of d affinely independent generators on F, and p_0 is off F's
+    hyperplane, so those d and p_0 span a simplex that holds p_0, y and x.
+    That is C(m-1, d) simplices rather than all C(m, d+1).  Each gives x's
     barycentric weights by an exact inverse.  Integer arithmetic on the
     rational values of the inputs, so a float counts as the rational it is.
     """
@@ -122,19 +199,23 @@ def in_hull_exact(points, x):
 @functools.lru_cache(maxsize=None)
 def _simplex_inverses(points):
     """(den, [(p_0, num, scale)]): den * points are integers, and for every
-    affinely independent (d+1)-subset, num / scale is the exact inverse of
-    M = [p_1 - p_0, ..., p_d - p_0] on those integers, num integer and scale > 0."""
+    affinely independent (d+1)-subset holding the first point p_0, num / scale
+    is the exact inverse of M = [q_1 - p_0, ..., q_d - p_0] on those integers,
+    num integer and scale > 0."""
     den = math.lcm(*(v.denominator for p in points for v in p))
     ipts = [tuple(int(v * den) for v in p) for p in points]
     d = len(ipts[0])
     out = []
-    for sub in itertools.combinations(ipts, d + 1):
+    for rest in itertools.combinations(ipts[1:], d):
+        sub = (ipts[0],) + rest
         cols = [[a - b for a, b in zip(p, sub[0])] for p in sub[1:]]
         inv = _inverse([[Fraction(cols[c][r]) for c in range(d)] for r in range(d)])
         if inv is not None:
             scale = math.lcm(*(v.denominator for row in inv for v in row))
             out.append((sub[0], [[int(v * scale) for v in row] for row in inv], scale))
     return den, tuple(out)
+
+
 def _inverse(a):
     """Exact Gauss-Jordan inverse of a square Fraction matrix; None when singular."""
     size = len(a)

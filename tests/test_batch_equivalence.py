@@ -12,6 +12,7 @@ over block vertices in exact image polytopes.
 import hashlib
 import io
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +24,10 @@ from ifslab.cli import fmt, main, write_csv
 from ifslab.core import apply_map, new_ifs, project_prefix
 from ifslab.errors import NoEllFound
 from ifslab.geometry import DEFAULT_TOL, contains, image_polytope
-from ifslab.measure import chain_walk, mesh_count
+from ifslab.measure import box_dim_estimate, chain_walk, mesh_count
 from ifslab.render import chaos_game
 
-from helpers import chaos_game_reference, triangle_system, unit_system
+from helpers import chaos_game_reference, reference_mesh_count, triangle_system, unit_system
 
 TETRAHEDRON = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -82,15 +83,6 @@ def reference_witness(sys):
     return conditions.OverlapWitness(
         i=i, k=k, j=j, ell=ell, block0=(k,) + (j,) * (ell - 1),
         grade="proper-overlap" if overlap_only else "vertex-interior")
-
-
-def reference_mesh_count(points, epsilon):
-    """Occupied cells as a set of integer tuples."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    cells = np.floor(pts / epsilon).astype(np.int64)
-    return len(set(map(tuple, cells.tolist())))
 
 
 def reference_chain_walk(sys, pts, depth, tol=DEFAULT_TOL):
@@ -245,6 +237,16 @@ def test_mesh_count_empty_and_bad_epsilon():
         mesh_count([(0.0, 0.0)], 0.0)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -0.1, -float("inf")])
+def test_mesh_count_rejects_scale_outside_positive_reals(eps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy cast warning on the way to the error
+        with pytest.raises(ValueError, match="positive and finite"):
+            mesh_count([(0.0, 0.0), (0.3, 0.7)], eps)
+        with pytest.raises(ValueError, match="positive and finite"):
+            box_dim_estimate([(0.0, 0.0), (0.3, 0.7)], [0.5, 0.25, eps])
+
+
 # ---------------------------------------------------------------------------
 # chain walk
 
@@ -366,6 +368,8 @@ GOLDEN = {
         "9753ec3804bbe776ef3f6da9d2aab2c48cbc812355aa36270b081b909f839ce8",
     "box-dim-attractor-tri06":
         "3d933d8a5e59e5c4ee411ccf8024f79afe666d8f5479b424c784c1300cb45fa4",
+    "box-dim-attractor-line053":
+        "bdbe2ff800767681a02265537c35f5ee9668b2267c161e17e32e48172fe41a7d",
     "box-dim-uniqueness-line053":
         "9d5a561b111155b968e747c24125c992ee7e60bfe93426cf2a08ca413c9cdc15",
     "render-attractor-tri07":
@@ -399,6 +403,9 @@ def golden_digests(capsys, tmp_path):
             "sample-measure", "--ifs", line053, "--samples", "300", "--seed", "4"]),
         "box-dim-attractor-tri06": _run(capsys, tmp_path, [
             "box-dim", "--ifs", tri06, "--set", "attractor", "--eps", "0.1,0.05,0.025",
+            "--out", out], "out"),
+        "box-dim-attractor-line053": _run(capsys, tmp_path, [
+            "box-dim", "--ifs", line053, "--set", "attractor", "--eps", "0.02,0.01,0.005",
             "--out", out], "out"),
         "box-dim-uniqueness-line053": _run(capsys, tmp_path, [
             "box-dim", "--ifs", line053, "--set", "uniqueness", "--eps", "0.02,0.01,0.005",

@@ -9,7 +9,6 @@ from ifslab.conditions import (
     no_holes_sufficient,
     osc_failure_sufficient,
     pedicini_holds,
-    verify_witness,
     vertex_overlap_witness,
     wn_coverage_estimate,
     wn_entry_depths,
@@ -20,7 +19,7 @@ from ifslab import conditions, core, geometry
 from ifslab.errors import BudgetExceeded, CertificateRequired, UnsortedDigits
 from ifslab.geometry import contains, image_polytope
 
-from helpers import TETRAHEDRON, triangle_system, unit_system
+from helpers import TETRAHEDRON, triangle_system, unit_system, verify_witness
 
 
 class TestThresholds:

@@ -10,7 +10,6 @@ from ifslab.core import (
     check_probs,
     load_system,
     new_ifs,
-    prefix_closed_form,
     project_prefix,
     system_from_dict,
 )
@@ -22,7 +21,7 @@ from ifslab.errors import (
     LambdaOutOfRange,
 )
 
-from helpers import RIGHT_TRIANGLE_EXACT, triangle_system, unit_system
+from helpers import RIGHT_TRIANGLE_EXACT, prefix_closed_form, triangle_system, unit_system
 
 
 def dist(a, b):

@@ -13,9 +13,11 @@ from fractions import Fraction
 import numpy as np
 
 from ifslab.addresses import Mode, classify_point
-from ifslab.conditions import verify_witness, vertex_overlap_witness
+from ifslab.conditions import vertex_overlap_witness
 from ifslab.core import new_ifs
 from ifslab.geometry import sample_uniform, volume_mc
+
+from helpers import verify_witness
 
 TETRAHEDRON = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 

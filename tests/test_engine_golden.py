@@ -20,10 +20,10 @@ from ifslab.addresses import (
     first_bifurcation,
 )
 from ifslab.conditions import covering_deficiency
-from ifslab.core import new_ifs, prefix_closed_form
+from ifslab.core import new_ifs
 from ifslab.deleted_digits import DigitSet, as_ifs
 
-from helpers import triangle_system, triangle_system_exact, unit_system
+from helpers import prefix_closed_form, triangle_system, triangle_system_exact, unit_system
 
 GOLDEN = "9846f974014ca506223ae6171fa4961742250d3e79c50d088d03011e360529a0"
 

@@ -27,12 +27,11 @@ from ifslab.triangle import (
     ForcingResult,
     digit_forcing,
     gamma_uniqueness_scan,
-    in_gamma_region,
     pi_point,
     pi_prime_point,
 )
 
-from helpers import RIGHT_TRIANGLE, TETRAHEDRON
+from helpers import RIGHT_TRIANGLE, TETRAHEDRON, in_gamma_region
 
 F = Fraction
 

@@ -22,7 +22,14 @@ from ifslab.measure import (
 )
 from ifslab.triangle import barycentric_to_point, pi_point
 
-from helpers import TETRAHEDRON, gasket_corner_cloud, triangle_system, unit_system
+from helpers import (
+    TETRAHEDRON,
+    attractor_cloud_reference,
+    gasket_corner_cloud,
+    reference_mesh_count,
+    triangle_system,
+    unit_system,
+)
 
 
 class TestSampler:
@@ -80,6 +87,26 @@ class TestMeshCount:
             n1 = mesh_count(pts, e)
             n2 = mesh_count(pts, e / 2)
             assert n1 <= n2 <= 4 * n1
+
+
+CLOUD_CASES = [
+    ("line-0.53", lambda: unit_system(0.53), 0.005),
+    ("digits013-0.45", lambda: new_ifs(0.45, [(0.0,), (1.0,), (3.0,)]), 0.01),
+    ("triangle-0.6", lambda: triangle_system(0.6), 0.05),
+    ("tetrahedron-0.55", lambda: new_ifs(0.55, TETRAHEDRON), 0.1),
+]
+
+
+@pytest.mark.parametrize("name,make,eps", CLOUD_CASES, ids=[c[0] for c in CLOUD_CASES])
+def test_attractor_cloud_matches_word_sums(name, make, eps):
+    s = make()
+    K = math.ceil(math.log(eps / s.diameter()) / math.log(s.lam))
+    cloud = attractor_point_cloud(s, eps)
+    want = attractor_cloud_reference(s, K)
+    assert cloud.shape == (s.m**K, s.d)
+    assert np.array_equal(cloud, want)  # bit for bit, row order included
+    for e in (4 * eps, 2 * eps, eps, 0.7 * eps):
+        assert mesh_count(cloud, e) == reference_mesh_count(cloud, e)
 
 
 class TestBoxDim:

@@ -13,8 +13,6 @@ from ifslab.triangle import (
     gamma_nonempty,
     gamma_uniqueness_scan,
     golden_ratio,
-    in_delta_region,
-    in_gamma_region,
     lambda0,
     m_point,
     m_separation_holds,
@@ -23,7 +21,7 @@ from ifslab.triangle import (
     point_to_barycentric,
 )
 
-from helpers import triangle_system, triangle_system_exact
+from helpers import in_delta_region, in_gamma_region, triangle_system, triangle_system_exact
 
 
 class TestConstants:
