@@ -7,8 +7,8 @@ conditions, evaluates the triangle-case closed forms, and estimates measures
 and box-counting dimensions of the exceptional sets.
 """
 
-from .core import IfsSystem, new_ifs, apply_map, apply_inverse, project_prefix, load_system
-from .geometry import Polytope, hull_polytope, contains, image_polytope, volume
+from .core import IfsSystem, new_ifs, apply_map, apply_inverse, project_prefix, image_polytope, load_system
+from .geometry import Polytope, hull_polytope, contains, volume
 from .addresses import (
     ClassificationReport,
     Mode,

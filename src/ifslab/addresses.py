@@ -223,10 +223,12 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
     The tree is walked a level at a time through `_expand`, so its wide
     float levels run on the batched kernel.  Verdicts, counts and the
     budget are those of a walk over `_children` one node at a time: the
-    certifying node is the first in node-major order that qualifies, the
-    last count runs to its last child, and it wins over the node budget
-    only when the nodes before it stayed within the budget.  More than
-    NODE_BUDGET nodes raise BudgetExceeded.
+    certifying node is the first in node-major order that qualifies, and
+    the last count runs to its last child.  The budget is a count of
+    children: with `room` = NODE_BUDGET minus the nodes held before a
+    level, a fork whose first child has index a in that level may certify
+    only when a <= room, and a level that brings the total past
+    NODE_BUDGET without certifying raises BudgetExceeded.
 
     Exact-no-holes mode checks its premises and changes no verdict: it
     raises CertificateRequired without no_holes_certified, and
@@ -249,75 +251,41 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
     counts = [1]
     bifurcation = None
     seen = {x: 0} if exact else None
-    chain_digits = []
-    pure_chain = True
+    chain_digits = []  # None once the tree forks
     total_nodes = 1
+
+    def report(verdict, explored, certificate=None):
+        return ClassificationReport(verdict, explored, bifurcation, counts, certificate, exact)
 
     for dep in range(depth):
         parents, digits, frontier = _expand(sys, frontier, tol)
         n = len(digits)
-        # the node whose children first push the count past the budget: the
-        # walk stops there, so only nodes up to it may certify
-        over = None
-        if total_nodes + n > budget:
-            over = parents[max(budget - total_nodes, 0)] if n else 0
-        total_nodes += n
+        room = budget - total_nodes  # children the level may add
         forks = _fork_spans(parents) if n >= 2 and (no_holes_certified or bifurcation is None) else ()
         if forks and bifurcation is None:
             bifurcation = dep
         for a, b in forks if no_holes_certified else ():
-            if over is not None and parents[a] > over:
+            if a > room:
                 break
             if exact or _solid(sys, frontier[a:b], tol) >= 2:
                 counts.append(b)  # the children of every node up to this one
-                return ClassificationReport(
-                    verdict=Verdict.MULTIPLE_CERTIFIED,
-                    explored_depth=dep + 1,
-                    first_bifurcation=bifurcation,
-                    prefix_counts=counts,
-                    exact=exact,
-                )
-        if over is not None:
+                return report(Verdict.MULTIPLE_CERTIFIED, dep + 1)
+        total_nodes += n
+        if total_nodes > budget:
             raise BudgetExceeded(f"classification exceeded {budget} nodes at depth {dep + 1}")
-        if not n:
-            counts.append(0)
-            return ClassificationReport(
-                verdict=Verdict.UNKNOWN,
-                explored_depth=dep + 1,
-                first_bifurcation=bifurcation,
-                prefix_counts=counts,
-                exact=exact,
-            )
         counts.append(n)
-        if pure_chain and n == 1:
+        if not n:
+            return report(Verdict.UNKNOWN, dep + 1)
+        if chain_digits is not None and n == 1:
             # a pure chain's levels hold one node, so they stay scalar lists
-            j, r = digits[0], frontier[0]
-            chain_digits.append(j)
+            r = frontier[0]
+            chain_digits.append(digits[0])
             if exact:
                 if r in seen:
-                    period = (dep + 1) - seen[r]
-                    return ClassificationReport(
-                        verdict=Verdict.UNIQUE_CERTIFIED,
-                        explored_depth=dep + 1,
-                        first_bifurcation=None,
-                        prefix_counts=counts,
-                        certificate=CycleCertificate(
-                            entry_depth=seen[r], period=period, digits=tuple(chain_digits)
-                        ),
-                        exact=True,
-                    )
+                    cycle = CycleCertificate(seen[r], dep + 1 - seen[r], tuple(chain_digits))
+                    return report(Verdict.UNIQUE_CERTIFIED, dep + 1, cycle)
                 seen[r] = dep + 1
         else:
-            pure_chain = False
+            chain_digits = None
 
-    if counts[-1] >= 2:
-        verdict = Verdict.MULTIPLE_LIKELY
-    else:
-        verdict = Verdict.UNKNOWN
-    return ClassificationReport(
-        verdict=verdict,
-        explored_depth=depth,
-        first_bifurcation=bifurcation,
-        prefix_counts=counts,
-        exact=exact,
-    )
+    return report(Verdict.MULTIPLE_LIKELY if counts[-1] >= 2 else Verdict.UNKNOWN, depth)

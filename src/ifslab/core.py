@@ -196,6 +196,21 @@ def project_prefix(sys: IfsSystem, w, x0):
     return x
 
 
+def image_polytope(sys: IfsSystem, w) -> Polytope:
+    """Polytope f_w(Omega), read off Omega's own halfspaces; no hull is rebuilt.
+
+    f_w(y) = lam^|w| y + f_w(0) is a homothety, so every facet n.y <= b of
+    Omega maps to n.y <= lam^|w| b + n.f_w(0).  The generators are the
+    mapped anchor points.
+    """
+    scale = math.prod([sys.lam] * len(w))  # an int 1 for the empty word, as project_prefix
+    t = project_prefix(sys, w, (0,) * sys.d)
+    hs = tuple((n, scale * off + sum(a * b for a, b in zip(n, t)), sq)
+               for n, off, sq in sys.omega.halfspaces)
+    gens = tuple(project_prefix(sys, w, p) for p in sys.points)
+    return Polytope(generators=gens, halfspaces=hs, dim=sys.d)
+
+
 def centroid(sys: IfsSystem):
     m = sys.m
     return tuple(sum(p[k] for p in sys.points) / m for k in range(sys.d))

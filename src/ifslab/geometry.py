@@ -254,23 +254,6 @@ def _contains_exact(poly, x):
     return all(sum(map(operator.mul, n, a)) <= b * q for n, b in poly.integer_halfspaces)
 
 
-def image_polytope(sys, w) -> Polytope:
-    """Polytope f_w(Omega), read off Omega's own halfspaces; no hull is rebuilt.
-
-    f_w(y) = lam^|w| y + f_w(0) is a homothety, so every facet n.y <= b of
-    Omega maps to n.y <= lam^|w| b + n.f_w(0).  The generators are the
-    mapped anchor points.
-    """
-    from .core import project_prefix  # deferred: core depends on geometry
-
-    scale = math.prod([sys.lam] * len(w))  # an int 1 for the empty word, as project_prefix
-    t = project_prefix(sys, w, (0,) * sys.d)
-    hs = tuple((n, scale * off + sum(a * b for a, b in zip(n, t)), sq)
-               for n, off, sq in sys.omega.halfspaces)
-    gens = tuple(project_prefix(sys, w, p) for p in sys.points)
-    return Polytope(generators=gens, halfspaces=hs, dim=sys.d)
-
-
 def volume(poly: Polytope):
     """Exact volume in every dimension, by cones over the facets (`_volume`).
 

@@ -113,7 +113,9 @@ def mesh_count(points, epsilon) -> int:
     Counts by sorting: each cell gets one mixed-radix int64 key, the keys are
     sorted in place, and the count is one plus the number of value changes.
     Cells are laid out one contiguous row per axis.  When the extents
-    multiply past int64, unique cell columns are counted instead.
+    multiply past int64, unique cell columns are counted instead, and when
+    a cell index nears int64's range, unique rows of the float floors,
+    which are the exact indices.  A non-finite coordinate raises ValueError.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -122,6 +124,11 @@ def mesh_count(points, epsilon) -> int:
         pts = pts[:, None]
     if len(pts) == 0:
         return 0
+    pmin, pmax = float(pts.min()), float(pts.max())
+    if not -math.inf < pmin <= pmax < math.inf:
+        raise ValueError(f"points must be finite, got coordinates in [{pmin}, {pmax}]")
+    if max(-pmin, pmax) / epsilon >= 2**62:
+        return len(np.unique(np.floor(pts / epsilon), axis=0))
     cells = np.floor(np.ascontiguousarray(pts.T) / epsilon).astype(np.int64)
     lo = cells.min(axis=1).tolist()
     extent = [h - l + 1 for l, h in zip(lo, cells.max(axis=1).tolist())]
@@ -215,6 +222,8 @@ def attractor_point_cloud(sys: IfsSystem, finest_eps):
     d >= 2 (numpy 2.4); in d = 1 it adds in SIMD-lane order, so the two
     clouds may differ in the last bits there.
     """
+    if not 0 < finest_eps < math.inf:
+        raise ValueError(f"finest_eps must be positive and finite, got {finest_eps}")
     lam = float(sys.lam)
     diam = sys.diameter()
     K = max(1, math.ceil(math.log(float(finest_eps) / diam) / math.log(lam)))

@@ -130,7 +130,8 @@ def digit_forcing(lam, target, max_steps: int = 10_000) -> ForcingResult:
     if not isinstance(lam, Rational):
         raise IrrationalInput(
             "digit forcing certifies with exact rationals; for float inputs "
-            "use addresses.classify_point, which reports Unknown-grade results"
+            "use addresses.classify_point, which can certify or suggest several "
+            "addresses but leaves a single float chain unknown"
         )
     lam = Fraction(lam)
     if not (0 < lam < 1):

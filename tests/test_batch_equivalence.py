@@ -21,9 +21,9 @@ import pytest
 from ifslab import conditions
 from ifslab.addresses import first_bifurcation
 from ifslab.cli import fmt, main, write_csv
-from ifslab.core import apply_map, new_ifs, project_prefix
+from ifslab.core import apply_map, image_polytope, new_ifs, project_prefix
 from ifslab.errors import NoEllFound
-from ifslab.geometry import DEFAULT_TOL, contains, image_polytope
+from ifslab.geometry import DEFAULT_TOL, contains
 from ifslab.measure import box_dim_estimate, chain_walk, mesh_count
 from ifslab.render import chaos_game
 
@@ -229,6 +229,23 @@ def test_mesh_count_wide_extent():
     # cells far apart on every axis: the per-axis extents multiply past int64
     pts = np.array([[-1e15, 1e15, 3.0], [1e15, -1e15, -3.0], [1e15, -1e15, -3.0], [0.0, 0.0, 0.0]])
     assert mesh_count(pts, 1e-3) == reference_mesh_count(pts, 1e-3) == 3
+
+
+def test_mesh_count_cells_past_int64():
+    # cell indices near or past 2^63 are counted on their float floors, not wrapped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mesh_count([[1e300], [2e300], [3e300]], 1.0) == 3
+        assert mesh_count([[1e19], [1e19 + 4096.0]], 1.0) == 2
+        assert mesh_count([[-1e300, 0.5], [-1e300, 0.7], [0.0, -0.0]], 1.0) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_mesh_count_rejects_points_that_are_not_finite(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="points must be finite"):
+            mesh_count([(0.0, 0.0), (bad, 0.7)], 0.1)
 
 
 def test_mesh_count_empty_and_bad_epsilon():

@@ -14,10 +14,10 @@ from ifslab.conditions import (
     wn_entry_depths,
     wn_membership,
 )
-from ifslab.core import apply_map, new_ifs, project_prefix
+from ifslab.core import apply_map, image_polytope, new_ifs, project_prefix
 from ifslab import conditions, core, geometry
 from ifslab.errors import BudgetExceeded, CertificateRequired, UnsortedDigits
-from ifslab.geometry import contains, image_polytope
+from ifslab.geometry import contains
 
 from helpers import TETRAHEDRON, triangle_system, unit_system, verify_witness
 

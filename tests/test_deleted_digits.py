@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ifslab.addresses import Verdict
 from ifslab.conditions import covering_deficiency, pedicini_holds
-from ifslab.core import project_prefix
+from ifslab.core import image_polytope, project_prefix
 from ifslab.deleted_digits import (
     KOMORNIK_LORETI,
     DigitSet,
@@ -15,7 +15,7 @@ from ifslab.deleted_digits import (
     multiplicity_lambda_estimate,
 )
 from ifslab.errors import PointOutsideOmega, UnsortedDigits
-from ifslab.geometry import image_polytope, volume
+from ifslab.geometry import volume
 
 
 class TestDigitSet:

@@ -19,8 +19,8 @@ import pytest
 
 from ifslab import triangle
 from ifslab.cli import main
-from ifslab.core import apply_inverse, new_ifs
-from ifslab.geometry import contains, contains_many, hull_polytope, image_polytope
+from ifslab.core import apply_inverse, image_polytope, new_ifs
+from ifslab.geometry import contains, contains_many, hull_polytope
 from ifslab.triangle import (
     BarycentricTriple,
     ForcingKind,

@@ -355,3 +355,44 @@ def test_classify_budget_matches_scalar_reference(certified, monkeypatch, kernel
                 assert (_outcome(addresses.classify_point, sys, x, depth, no_holes_certified=certified)
                         == _outcome(_ref_classify, sys, x, depth, no_holes_certified=certified))
     assert kernel_rows or certified  # these points certify at single-node levels
+
+
+# (system, depth): trees of tens to hundreds of nodes, small enough to try every budget on
+SWEEP = {
+    "triangle-0.7": (triangle_system(0.7), 8),
+    "unit-0.6": (unit_system(0.6), 14),
+    "digits013-0.45": (as_ifs(DigitSet((0, 1, 3)), 0.45), 12),
+}
+
+
+def _budget_sweep(monkeypatch, sys, x, depth, certified):
+    """Compare both walkers under every budget from 1 to one past the tree's node count."""
+    total = sum(_ref_classify(sys, x, depth, no_holes_certified=certified).prefix_counts)
+    for budget in range(1, total + 2):
+        with monkeypatch.context() as mp:
+            mp.setattr(addresses, "NODE_BUDGET", budget)
+            assert (_outcome(addresses.classify_point, sys, x, depth, no_holes_certified=certified)
+                    == _outcome(_ref_classify, sys, x, depth, no_holes_certified=certified)), budget
+    return total
+
+
+@pytest.mark.parametrize("certified", [False, True])
+@pytest.mark.parametrize("name", list(SWEEP))
+def test_classify_point_equals_scalar_reference_under_every_budget(name, certified, monkeypatch,
+                                                                   kernel_rows):
+    sys, depth = SWEEP[name]
+    for x in _points(sys, 18, 2):
+        _budget_sweep(monkeypatch, sys, x, depth, certified)
+    assert kernel_rows or certified  # these points certify at single-node levels
+
+
+def test_every_budget_around_a_certificate_partway_through_a_batched_level(monkeypatch, kernel_rows):
+    # under a wide margin the first fork among the children of the 13 nodes
+    # at depth 7 fails it, and a later fork of that batched level certifies
+    monkeypatch.setattr(addresses, "CERT_MARGIN", 0.05)
+    sys, x, depth = triangle_system(0.7), (0.2854949753092525, 0.0037326991074312366), 20
+    want = _ref_classify(sys, x, depth, no_holes_certified=True)
+    assert want.verdict is addresses.Verdict.MULTIPLE_CERTIFIED
+    assert want.prefix_counts == [1, 1, 2, 3, 4, 6, 9, 13, 9]
+    assert _budget_sweep(monkeypatch, sys, x, depth, True) == 48
+    assert max(kernel_rows) >= 13

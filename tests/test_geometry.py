@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifslab.core import new_ifs
+from ifslab.core import image_polytope, new_ifs
 from ifslab.deleted_digits import DigitSet, as_ifs
 from ifslab.errors import DegenerateAffineHull, DimensionMismatch
 from ifslab.geometry import (
     contains,
     contains_many,
     hull_polytope,
-    image_polytope,
     sample_uniform,
     volume,
     volume_mc,

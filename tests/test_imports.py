@@ -1,9 +1,12 @@
-"""Every top-level import of src/ and tests/ is used in its module, and no
-public function takes an option that no caller sets.
+"""Every top-level import of src/ and tests/ is used in its module, no
+src/ module defers an ifslab import into a function, and no public
+function takes an option that no caller sets.
 
 A plain `ast` walk, so the check needs no linter: a module fails when it
 binds a name by a top-level import and never reads that name again.
-Re-exports in `__init__.py` and `from __future__` imports are exempt.
+Re-exports in `__init__.py` and `from __future__` imports are exempt.  A
+deferred import is how an import cycle hides, so the modules of the
+package import each other at the top or not at all.
 """
 
 import ast
@@ -43,6 +46,37 @@ def test_no_unused_top_level_import(path):
 def test_the_check_sees_an_unused_import():
     src = "from __future__ import annotations\nimport os, math as m\nfrom a.b import c\nprint(m.pi)\n"
     assert unused_imports(src) == [(2, "os"), (3, "c")]
+
+
+SRC_MODULES = sorted((ROOT / "src").rglob("*.py"))
+
+
+def deferred_package_imports(source):
+    """(line, module) of every import of the package made inside a function."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "ifslab"):
+                found.append((node.lineno, "." * node.level + (node.module or "")))
+            elif isinstance(node, ast.Import):
+                found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "ifslab"]
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=[str(p.relative_to(ROOT)) for p in SRC_MODULES])
+def test_no_import_of_the_package_inside_a_function(path):
+    assert deferred_package_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_deferred_import():
+    src = ("from .core import x\nimport ifslab\n\n"
+           "def f():\n    import math\n    from .core import y\n\n"
+           "    def g():\n        import ifslab.geometry\n        from ifslab import z\n"
+           "        from . import w\n")
+    assert deferred_package_imports(src) == [(6, ".core"), (9, "ifslab.geometry"),
+                                             (10, "ifslab"), (11, ".")]
 
 
 # the membership tolerance reaches the kernels through these three only,

@@ -109,6 +109,12 @@ def test_attractor_cloud_matches_word_sums(name, make, eps):
         assert mesh_count(cloud, e) == reference_mesh_count(cloud, e)
 
 
+@pytest.mark.parametrize("eps", [math.inf, 0.0, -0.1, math.nan])
+def test_attractor_cloud_rejects_scale_outside_positive_reals(eps):
+    with pytest.raises(ValueError, match="finest_eps must be positive and finite"):
+        attractor_point_cloud(triangle_system(0.6), eps)
+
+
 class TestBoxDim:
     def test_gasket_cloud_slope(self):
         cloud = attractor_point_cloud(triangle_system(0.5), 2.0**-7)
