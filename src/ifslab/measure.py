@@ -112,10 +112,10 @@ def mesh_count(points, epsilon) -> int:
 
     Counts by sorting: each cell gets one mixed-radix int64 key, the keys are
     sorted in place, and the count is one plus the number of value changes.
-    Cells are laid out one contiguous row per axis.  When the extents
-    multiply past int64, unique cell columns are counted instead, and when
-    a cell index nears int64's range, unique rows of the float floors,
-    which are the exact indices.  A non-finite coordinate raises ValueError.
+    Cells are laid out one contiguous row per axis.  When a cell index nears
+    int64's range or the extents multiply past it, unique rows of the float
+    floors, which are the exact indices, are counted instead.  A non-finite
+    coordinate, or a cell index past the float range, raises ValueError.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -127,19 +127,21 @@ def mesh_count(points, epsilon) -> int:
     pmin, pmax = float(pts.min()), float(pts.max())
     if not -math.inf < pmin <= pmax < math.inf:
         raise ValueError(f"points must be finite, got coordinates in [{pmin}, {pmax}]")
-    if max(-pmin, pmax) / epsilon >= 2**62:
-        return len(np.unique(np.floor(pts / epsilon), axis=0))
-    cells = np.floor(np.ascontiguousarray(pts.T) / epsilon).astype(np.int64)
-    lo = cells.min(axis=1).tolist()
-    extent = [h - l + 1 for l, h in zip(lo, cells.max(axis=1).tolist())]
-    if math.prod(extent) >= 2**63:
-        return np.unique(cells, axis=1).shape[1]
-    key = cells[0] - lo[0]  # one mixed-radix key per cell
-    for k in range(1, len(extent)):
-        key *= extent[k]
-        key += cells[k] - lo[k]
-    key.sort()
-    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
+    reach = max(-pmin, pmax) / epsilon
+    if reach == math.inf:
+        raise ValueError(f"cell index {max(-pmin, pmax)}/{epsilon} is past the float range")
+    if reach < 2**62:
+        cells = np.floor(np.ascontiguousarray(pts.T) / epsilon).astype(np.int64)
+        lo = cells.min(axis=1).tolist()
+        extent = [h - l + 1 for l, h in zip(lo, cells.max(axis=1).tolist())]
+        if math.prod(extent) < 2**63:
+            key = cells[0] - lo[0]  # one mixed-radix key per cell
+            for k in range(1, len(extent)):
+                key *= extent[k]
+                key += cells[k] - lo[k]
+            key.sort()
+            return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
+    return len(np.unique(np.floor(pts / epsilon), axis=0))
 
 
 def box_dim_estimate(points, eps_list):

@@ -238,6 +238,10 @@ def test_mesh_count_cells_past_int64():
         assert mesh_count([[1e300], [2e300], [3e300]], 1.0) == 3
         assert mesh_count([[1e19], [1e19 + 4096.0]], 1.0) == 2
         assert mesh_count([[-1e300, 0.5], [-1e300, 0.7], [0.0, -0.0]], 1.0) == 2
+        # past the float range no two cells can be told apart: refuse, do not count
+        for pts in ([[1e300], [2e300]], [[0.0], [-1e300]]):
+            with pytest.raises(ValueError, match="past the float range"):
+                mesh_count(pts, 1e-10)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
