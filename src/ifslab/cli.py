@@ -61,7 +61,10 @@ def _parse_floats(text):
 
 
 def _parse_fracs(text):
-    return tuple(Fraction(v) for v in text.split(","))
+    try:
+        return tuple(Fraction(v) for v in text.split(","))
+    except ZeroDivisionError as e:
+        raise ValueError(f"{text!r} holds a fraction with denominator 0") from e
 
 
 @functools.cache
@@ -132,6 +135,8 @@ def cmd_analyze_point(args) -> int:
         raise ValueError("give exactly one of --point or --bary")
     if args.bary is not None:
         parts = _parse_fracs(args.bary) if args.exact else _parse_floats(args.bary)
+        if len(parts) != 3:
+            raise ValueError(f"--bary takes three weights x,y,z, got {len(parts)}")
         t = triangle.BarycentricTriple(*parts)
         pt = triangle.barycentric_to_point(sys_, t)
     else:

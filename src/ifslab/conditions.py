@@ -3,7 +3,7 @@
 Three kinds of certificate live here:
 
 * closed-form thresholds: OSC failure for lam > m^(-1/d) and no holes for
-  lam >= d/(d+1), both pure arithmetic;
+  lam >= d/(d+1), both decided in exact arithmetic on lam;
 * an overlap witness: a triple (i, k, j) with the smallest block length
   ell such that the word k j^(ell-1) maps Omega into f_i(Omega) ∩ f_k(Omega).
   That block is a full-dimensional copy of Omega, so it proves a proper
@@ -20,6 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 
@@ -38,24 +39,30 @@ FRONTIER_CAP = 20_000_000  # rows across all samples in the block and covering s
 
 
 def osc_failure_sufficient(sys: IfsSystem):
-    """(lam > m^(-1/d), m^(-1/d)): pigeonhole bound forcing OSC failure."""
-    threshold = sys.m ** (-1.0 / sys.d)
-    return float(sys.lam) > threshold, threshold
+    """(lam > m^(-1/d), m^(-1/d)): pigeonhole bound forcing OSC failure, decided as m*lam^d > 1."""
+    return sys.m * Fraction(sys.lam) ** sys.d > 1, sys.m ** (-1.0 / sys.d)
 
 
 def no_holes_sufficient(sys: IfsSystem):
-    """(lam >= d/(d+1), d/(d+1)): universal bound for S_lam = Omega."""
-    threshold = sys.d / (sys.d + 1.0)
-    return float(sys.lam) >= threshold, threshold
+    """(lam >= d/(d+1), d/(d+1)): universal bound for S_lam = Omega, decided on the exact lam."""
+    return Fraction(sys.lam) >= Fraction(sys.d, sys.d + 1), sys.d / (sys.d + 1.0)
+
+
+def check_digits(digits) -> tuple:
+    """The digits as a tuple: two or more finite values, strictly increasing."""
+    seq = tuple(digits)
+    if len(seq) < 2:
+        raise UnsortedDigits(f"a digit set needs two or more digits, got {seq}")
+    if not all(a < b for a, b in zip(seq, seq[1:])):  # NaN fails here
+        raise UnsortedDigits(f"digits must be strictly increasing: {seq}")
+    if not all(isinstance(a, Rational) or math.isfinite(a) for a in seq):
+        raise UnsortedDigits(f"digits must be finite: {seq}")
+    return seq
 
 
 def pedicini_holds(digits, lam):
     """(max gap < lam*(a_m - a_1)/(1-lam), max gap, that bound)."""
-    seq = tuple(getattr(digits, "digits", digits))
-    if len(seq) < 2:
-        raise UnsortedDigits("need at least two digits")
-    if not all(a < b for a, b in zip(seq, seq[1:])):  # NaN fails too
-        raise UnsortedDigits(f"digits must be strictly increasing: {seq}")
+    seq = check_digits(getattr(digits, "digits", digits))
     lhs = max(b - a for a, b in zip(seq, seq[1:]))
     rhs = lam * (seq[-1] - seq[0]) / (1 - lam)
     return lhs < rhs, lhs, rhs

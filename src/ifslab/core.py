@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -237,8 +238,14 @@ def system_from_dict(raw):
         points = raw["points"]
     except (KeyError, TypeError) as e:
         raise ValueError(f"IFS definition must carry 'lambda' and 'points': {e}") from e
-    pts = [[v for v in p] for p in points]
+    try:
+        pts = [list(p) for p in points]
+    except TypeError as e:
+        raise ValueError(f"IFS 'points' must be a list of coordinate lists: {e}") from e
     values = [lam] + [v for p in pts for v in p]
+    bad = [v for v in values if not isinstance(v, Real)]
+    if bad:
+        raise ValueError(f"IFS 'lambda' and coordinates must be numbers, got {bad[0]!r}")
     if any(isinstance(v, float) and not math.isfinite(v) for v in values):
         raise ValueError("IFS definition holds a non-finite number (inf or nan)")
     sys = new_ifs(lam, pts)
@@ -248,7 +255,10 @@ def system_from_dict(raw):
 
 def check_probs(probs, m) -> tuple:
     """The probability vector as floats: m finite nonnegative entries summing to 1 +- 1e-9."""
-    p = tuple(float(v) for v in probs)
+    try:
+        p = tuple(float(v) for v in probs)
+    except TypeError as e:
+        raise BadProbabilityVector(f"probabilities must be a list of numbers: {e}") from e
     if len(p) != m:
         raise BadProbabilityVector(f"need {m} probabilities, got {len(p)}")
     if not all(map(math.isfinite, p)):

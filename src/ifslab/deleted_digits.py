@@ -11,9 +11,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import PointOutsideOmega, UnsortedDigits
+from .errors import PointOutsideOmega
 from . import addresses
-from .conditions import pedicini_holds
+from .conditions import check_digits, pedicini_holds
 from .core import IfsSystem, new_ifs
 from .geometry import contains
 from .measure import chain_walk
@@ -27,12 +27,7 @@ class DigitSet:
     digits: tuple
 
     def __post_init__(self):
-        seq = tuple(self.digits)
-        if len(seq) < 2:
-            raise UnsortedDigits("a digit set needs at least two digits")
-        if not all(a < b for a, b in zip(seq, seq[1:])):  # NaN fails too
-            raise UnsortedDigits(f"digits must be strictly increasing: {seq}")
-        object.__setattr__(self, "digits", seq)
+        object.__setattr__(self, "digits", check_digits(self.digits))
 
     @property
     def m(self) -> int:

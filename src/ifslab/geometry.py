@@ -1,9 +1,9 @@
 """Convex polytopes with membership queries used for address feasibility.
 
 A polytope is stored by its generators (V-representation) and by an
-H-representation derived at construction time; its float arrays are built
-once, at the first batched query, and its integer rows at the first exact
-one.  Every polytope is full-dimensional:
+H-representation derived at construction time: integer rows when the
+generators are exact, else floats.  Its float arrays are built once, at the
+first batched query.  Every polytope is full-dimensional:
 `hull_polytope` rejects generators of lower affine rank.  In every
 dimension the facets are the hyperplanes through d generators with every
 generator on one side, found exactly on the rational values of the
@@ -47,9 +47,9 @@ class Polytope:
     """Full-dimensional convex hull of `generators` with its halfspaces.
 
     Each halfspace is (normal, offset, sq_norm) with the inside convention
-    normal . x <= offset: exact rationals on exact generators, else floats.
-    Normals are *not* unit length, so they stay exact on the rational path;
-    sq_norm carries |normal|^2 for margin tests.
+    normal . x <= offset and sq_norm = |normal|^2, for margin tests.  On
+    exact generators the entries are ints, the facet's primitive integer
+    row (an `image_polytope` offset may be a Fraction); else floats.
     `float_halfspaces` is the same H-representation as float arrays, the
     only form the batched test `contains_many` reads.
     """
@@ -77,20 +77,6 @@ class Polytope:
         for a in arrays:
             a.flags.writeable = False
         return arrays
-
-    @cached_property
-    def integer_halfspaces(self):
-        """The H-representation of an exact polytope as integer rows (N, B), N.x <= B.
-
-        Exact normals are integers (`_facets`), so each halfspace is scaled
-        by the denominator of its offset.  Built on the first exact
-        membership test and kept; `contains` then decides a rational point
-        with one integer sign per facet.
-        """
-        out = []
-        for n, off, _ in self.halfspaces:  # off is an int or a Fraction
-            out.append((tuple(a * off.denominator for a in n), off.numerator))
-        return tuple(out)
 
     def bounding_box(self):
         lo = tuple(min(g[k] for g in self.generators) for k in range(self.dim))
@@ -162,9 +148,9 @@ def _facets(gens, d, den, ipts):
     the difference vectors) and side tests are exact integer arithmetic:
     a float side test would drop a facet through four coplanar vertices.
     `den` and `ipts` are that scaling, from _lattice.  An exact polytope
-    keeps integer normals and |n|^2, and whole offsets as ints, which keeps
-    the float test of `contains` cheap on integer generators; a float one
-    stores floats, normals scaled to a largest entry of 1.
+    stores each facet n.x <= off/den as its primitive integer row (N, B, N.N):
+    N = n*(den/g), B = off/g, g = gcd(den, off).  A float one stores floats,
+    normals scaled to a largest entry of 1.
     """
     exact = all(is_exact_point(g) for g in gens)
     pts = sorted(set(map(tuple, ipts)))
@@ -189,8 +175,9 @@ def _facets(gens, d, den, ipts):
     out = []
     for n, off in dict.fromkeys(planes):
         if exact:
-            b = Fraction(off, den)
-            out.append((n, b.numerator if b.denominator == 1 else b, sum(a * a for a in n)))
+            g = math.gcd(den, off)
+            n = tuple(a * (den // g) for a in n)
+            out.append((n, off // g, sum(a * a for a in n)))
         else:
             big = max(abs(a) for a in n)
             nf = tuple(a / big for a in n)
@@ -224,8 +211,8 @@ def contains(poly: Polytope, x, margin=0, tol=DEFAULT_TOL) -> bool:
 
     margin == 0 is the Closed mode: on the float path the boundary is
     widened by `tol`, on the exact path the test is exact.  There x is
-    scaled by the lcm q of its denominators to integers a, and each facet
-    N.x <= B of `integer_halfspaces` is the integer sign test N.a <= B*q.
+    scaled by the lcm q of its denominators to integers a, and each integer
+    facet row N.x <= B is the integer sign test N.a <= B*q.
 
     margin > 0 is InteriorMargin(margin): the ball of that radius around x
     must fit inside, via halfspace distances.  Both tests fail on a NaN
@@ -251,7 +238,7 @@ def _contains_exact(poly, x):
     # kept out of `contains`, whose float path then pays nothing for it
     q = math.lcm(*(v.denominator for v in x))
     a = [v.numerator * (q // v.denominator) for v in x]
-    return all(sum(map(operator.mul, n, a)) <= b * q for n, b in poly.integer_halfspaces)
+    return all(sum(map(operator.mul, n, a)) <= b * q for n, b, _ in poly.halfspaces)
 
 
 def volume(poly: Polytope):

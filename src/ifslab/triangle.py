@@ -43,15 +43,8 @@ def golden_ratio() -> float:
 
 def lambda0() -> float:
     """Unique positive root of t^3 + t = 1, the triangle threshold (~0.68233)."""
-    lo, hi = 0.5, 1.0
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if mid**3 + mid - 1 < 0:
-            lo = mid
-        else:
-            hi = mid
-    t = (lo + hi) / 2
-    for _ in range(4):  # Newton polish to the last bit
+    t = 1.0  # t^3 + t - 1 rises convexly on [0, 1]: Newton falls monotonically to the root
+    for _ in range(8):
         t -= (t**3 + t - 1) / (3 * t * t + 1)
     return t
 

@@ -45,6 +45,14 @@ class TestThresholds:
         ok, thr = no_holes_sufficient(new_ifs(0.76, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
         assert ok and thr == 0.75
 
+    def test_thresholds_decided_on_exact_lambda(self):
+        # the float 2/3 lies below 2/3, and the float 0.2 above 1/5
+        assert no_holes_sufficient(triangle_system(Fraction(2, 3)))[0]
+        assert not no_holes_sufficient(triangle_system(2 / 3))[0]
+        five = [(k,) for k in range(5)]
+        assert osc_failure_sufficient(new_ifs(0.2, five)) == (True, 0.2)
+        assert osc_failure_sufficient(new_ifs(Fraction(1, 5), five)) == (False, 0.2)
+
 
 class TestPedicini:
     def test_binary(self):

@@ -315,12 +315,30 @@ def test_float_volume_agrees_with_monte_carlo(name):
 
 
 def test_exact_entries_stay_int_where_whole():
-    # ints keep the float test of `contains` cheap on integer generators
-    for n, off, sq in hull_polytope(RIGHT_TRIANGLE_EXACT).halfspaces + hull_polytope(_TET).halfspaces:
-        assert all(type(v) is int for v in (*n, off, sq))
+    # exact facets are integer rows, also where the generators are not integers
     skew = hull_polytope([(Fraction(1, 3), Fraction(1, 7)), (Fraction(5, 2), Fraction(2, 9)),
                           (Fraction(3, 4), Fraction(9, 5))])
-    assert {type(off) for _, off, _ in skew.halfspaces} == {int, Fraction}
+    for poly in (hull_polytope(RIGHT_TRIANGLE_EXACT), hull_polytope(_TET), skew):
+        for n, off, sq in poly.halfspaces:
+            assert all(type(v) is int for v in (*n, off, sq))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rational_hulls_store_primitive_integer_rows(d):
+    rng = np.random.default_rng(20 + d)
+    for _ in range(5):
+        gens = [tuple(Fraction(int(a), int(b)) for a, b in zip(rng.integers(-9, 10, size=d),
+                                                                rng.integers(1, 13, size=d)))
+                for _ in range(d + 3)]
+        try:
+            poly = hull_polytope(gens)
+        except DegenerateAffineHull:
+            continue
+        for n, off, sq in poly.halfspaces:
+            assert all(type(v) is int for v in (*n, off, sq))
+            assert math.gcd(*n, off) == 1 and sq == sum(a * a for a in n)
+        for x in _exact_probes(gens, rng, 20):
+            assert contains(poly, x) == in_hull_exact(gens, x), x
 
 
 def test_float_halfspaces_of_lattice_systems():

@@ -141,6 +141,30 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err == message
 
+    @pytest.mark.parametrize("ifs, argv", [
+        ({"lambda": "0.7", "points": [[0, 0], [1, 0], [0, 1]]}, ["check-conditions"]),
+        ({"lambda": 0.7, "points": [0, 1]}, ["check-conditions"]),
+        ({"lambda": 0.7, "points": [[0, "1"], [1, 0], [0, 0]]},
+         ["analyze-point", "--point", "0.1,0.1"]),
+        ({"lambda": 0.7, "points": [[0, 0], [1, 0], [0, 1]], "probs": 3}, ["check-conditions"]),
+        ({"lambda": 0.7, "points": [[0, 0], [1, 0], [0, 1]], "probs": [0.5, None, 0.5]},
+         ["sample-measure", "--samples", "3", "--seed", "1"]),
+        (None, ["analyze-point", "--exact", "--point", "1/0,1/3"]),
+        (None, ["analyze-point", "--bary", "0.2,0.3"]),
+        (None, ["deleted-digits", "--digits", "0,1,inf", "--lambda", "0.45", "--point", "0.5"]),
+    ], ids=["lambda-string", "points-flat", "coordinate-string", "probs-scalar", "probs-null",
+            "zero-denominator", "bary-arity", "digit-inf"])
+    def test_malformed_input_exits_2_with_one_line(self, tri_json, tmp_path, capsys, ifs, argv):
+        if argv[0] != "deleted-digits":
+            path = tri_json
+            if ifs is not None:
+                path = tmp_path / "bad.json"
+                path.write_text(json.dumps(ifs))
+            argv = argv + ["--ifs", str(path)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_classify_grid(self, interval_json, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert main(["classify-grid", "--ifs", interval_json, "--resolution", "64",

@@ -29,6 +29,7 @@ class TestConstants:
         t = lambda0()
         assert t == pytest.approx(0.68233, abs=5e-6)
         assert abs(t**3 + t - 1) < 1e-12
+        assert t == 0.6823278038280193  # pinned bit for bit
 
     def test_lambda0_bracket(self):
         assert 2 / 3 - 0.02 < lambda0() < 2**-0.5
