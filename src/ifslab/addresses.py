@@ -6,8 +6,9 @@ the set of true first digits; when the attractor has no holes (a certificate
 from the conditions module) it is that set exactly, which is what turns
 finite-depth observations into certificates:
 
-* a bifurcation whose two children are solidly inside Omega plus a no-holes
-  certificate proves at least two addresses exist;
+* a bifurcation plus a no-holes certificate proves at least two addresses
+  exist on the exact path; a float certificate rests on both children lying
+  1e-9 inside Omega, the known defect that `classify_point` describes;
 * a single feasible chain whose exact-rational remainder revisits an earlier
   value proves the address is unique forever, with no certificate needed,
   since the over-approximation already bounds the true tree from above.
@@ -173,11 +174,11 @@ def _fork_spans(parents):
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if b - a >= 2]
 
 
-def _solid(sys, rems, tol=DEFAULT_TOL):
-    """How many of these remainders lie CERT_MARGIN or more inside Omega."""
+def _solid(sys, rems):
+    """How many of these float remainders lie CERT_MARGIN or more inside Omega."""
     if isinstance(rems, np.ndarray):
         rems = rems.tolist()
-    return sum(contains(sys.omega, r, margin=CERT_MARGIN, tol=tol) for r in rems)
+    return sum(contains(sys.omega, r, tol=-CERT_MARGIN) for r in rems)
 
 
 def _check_depth(depth):
@@ -267,7 +268,7 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
         for a, b in forks if no_holes_certified else ():
             if a > room:
                 break
-            if exact or _solid(sys, frontier[a:b], tol) >= 2:
+            if exact or _solid(sys, frontier[a:b]) >= 2:
                 counts.append(b)  # the children of every node up to this one
                 return report(Verdict.MULTIPLE_CERTIFIED, dep + 1)
         total_nodes += n

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import addresses, conditions, measure, render, triangle
 from .core import load_system
-from .deleted_digits import DigitSet, as_ifs, count_expansions
+from .deleted_digits import DigitSet, attractor_interval, count_expansions
 from .errors import BudgetExceeded, IfsLabError, PointOutsideOmega
 from .geometry import DEFAULT_TOL, contains
 
@@ -200,11 +200,10 @@ def cmd_deleted_digits(args) -> int:
     lam = float(args.lam)
     x = float(args.point)
     rep = count_expansions(digits, lam, x, args.depth)
-    sys_ = as_ifs(digits, lam)
-    lo, hi = sys_.omega.bounding_box()
+    lo, hi = attractor_interval(digits, lam)
     write_csv(_sys.stdout,
               ["lambda", "lo", "hi", "verdict", "explored_depth", "first_bifurcation", "final_count"],
-              [[lam, float(lo[0]), float(hi[0]), rep.verdict.value, rep.explored_depth,
+              [[lam, lo, hi, rep.verdict.value, rep.explored_depth,
                 -1 if rep.first_bifurcation is None else rep.first_bifurcation,
                 rep.prefix_counts[-1]]])
     return 0

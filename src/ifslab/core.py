@@ -243,7 +243,8 @@ def system_from_dict(raw):
     except TypeError as e:
         raise ValueError(f"IFS 'points' must be a list of coordinate lists: {e}") from e
     values = [lam] + [v for p in pts for v in p]
-    bad = [v for v in values if not isinstance(v, Real)]
+    # a JSON true is a bool, a numbers.Real that reads as 1
+    bad = [v for v in values if isinstance(v, bool) or not isinstance(v, Real)]
     if bad:
         raise ValueError(f"IFS 'lambda' and coordinates must be numbers, got {bad[0]!r}")
     if any(isinstance(v, float) and not math.isfinite(v) for v in values):
@@ -254,11 +255,14 @@ def system_from_dict(raw):
 
 
 def check_probs(probs, m) -> tuple:
-    """The probability vector as floats: m finite nonnegative entries summing to 1 +- 1e-9."""
+    """The probability vector as floats: m finite nonnegative numbers summing to 1 +- 1e-9."""
     try:
-        p = tuple(float(v) for v in probs)
+        p = tuple(probs)
     except TypeError as e:
         raise BadProbabilityVector(f"probabilities must be a list of numbers: {e}") from e
+    if any(isinstance(v, bool) or not isinstance(v, Real) for v in p):
+        raise BadProbabilityVector(f"probabilities must be numbers, got {p}")
+    p = tuple(map(float, p))
     if len(p) != m:
         raise BadProbabilityVector(f"need {m} probabilities, got {len(p)}")
     if not all(map(math.isfinite, p)):

@@ -10,11 +10,11 @@ generator on one side, found exactly on the rational values of the
 generators, and `volume` reads its exact value from the same facets.
 
 `contains` tests one point on the float or the exact-rational path: the
-closed exact test is integer arithmetic, and the interior-margin test is
-phrased with squared quantities so the rational path never needs a square
-root.  `contains_many` is the one batched test, over float point arrays;
-it repeats the float path of `contains` operation for operation, so the
-two never disagree, not even within rounding of the tolerance shell.
+exact test is closed integer arithmetic, and the float test moves every
+facet outward by a signed `tol` (a negative one is an interior margin).
+`contains_many` is the one batched test, over float point arrays; it
+repeats the float path of `contains` operation for operation, so the two
+never disagree, not even within rounding of the tolerance shell.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class Polytope:
     """Full-dimensional convex hull of `generators` with its halfspaces.
 
     Each halfspace is (normal, offset, sq_norm) with the inside convention
-    normal . x <= offset and sq_norm = |normal|^2, for margin tests.  On
+    normal . x <= offset and sq_norm = |normal|^2, for the tolerance.  On
     exact generators the entries are ints, the facet's primitive integer
     row (an `image_polytope` offset may be a Fraction); else floats.
     `float_halfspaces` is the same H-representation as float arrays, the
@@ -101,7 +101,7 @@ def hull_polytope(generators) -> Polytope:
     if any(len(g) != d for g in gens):
         raise DimensionMismatch("generators of mixed dimension")
     den, ipts = _lattice(gens)
-    rank = _affine_rank(ipts)
+    rank = len(_pivot_rows([[a - b for a, b in zip(p, ipts[0])] for p in ipts[1:]], d))
     if rank != d:
         raise DegenerateAffineHull(
             f"anchor points span affine dimension {rank} < {d}; "
@@ -117,24 +117,20 @@ def _lattice(pts):
     return den, [[v.numerator * (den // v.denominator) for v in p] for p in rat]
 
 
-def _affine_rank(ipts):
-    # fraction-free elimination on the difference vectors of the integer
-    # lattice points from _lattice: floats count as the rationals they are,
-    # so the verdict never depends on rounding
-    rows = [[a - b for a, b in zip(p, ipts[0])] for p in ipts[1:]]
-    rank = 0
-    for col in range(len(ipts[0])):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            if f:
-                rows[r] = [a * top[col] - f * b for a, b in zip(rows[r], top)]
-        rank += 1
-    return rank
+def _pivot_rows(rows, width):
+    """(column, row) of each pivot of a fraction-free reduction of integer rows.
+
+    A pivot is cleared from the other rows by cross-multiplying, so entries
+    stay integers and no verdict depends on rounding; len() is the rank.
+    """
+    out = []
+    for col in range(width):
+        top = next((r for r in rows if r[col]), None)
+        if top is not None:
+            rows = [[a * top[col] - r[col] * b for a, b in zip(r, top)] if r[col] else r
+                    for r in rows if r is not top]
+            out.append((col, top))
+    return out
 
 
 def _facets(gens, d, den, ipts):
@@ -144,8 +140,8 @@ def _facets(gens, d, den, ipts):
     hyperplanes through d generators; one is kept when every generator lies
     on its closed inside, and dropped at the first generator on the side
     opposite an earlier one.  The generators' rational values are scaled by
-    their common denominator to integers, so normals (cofactor vectors of
-    the difference vectors) and side tests are exact integer arithmetic:
+    their common denominator to integers, so normals (kernel vectors of the
+    reduced difference rows) and side tests are exact integer arithmetic:
     a float side test would drop a facet through four coplanar vertices.
     `den` and `ipts` are that scaling, from _lattice.  An exact polytope
     stores each facet n.x <= off/den as its primitive integer row (N, B, N.N):
@@ -156,10 +152,16 @@ def _facets(gens, d, den, ipts):
     pts = sorted(set(map(tuple, ipts)))
     planes = []
     for sub in itertools.combinations(pts, d):
-        rows = [[a - b for a, b in zip(p, sub[0])] for p in sub[1:]]
-        n = [(-1) ** k * _det([r[:k] + r[k + 1:] for r in rows]) for k in range(d)]
-        if not any(n):
+        piv = _pivot_rows([[a - b for a, b in zip(p, sub[0])] for p in sub[1:]], d)
+        if len(piv) < d - 1:
             continue  # affinely dependent subset
+        n = [0] * d
+        n[next(c for c in range(d) if c not in dict(piv))] = 1
+        for col, row in reversed(piv):  # back-substitute, scaling n to stay integral
+            s = sum(map(operator.mul, row, n))
+            g = math.gcd(s, row[col])
+            n = [a * (row[col] // g) for a in n]
+            n[col] = -s // g
         off = sum(a * b for a, b in zip(n, sub[0]))
         side = 0
         for p in pts:
@@ -185,52 +187,26 @@ def _facets(gens, d, den, ipts):
     return tuple(out)
 
 
-def _det(a):
-    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
-    a = [list(r) for r in a]
-    size = len(a)
-    if not size:
-        return 1  # the empty matrix: d = 1 facets have the normal (1,)
-    sign, prev = 1, 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def contains(poly: Polytope, x, margin=0, tol=DEFAULT_TOL) -> bool:
+def contains(poly: Polytope, x, tol=DEFAULT_TOL) -> bool:
     """Membership of x in poly, read from its halfspaces in every dimension.
 
-    margin == 0 is the Closed mode: on the float path the boundary is
-    widened by `tol`, on the exact path the test is exact.  There x is
-    scaled by the lcm q of its denominators to integers a, and each integer
-    facet row N.x <= B is the integer sign test N.a <= B*q.
-
-    margin > 0 is InteriorMargin(margin): the ball of that radius around x
-    must fit inside, via halfspace distances.  Both tests fail on a NaN
-    slack, so a point with a NaN coordinate lies in no polytope.
+    On an exact polytope and an exact point the test is closed and exact,
+    and `tol` is not read: x is scaled by the lcm q of its denominators to
+    integers a, and each integer facet row N.x <= B is the integer sign
+    test N.a <= B*q.  On the float path x passes a facet n.x <= off when
+    off - n.x >= -tol*|n|: tol > 0 widens the polytope by tol, and tol < 0
+    moves every facet inward by |tol|, so tol = -m asks that the ball of
+    radius m around x fit inside.  A NaN slack fails, so a point with a NaN
+    coordinate lies in no polytope.
     """
     if len(x) != poly.dim:
         raise DimensionMismatch(f"point has dimension {len(x)}, polytope {poly.dim}")
-    if margin == 0 and poly.is_exact and is_exact_point(x):
+    if poly.is_exact and is_exact_point(x):
         return _contains_exact(poly, x)
     for n, off, sq in poly.halfspaces:
         s = off - sum(nv * xv for nv, xv in zip(n, x))
-        if margin == 0:
-            if not float(s) >= -tol * math.sqrt(float(sq)):
-                return False
-        else:
-            # distance to the facet is s/|n|; require >= margin without sqrt
-            if not (s >= 0 and s * s >= margin * margin * sq):
-                return False
+        if not float(s) >= -tol * math.sqrt(float(sq)):
+            return False
     return True
 
 

@@ -147,7 +147,7 @@ class TestOverlapWitness:
         s = unit_system(0.6)
         w = vertex_overlap_witness(s)
         q = apply_map(s, w.k, s.points[w.j])
-        assert contains(image_polytope(s, (w.i,)), q, margin=1e-9)
+        assert contains(image_polytope(s, (w.i,)), q, tol=-1e-9)
 
     def test_second_witness_builds_no_polytope(self, monkeypatch):
         s = new_ifs(0.8, [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])

@@ -1,6 +1,6 @@
 """The exact path on integers, checked against Fraction references kept here.
 
-`geometry.contains` (exact, margin 0), `triangle.digit_forcing` and
+`geometry.contains` (exact path), `triangle.digit_forcing` and
 `triangle.gamma_uniqueness_scan` compute with integer numerators instead of
 one Fraction per operation, and `core.apply_inverse` reads cached shifts.
 Each reference below is the plain Fraction formula; the fast paths must

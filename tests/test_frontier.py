@@ -122,6 +122,15 @@ def _ref_enumerate(sys, x, depth, tol=DEFAULT_TOL):
     return levels
 
 
+def _ref_solid(omega, x, m):
+    # the ball of radius m around x fits inside: slack s >= m*|n| at every facet, without sqrt
+    for n, off, sq in omega.halfspaces:
+        s = off - sum(nv * xv for nv, xv in zip(n, x))
+        if not (s >= 0 and s * s >= m * m * sq):
+            return False
+    return True
+
+
 def _ref_classify(sys, x, depth, no_holes_certified=False, tol=DEFAULT_TOL):
     """`classify_point` node by node over `_children`, as it was before the batched kernel."""
     budget = addresses.NODE_BUDGET
@@ -146,8 +155,7 @@ def _ref_classify(sys, x, depth, no_holes_certified=False, tol=DEFAULT_TOL):
                     if exact:
                         solid = children
                     else:
-                        solid = [c for c in children
-                                 if contains(sys.omega, c[1], margin=addresses.CERT_MARGIN, tol=tol)]
+                        solid = [c for c in children if _ref_solid(sys.omega, c[1], addresses.CERT_MARGIN)]
                     if len(solid) >= 2:
                         counts.append(len(nxt) + len(children))
                         return Report(Verdict.MULTIPLE_CERTIFIED, dep + 1, bifurcation, counts, exact=exact)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -30,8 +31,8 @@ class TestContains:
         assert not contains(UNIT_INTERVAL, (1.1,))
 
     def test_boundary_fails_interior_margin(self):
-        assert not contains(UNIT_INTERVAL, (0.0,), margin=0.01)
-        assert contains(UNIT_INTERVAL, (0.5,), margin=0.01)
+        assert not contains(UNIT_INTERVAL, (0.0,), tol=-0.01)
+        assert contains(UNIT_INTERVAL, (0.5,), tol=-0.01)
 
     def test_triangle_convex_combination(self):
         assert contains(UNIT_TRIANGLE, (0.25, 0.25))
@@ -49,8 +50,8 @@ class TestContains:
         rng = np.random.default_rng(0)
         for _ in range(200):
             x = tuple(rng.uniform(-0.3, 1.3, size=2))
-            big = contains(UNIT_TRIANGLE, x, margin=0.05)
-            small = contains(UNIT_TRIANGLE, x, margin=0.01)
+            big = contains(UNIT_TRIANGLE, x, tol=-0.05)
+            small = contains(UNIT_TRIANGLE, x, tol=-0.01)
             closed = contains(UNIT_TRIANGLE, x)
             assert (not big or small) and (not small or closed)
 
@@ -74,14 +75,8 @@ class TestContains:
                   for i in range(poly.dim)] + [(float("nan"),) * poly.dim, tuple(inner)]
         want = [False] * (len(probes) - 1) + [True]
         assert [contains(poly, p) for p in probes] == want
-        assert [contains(poly, p, margin=0.01) for p in probes] == want
+        assert [contains(poly, p, tol=-0.01) for p in probes] == want
         assert contains_many(poly, np.array(probes)).tolist() == want
-
-    def test_exact_interior_margin(self):
-        seg = hull_polytope([(Fraction(0),), (Fraction(1),)])
-        m = Fraction(1, 4)
-        assert contains(seg, (Fraction(1, 4),), margin=m)
-        assert not contains(seg, (Fraction(1, 4) - Fraction(1, 10**20),), margin=m)
 
 
 class TestLinearFeasibilityPath:
@@ -89,8 +84,8 @@ class TestLinearFeasibilityPath:
         tet = hull_polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert contains(tet, (0.2, 0.2, 0.2))
         assert not contains(tet, (0.5, 0.5, 0.5))
-        assert contains(tet, (0.2, 0.2, 0.2), margin=1e-3)
-        assert not contains(tet, (0.0, 0.0, 0.0), margin=1e-3)
+        assert contains(tet, (0.2, 0.2, 0.2), tol=-1e-3)
+        assert not contains(tet, (0.0, 0.0, 0.0), tol=-1e-3)
 
     def test_residual_agrees_with_halfspaces_2d(self):
         rng = np.random.default_rng(1)
@@ -296,12 +291,69 @@ def test_facet_counts():
 
 
 def test_degenerate_hulls_raise():
-    planar = [(0.0, 0.0, 0.5), (1.0, 0.0, 0.5), (0.0, 1.0, 0.5), (1.0, 1.0, 0.5)]
-    with pytest.raises(DegenerateAffineHull, match="affine dimension 2 < 3"):
-        hull_polytope(planar)
-    collinear = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)), (Fraction(3), Fraction(6))]
-    with pytest.raises(DegenerateAffineHull, match="affine dimension 1 < 2"):
-        hull_polytope(collinear)
+    cases = [
+        ([(0.0, 0.0, 0.5), (1.0, 0.0, 0.5), (0.0, 1.0, 0.5), (1.0, 1.0, 0.5)], 2),
+        ([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(2)), (Fraction(3), Fraction(6))], 1),
+        ([(0, 0, 0), (1, 2, 3), (-2, -4, -6), (3, 6, 9)], 1),  # rank d-2
+        ([(0.5, 0.0, 1.0, 2.0), (1.5, 1.0, 1.0, 2.0), (0.0, 2.0, 1.0, 2.0), (2.5, 5.0, 1.0, 2.0)], 2),
+        ([(Fraction(1, 3), 0, 0, 1), (Fraction(2, 3), 1, 2, 1), (0, -1, -2, 1), (1, 2, 4, 1)], 1),  # d-3
+        ([(1, 2, 3), (1, 2, 3)], 0),
+    ]
+    for points, rank in cases:
+        with pytest.raises(DegenerateAffineHull, match=f"affine dimension {rank} < {len(points[0])};"):
+            hull_polytope(points)
+
+
+def _cofactor_facets(gens):
+    """Independent facet oracle: (primitive integer N, B) of each N.x <= B
+    through d generators with every generator inside, from Fraction cofactors."""
+    pts = sorted(set(_frac_points(gens)))
+    d = len(pts[0])
+    rows = set()
+    for sub in itertools.combinations(pts, d):
+        diff = [[a - b for a, b in zip(p, sub[0])] for p in sub[1:]]
+        n = [(-1) ** k * _fraction_det([r[:k] + r[k + 1:] for r in diff]) for k in range(d)]
+        s = [sum(a * (v - w) for a, v, w in zip(n, p, sub[0])) for p in pts]
+        if not any(n) or (max(s) > 0 and min(s) < 0):
+            continue
+        row = [-a if max(s) > 0 else a for a in n + [sum(a * v for a, v in zip(n, sub[0]))]]
+        ints = [int(v * math.lcm(*(w.denominator for w in row))) for v in row]
+        rows.add(tuple(v // math.gcd(*ints) for v in ints))
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "float"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_facets_equal_fraction_cofactor_oracle(d, kind):
+    rng = np.random.default_rng(60 + d)
+    draw = {"integer": lambda: int(rng.integers(-5, 6)),
+            "rational": lambda: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))),
+            "float": lambda: float(rng.uniform(-1, 1))}[kind]
+    built = 0
+    for _ in range(12):
+        gens = [tuple(draw() for _ in range(d)) for _ in range(d + 1 + int(rng.integers(0, 4)))]
+        try:
+            poly = hull_polytope(gens)
+        except DegenerateAffineHull:
+            continue
+        built += 1
+        want = _cofactor_facets(gens)
+        if kind == "float":  # the same rows scaled to a normal with largest entry 1
+            want = {_float_row(row) for row in want}
+            got = set(poly.halfspaces)
+        else:
+            got = {(*n, off) for n, off, _ in poly.halfspaces}
+            assert all(sq == sum(a * a for a in n) for n, _, sq in poly.halfspaces)
+        assert len(got) == len(poly.halfspaces) and got == want, gens
+    assert built >= 6
+
+
+def _float_row(row):
+    *n, b = row
+    g = math.gcd(*n)
+    big = max(abs(a) for a in n) // g
+    nf = tuple(a // g / big for a in n)
+    return nf, float(Fraction(b, g * big)), sum(a * a for a in nf)
 
 
 @pytest.mark.parametrize("name", ["tetrahedron-0.8", "tetrahedron-0.8-f012", "hull10"])

@@ -110,3 +110,8 @@ def test_only_the_membership_entry_points_take_tol():
 
 def test_no_function_takes_a_node_budget():
     assert takers("node_budget") == set()
+
+
+def test_no_function_takes_a_margin():
+    # an interior margin is a negative `tol`
+    assert takers("margin") == set()

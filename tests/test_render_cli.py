@@ -149,11 +149,14 @@ class TestCli:
         ({"lambda": 0.7, "points": [[0, 0], [1, 0], [0, 1]], "probs": 3}, ["check-conditions"]),
         ({"lambda": 0.7, "points": [[0, 0], [1, 0], [0, 1]], "probs": [0.5, None, 0.5]},
          ["sample-measure", "--samples", "3", "--seed", "1"]),
+        ({"lambda": 0.7, "points": [[0, True], [1, 0], [0, 0]]}, ["check-conditions"]),
+        ({"lambda": 0.7, "points": [[0, 0], [1, 0], [0, 1]], "probs": ["0.5", "0.25", "0.25"]},
+         ["sample-measure", "--samples", "3", "--seed", "1"]),
         (None, ["analyze-point", "--exact", "--point", "1/0,1/3"]),
         (None, ["analyze-point", "--bary", "0.2,0.3"]),
         (None, ["deleted-digits", "--digits", "0,1,inf", "--lambda", "0.45", "--point", "0.5"]),
     ], ids=["lambda-string", "points-flat", "coordinate-string", "probs-scalar", "probs-null",
-            "zero-denominator", "bary-arity", "digit-inf"])
+            "coordinate-true", "probs-strings", "zero-denominator", "bary-arity", "digit-inf"])
     def test_malformed_input_exits_2_with_one_line(self, tri_json, tmp_path, capsys, ifs, argv):
         if argv[0] != "deleted-digits":
             path = tri_json
