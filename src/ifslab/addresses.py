@@ -2,9 +2,9 @@
 
 A digit i is a feasible continuation at a point x when f_i^{-1}(x) stays in
 Omega.  Because the attractor is contained in Omega, this over-approximates
-the set of true first digits; when the attractor has no holes (a certificate
-from the conditions module) it is that set exactly, which is what turns
-finite-depth observations into certificates:
+the set of true first digits; when the attractor has no holes (certified by
+`conditions.no_holes_sufficient` alone) it is that set exactly, which is
+what turns finite-depth observations into certificates:
 
 * a bifurcation plus a no-holes certificate proves at least two addresses
   exist on the exact path; a float certificate rests on both children lying
@@ -239,9 +239,7 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
     if mode is Mode.EXACT_NO_HOLES:
         if not no_holes_certified:
             raise CertificateRequired(
-                "exact-no-holes mode needs a no-holes certificate "
-                "(conditions.no_holes_sufficient or a Pedicini certificate)"
-            )
+                "exact-no-holes mode needs a no-holes certificate (conditions.no_holes_sufficient)")
         if not contains(sys.omega, x, tol=tol):
             raise PointOutsideOmega(f"{x} is outside Omega")
     budget = NODE_BUDGET

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 input error, 3 node/frontier budget exceeded.
+Exit codes: 0 success, 2 input error, 3 budget exceeded or an array too large.
 All diagnostics go to stderr; results go to stdout or to --out files.
 Randomised commands take an explicit --seed and never consult an entropy
 source, so identical invocations produce byte-identical outputs.
@@ -295,7 +295,7 @@ def main(argv=None) -> int:
         if tol is not None and not 0 <= tol < math.inf:
             raise ValueError(f"--tol must be finite and at least 0, got {tol}")
         return _COMMANDS[args.command](args)
-    except BudgetExceeded as e:
+    except (BudgetExceeded, MemoryError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 3
     except (IfsLabError, ValueError, OSError) as e:

@@ -3,7 +3,7 @@
 Three kinds of certificate live here:
 
 * closed-form thresholds: OSC failure for lam > m^(-1/d) and no holes for
-  lam >= d/(d+1), both decided in exact arithmetic on lam;
+  lam >= lam_nh (`IfsSystem.no_holes`), both decided on the exact lam;
 * an overlap witness: a triple (i, k, j) with the smallest block length
   ell such that the word k j^(ell-1) maps Omega into f_i(Omega) ∩ f_k(Omega).
   That block is a full-dimensional copy of Omega, so it proves a proper
@@ -44,8 +44,8 @@ def osc_failure_sufficient(sys: IfsSystem):
 
 
 def no_holes_sufficient(sys: IfsSystem):
-    """(lam >= d/(d+1), d/(d+1)): universal bound for S_lam = Omega, decided on the exact lam."""
-    return Fraction(sys.lam) >= Fraction(sys.d, sys.d + 1), sys.d / (sys.d + 1.0)
+    """(lam >= lam_nh, lam_nh) from `IfsSystem.no_holes`: the one no-holes certificate."""
+    return sys.no_holes[:2]
 
 
 def check_digits(digits) -> tuple:
@@ -61,7 +61,7 @@ def check_digits(digits) -> tuple:
 
 
 def pedicini_holds(digits, lam):
-    """(max gap < lam*(a_m - a_1)/(1-lam), max gap, that bound)."""
+    """(max gap < lam*(a_m - a_1)/(1-lam), max gap, that bound): Pedicini's strict 1-D test."""
     seq = check_digits(getattr(digits, "digits", digits))
     lhs = max(b - a for a, b in zip(seq, seq[1:]))
     rhs = lam * (seq[-1] - seq[0]) / (1 - lam)

@@ -86,6 +86,21 @@ class IfsSystem:
         h = tuple(tuple((1 - lam) / lam * a for a in row) for row in heights)
         return u, h
 
+    @cached_property
+    def no_holes(self) -> tuple:
+        """(lam >= lam_nh, float lam_nh, lam_nh): the one no-holes rule, decided once.
+
+        lam_nh is exact: d/(d+1) in d >= 2; in d = 1, g/(g+R) for the largest
+        anchor gap g and span R, as the images f_j(Omega) cover Omega (then the
+        attractor, by Hutchinson's uniqueness) exactly when lam*R >= (1-lam)*g.
+        """
+        thr = Fraction(self.d, self.d + 1)
+        if self.d == 1:
+            p = sorted(Fraction(q[0]) for q in self.points)
+            g = max(b - a for a, b in zip(p, p[1:]))
+            thr = g / (g + p[-1] - p[0])
+        return Fraction(self.lam) >= thr, float(thr), thr
+
 
 def new_ifs(lam, points) -> IfsSystem:
     """Validated system: 0 < lam < 1, distinct points, full affine dimension."""

@@ -3,7 +3,7 @@
 An expansion x = sum eps_n lam^n with eps_n drawn from a real digit set
 a_1 < ... < a_m is an address for the maps f_j(x) = lam*(x + a_j); choosing
 anchor points p_j = lam*a_j/(1-lam) turns those into the standard family, so
-the whole address engine applies unchanged.
+the whole address engine and its no-holes certificate apply unchanged.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import PointOutsideOmega
 from . import addresses
-from .conditions import check_digits, pedicini_holds
+from .conditions import check_digits, no_holes_sufficient
 from .core import IfsSystem, new_ifs
 from .geometry import contains
 from .measure import chain_walk
@@ -65,15 +65,14 @@ def _as_ifs(typed_digits, typed_lam):
 def count_expansions(A: DigitSet, lam, x, depth: int):
     """Classification report for the expansions of x in this digit system.
 
-    The no-holes certificate is exactly the Pedicini condition: when the
-    largest digit gap is below lam*(a_m-a_1)/(1-lam), the attractor is the
-    full interval and bifurcations certify multiplicity.
+    The no-holes certificate is `conditions.no_holes_sufficient`: with every
+    digit gap at most lam*(a_m-a_1)/(1-lam), bifurcations certify multiplicity.
     """
     sys = as_ifs(A, lam)
     pt = (x,) if not isinstance(x, tuple) else x
     if not contains(sys.omega, pt):
         raise PointOutsideOmega(f"{x} is outside the attractor interval")
-    return addresses.classify_point(sys, pt, depth, no_holes_certified=pedicini_holds(A, lam)[0])
+    return addresses.classify_point(sys, pt, depth, no_holes_certified=no_holes_sufficient(sys)[0])
 
 
 def multiplicity_lambda_estimate(A: DigitSet, grid: int = 200, depth: int = 50,

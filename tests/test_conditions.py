@@ -16,6 +16,7 @@ from ifslab.conditions import (
 )
 from ifslab.core import apply_map, image_polytope, new_ifs, project_prefix
 from ifslab import conditions, core, geometry
+from ifslab.deleted_digits import DigitSet, as_ifs
 from ifslab.errors import BudgetExceeded, CertificateRequired, UnsortedDigits
 from ifslab.geometry import contains
 
@@ -76,6 +77,65 @@ class TestPedicini:
     def test_nan_digit_rejected(self):
         with pytest.raises(UnsortedDigits, match="strictly increasing"):
             pedicini_holds((0, float("nan"), 3), 0.45)
+
+
+def _seeded_digit_sets(seed, count):
+    """`count` exact digit sets of 2-6 distinct integers in [-20, 20], sorted."""
+    rng = np.random.default_rng(seed)
+    return [tuple(sorted(int(v) for v in rng.choice(np.arange(-20, 21), size=m, replace=False)))
+            for m in rng.integers(2, 7, size=count)]
+
+
+def _images_cover(lam, anchors):
+    """Do the intervals f_j([p_1, p_m]) cover [p_1, p_m]?  A Fraction sweep, left to right."""
+    p = sorted(anchors)
+    reach = p[0]
+    for lo, hi in sorted((lam * p[0] + (1 - lam) * a, lam * p[-1] + (1 - lam) * a) for a in p):
+        if lo > reach:
+            return False
+        reach = max(reach, hi)
+    return reach >= p[-1]
+
+
+class TestNoHolesRule:
+    """One rule: lam_nh = g/(g+R) in d = 1 (largest anchor gap g, span R), d/(d+1) above."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_interval_threshold_is_where_the_images_start_to_cover(self, seed):
+        for digits in _seeded_digit_sets(seed, 40):
+            anchors = [Fraction(a, 7) for a in digits]
+            thr = new_ifs(Fraction(1, 2), [(a,) for a in anchors]).no_holes[2]
+            g = max(b - a for a, b in zip(anchors, anchors[1:]))
+            assert thr == g / (g + anchors[-1] - anchors[0])
+            assert _images_cover(thr, anchors)
+            below = thr - Fraction(1, 1000)
+            assert not _images_cover(below, anchors)
+            assert new_ifs(thr, [(a,) for a in anchors]).no_holes[0]
+            assert not new_ifs(below, [(a,) for a in anchors]).no_holes[0]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_pedicini_is_the_strict_form(self, seed):
+        for digits in _seeded_digit_sets(seed, 60):
+            g, span = max(b - a for a, b in zip(digits, digits[1:])), digits[-1] - digits[0]
+            for k in range(5, 100, 5):
+                lam = Fraction(k, 100)
+                rule = no_holes_sufficient(as_ifs(DigitSet(digits), lam))[0]
+                equality = (1 - lam) * g == lam * span
+                assert rule == (pedicini_holds(digits, lam)[0] or equality)
+
+    @pytest.mark.parametrize("digits, lam", [((0, 1, 3), Fraction(2, 5)), ((1, 9), Fraction(1, 2))])
+    def test_equality_is_certified(self, digits, lam):
+        assert not pedicini_holds(digits, lam)[0]
+        assert no_holes_sufficient(as_ifs(DigitSet(digits), lam)) == (True, float(lam))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_simplex_thresholds_stay_d_over_d_plus_1(self, d):
+        simplex = [(0,) * d] + [tuple(int(i == k) for i in range(d)) for k in range(d)]
+        at = Fraction(d, d + 1)
+        assert new_ifs(at, simplex).no_holes == (True, d / (d + 1.0), at)
+        assert no_holes_sufficient(new_ifs(at - Fraction(1, 1000), simplex)) == (False, d / (d + 1.0))
+        cube = [tuple((v >> i) & 1 for i in range(d)) for v in range(2**d)]
+        assert no_holes_sufficient(new_ifs(0.9, cube)) == (True, d / (d + 1.0))
 
 
 @settings(max_examples=150, deadline=None)

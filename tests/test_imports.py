@@ -115,3 +115,38 @@ def test_no_function_takes_a_node_budget():
 def test_no_function_takes_a_margin():
     # an interior margin is a negative `tol`
     assert takers("margin") == set()
+
+
+def certificate_sources(source, module):
+    """(line, what) of every no-holes certificate in `source` that bypasses the one rule.
+
+    Every `no_holes_certified=` keyword must read `no_holes_sufficient(...)[...]`,
+    and only the conditions module, which defines it, may call `pedicini_holds`.
+    """
+    def called(node, name):
+        f = node.func if isinstance(node, ast.Call) else None
+        return name in (getattr(f, "id", None), getattr(f, "attr", None))
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.keyword) and node.arg == "no_holes_certified":
+            v = node.value
+            if not (isinstance(v, ast.Subscript) and called(v.value, "no_holes_sufficient")):
+                found.append((v.lineno, "no_holes_certified=" + ast.unparse(v)))
+        elif called(node, "pedicini_holds") and module != "conditions":
+            found.append((node.lineno, "pedicini_holds"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=[str(p.relative_to(ROOT)) for p in SRC_MODULES])
+def test_every_no_holes_certificate_reads_the_one_rule(path):
+    assert certificate_sources(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_the_check_sees_another_certificate():
+    src = ("f(x, no_holes_certified=C.no_holes_sufficient(s)[0])\n"
+           "f(x, no_holes_certified=pedicini_holds(A, lam)[0])\n"
+           "f(x, no_holes_certified=True)\nok = pedicini_holds(A, lam)\n")
+    assert certificate_sources(src, "conditions") == [(2, "no_holes_certified=pedicini_holds(A, lam)[0]"),
+                                                     (3, "no_holes_certified=True")]
+    assert certificate_sources(src, "cli")[-1] == (4, "pedicini_holds")

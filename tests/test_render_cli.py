@@ -11,6 +11,7 @@ import pytest
 import ifslab
 from ifslab.cli import main
 from ifslab.core import load_system
+from ifslab.deleted_digits import DigitSet, as_ifs
 from ifslab.measure import MeasureSampler, sample_natural_measure
 from ifslab.render import chaos_game, render_attractor, write_pgm
 
@@ -36,8 +37,6 @@ class TestRender:
         assert grid[inside.T].all() or grid[inside].all()
 
     def test_cantor_strip_has_gaps(self):
-        from ifslab.deleted_digits import DigitSet, as_ifs
-
         s = as_ifs(DigitSet((0, 1)), 0.45)
         img = render_attractor(s, iters=60000, burn_in=500, resolution=64, seed=11)
         assert (img == 255).any() and (img == 0).any()
@@ -125,6 +124,22 @@ class TestCli:
                      "--point", "1.2", "--depth", "50"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("lambda,lo,hi,verdict")
+
+    def test_interval_verdict_agrees_with_deleted_digits(self, tmp_path, capsys):
+        # {0,1,3} at 0.45: the images cover from lam_nh = g/(g+R) ~ 2/5 on,
+        # below d/(d+1) = 1/2, and both commands read that one rule
+        anchors = as_ifs(DigitSet((0, 1, 3)), 0.45).points
+        p = tmp_path / "digits.json"
+        p.write_text(json.dumps({"lambda": 0.45, "points": [list(a) for a in anchors]}))
+        assert main(["deleted-digits", "--digits", "0,1,3", "--lambda", "0.45",
+                     "--point", "1.2"]) == 0
+        digits_row = capsys.readouterr().out.splitlines()[1]
+        assert main(["analyze-point", "--ifs", str(p), "--point", "1.2"]) == 0
+        point_row = capsys.readouterr().out.splitlines()[1]
+        assert digits_row.endswith(",multiple-certified,3,2,2")
+        assert point_row.startswith("multiple-certified,3,2,2,")
+        assert main(["check-conditions", "--ifs", str(p)]) == 0
+        assert "no_holes=true threshold=0.40000000000000002\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, message", [
         (["deleted-digits", "--digits", "0,nan,3", "--lambda", "0.45", "--point", "0.5"],
@@ -265,6 +280,22 @@ class TestCli:
         code = main(["box-dim", "--ifs", str(p), "--set", "attractor",
                      "--eps", "0.01,0.005,0.0025,1e-12", "--out", str(tmp_path / "x.csv")])
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        "sample-measure --ifs IFS --samples 1000000000000000 --seed 1",
+        "wn-coverage --ifs IFS --n 2 --samples 1000000000000000 --seed 1",
+        "render-attractor --ifs IFS --iters 1000 --burn-in 100 --resolution 100000000 "
+        "--seed 1 --out OUT",
+    ], ids=["sample-measure", "wn-coverage", "render-attractor"])
+    def test_unallocatable_count_exits_3_with_one_line(self, tri_json, tmp_path, capsys, argv):
+        # each count asks numpy for petabytes, past any address space, so
+        # the allocation fails at once and nothing is written
+        out = tmp_path / "x.pgm"
+        argv = [{"IFS": tri_json, "OUT": str(out)}.get(a, a) for a in argv.split()]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, option", [
         ("classify-grid --ifs IFS --resolution 0 --depth 5 --out OUT", "--resolution"),
