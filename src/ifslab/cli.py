@@ -296,7 +296,7 @@ def main(argv=None) -> int:
             raise ValueError(f"--tol must be finite and at least 0, got {tol}")
         return _COMMANDS[args.command](args)
     except (BudgetExceeded, MemoryError) as e:
-        print(f"error: {e}", file=_sys.stderr)
+        print(f"error: {str(e) or type(e).__name__}", file=_sys.stderr)
         return 3
     except (IfsLabError, ValueError, OSError) as e:
         print(f"error: {e}", file=_sys.stderr)

@@ -11,12 +11,12 @@ Three kinds of certificate live here:
   f_k(p_j) also sits strictly inside f_i(Omega).  Both tests are closed
   forms in Omega's exact facets, since every image is homothetic to Omega;
 * empirical probes: covering deficiency of depth-n images and the measure
-  of Omega left uncovered by block words containing the forcing block.
+  of Omega left uncovered by block words containing the forcing block,
+  whose block maps come from `core.project_all_words`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +31,7 @@ from .errors import (
     PointOutsideOmega,
     UnsortedDigits,
 )
-from .core import IfsSystem, _children_many, _feasible_many, project_prefix
+from .core import IfsSystem, _children_many, _feasible_many, project_all_words
 from .geometry import contains, sample_uniform
 
 ELL_CAP = 64
@@ -214,11 +214,9 @@ def _block_ell(lam, t, cap):
 
 
 def _block_tables(sys, w):
-    """(beta, T, idx0): block word u maps x to beta*x + T[u]; row idx0 is the forcing block of w."""
-    words = list(itertools.product(range(sys.m), repeat=w.ell))
-    zero = tuple(0.0 for _ in range(sys.d))
-    T = np.array([[float(v) for v in project_prefix(sys, u, zero)] for u in words])
-    return float(sys.lam) ** w.ell, T, words.index(tuple(w.block0))
+    """(beta, T, idx0): word u (digit t = (u // m^t) % m) maps x to beta*x + T[u]; w's block is idx0."""
+    T = project_all_words(sys, w.ell, (0,) * sys.d)
+    return float(sys.lam) ** w.ell, T, sum(b * sys.m**t for t, b in enumerate(w.block0))
 
 
 def wn_entry_depths(sys: IfsSystem, w: OverlapWitness, pts, n_max: int):

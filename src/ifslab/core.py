@@ -3,7 +3,8 @@
 The same code serves two arithmetic paths.  With float inputs everything is
 double precision; with ``Fraction`` inputs (lam and every coordinate) all
 maps, inverses and membership tests are exact, which is what uniqueness
-certification relies on.
+certification relies on.  Batches of digit words are projected on floats
+in one summation order, by `project_words` and `project_all_words`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from .errors import (
     BadProbabilityVector,
+    BudgetExceeded,
     DegenerateAffineHull,
     DigitOutOfRange,
     DuplicatePoints,
@@ -26,6 +28,8 @@ from .errors import (
 )
 from .geometry import (DEFAULT_TOL, Polytope, contains, contains_many, hull_polytope,
                        is_exact_point, is_exact_scalar)
+
+CLOUD_POINT_BUDGET = 4_000_000  # most rows project_all_words lays out
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,42 @@ def project_prefix(sys: IfsSystem, w, x0):
     for j in reversed(tuple(w)):
         x = apply_map(sys, j, x)
     return x
+
+
+def _word_terms(sys: IfsSystem, K, x0):
+    """(terms, tail): f_w(x0) is 0.0 + terms[0, w_0] + ... + terms[K-1, w_(K-1)] + tail, in order.
+
+    terms[t, j] = (1-lam)*lam^t * p_j and tail = lam^K * x0, as floats.
+    """
+    lam = float(sys.lam)
+    P = np.array(sys.points, dtype=float)
+    return ((1 - lam) * lam ** np.arange(K))[:, None, None] * P, lam**K * np.array(x0, dtype=float)
+
+
+def project_words(sys: IfsSystem, digits, x0):
+    """f_w(x0) for every row w of an (n, K) digit array: the batched `project_prefix`."""
+    terms, tail = _word_terms(sys, digits.shape[1], x0)
+    pts = np.zeros((len(digits), sys.d))
+    for picked in terms[np.arange(len(terms))[:, None], digits.T]:  # terms[t, w_t] of every row w
+        pts += picked
+    return pts + tail
+
+
+def project_all_words(sys: IfsSystem, K, x0):
+    """`project_words` of all m^K words of length K; row i has digit t = (i // m^t) % m.
+
+    Row j*m^t + i is row i with digit t = j, so the rows grow a digit at a
+    time and no digit matrix is built.  Over CLOUD_POINT_BUDGET rows raise
+    BudgetExceeded before anything is allocated.
+    """
+    if sys.m**K > CLOUD_POINT_BUDGET:
+        raise BudgetExceeded(f"{sys.m}^{K} digit words exceed the budget of {CLOUD_POINT_BUDGET}")
+    terms, tail = _word_terms(sys, K, x0)
+    pts = np.zeros((1, sys.d))
+    for t in range(K):
+        pts = (terms[t][:, None, :] + pts).reshape(-1, sys.d)
+    pts += tail
+    return pts
 
 
 def image_polytope(sys: IfsSystem, w) -> Polytope:

@@ -29,9 +29,10 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import DegenerateAffineHull, DimensionMismatch
+from .errors import BudgetExceeded, DegenerateAffineHull, DimensionMismatch
 
 DEFAULT_TOL = 1e-9
+DRAW_BUDGET = 10_000  # most bounding-box draws sample_uniform makes per point it returns
 
 
 def is_exact_scalar(v) -> bool:
@@ -276,20 +277,19 @@ def contains_many(poly: Polytope, pts, tol=DEFAULT_TOL):
 
 
 def sample_uniform(poly: Polytope, n, rng):
-    """n points uniform over poly by seeded rejection from the bounding box."""
+    """n points uniform over poly by seeded rejection of at most DRAW_BUDGET*n bounding-box draws."""
     if n < 1:
         raise ValueError("need at least one sample")
-    lo, hi = poly.bounding_box()
-    lo = np.array([float(v) for v in lo])
-    hi = np.array([float(v) for v in hi])
-    out = []
-    have = 0
+    lo, hi = (np.array(b, dtype=float) for b in poly.bounding_box())
+    out, have, drawn = [], 0, 0
     while have < n:
+        if drawn >= DRAW_BUDGET * n:
+            raise BudgetExceeded(f"{have} of {drawn} draws from the bounding box fell in the hull, "
+                                 f"too few for {n} samples (budget {DRAW_BUDGET} draws a sample)")
         cand = lo + rng.random((max(n, 128), poly.dim)) * (hi - lo)
-        keep = cand[contains_many(poly, cand)]
-        if len(keep):
-            out.append(keep)
-            have += len(keep)
+        drawn += len(cand)
+        out.append(cand[contains_many(poly, cand)])
+        have += len(out[-1])
     return np.concatenate(out)[:n]
 
 
@@ -298,9 +298,7 @@ def volume_mc(poly: Polytope, samples, seed):
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    lo, hi = poly.bounding_box()
-    lo = np.array([float(v) for v in lo])
-    hi = np.array([float(v) for v in hi])
+    lo, hi = (np.array(b, dtype=float) for b in poly.bounding_box())
     box = float(np.prod(hi - lo))
     pts = lo + rng.random((samples, poly.dim)) * (hi - lo)
     hits = int(np.count_nonzero(contains_many(poly, pts)))

@@ -1,7 +1,8 @@
 """Natural-measure sampling, mesh-cube counting and box-dimension estimates.
 
 Monte Carlo runs draw from one generator seeded by the caller's seed, so the
-same seed always reproduces the same output.
+same seed always reproduces the same output.  Samples and the box-dim
+cloud are projected in `core`'s one order, so equal digits give equal bits.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ import numpy as np
 
 from .errors import BudgetExceeded, CertificateRequired, TooFewScales
 from .conditions import no_holes_sufficient
-from .core import IfsSystem, _children_many, centroid, check_probs
+from .core import IfsSystem, _children_many, centroid, check_probs, project_all_words, project_words
 from .geometry import DEFAULT_TOL, contains_many
 
 
 GRID_CELL_BUDGET = 2**24  # most cells grid_points lays out
-CLOUD_POINT_BUDGET = 4_000_000  # most points attractor_point_cloud projects
 
 
 def default_truncation(lam) -> int:
@@ -55,19 +55,7 @@ def sample_natural_measure(sampler: MeasureSampler, n: int):
     rng = np.random.default_rng(np.random.SeedSequence(sampler.seed))
     sys = sampler.sys
     digits = rng.choice(sys.m, size=(n, sampler.trunc), p=sampler.probs)
-    pts = project_digit_rows(sys, digits)
-    return pts, digits
-
-
-def project_digit_rows(sys: IfsSystem, digits):
-    """Vectorised project_prefix over rows of digits, started at the centroid."""
-    lam = float(sys.lam)
-    P = np.array([[float(v) for v in p] for p in sys.points])
-    n, T = digits.shape
-    weights = (1 - lam) * lam ** np.arange(T)
-    pts = np.einsum("t,ntd->nd", weights, P[digits])
-    x0 = np.array([float(v) for v in centroid(sys)])
-    return pts + lam**T * x0
+    return project_words(sys, digits, centroid(sys)), digits
 
 
 def chain_walk(sys: IfsSystem, pts, depth: int):
@@ -182,13 +170,9 @@ def grid_points(sys: IfsSystem, resolution: int):
             f"grid of resolution {resolution} in dimension {sys.d} has {resolution**sys.d} cells "
             f"(budget {GRID_CELL_BUDGET}); use a coarser resolution"
         )
-    lo, hi = sys.omega.bounding_box()
+    lo, hi = (np.array(b, dtype=float) for b in sys.omega.bounding_box())
     if sys.d == 1:
-        lo, hi = float(lo[0]), float(hi[0])
-        ks = np.arange(1, resolution) / resolution
-        return (lo + ks * (hi - lo))[:, None]
-    lo = np.array([float(v) for v in lo])
-    hi = np.array([float(v) for v in hi])
+        return lo + (np.arange(1, resolution) / resolution)[:, None] * (hi - lo)
     c = (np.arange(resolution) + 0.5) / resolution
     axes = np.meshgrid(*[c] * sys.d, indexing="ij")
     pts = lo + np.stack([g.ravel() for g in axes], axis=1) * (hi - lo)
@@ -217,28 +201,9 @@ def attractor_point_cloud(sys: IfsSystem, finest_eps):
     K is the smallest depth at which image diameters drop below finest_eps,
     so the cloud resolves every requested mesh scale without randomness.
     Row i is the word whose digit t is (i // m^t) % m, projected from the
-    centroid c: per coordinate, 0.0 + (1-lam)*lam^t * p_{d_t} for t = 0..K-1
-    in that order, then + lam^K * c.  The partial sum over digits t' < t
-    depends only on i mod m^t, so the cloud grows one digit at a time and no
-    digit matrix is built.  project_digit_rows' einsum adds in this order in
-    d >= 2 (numpy 2.4); in d = 1 it adds in SIMD-lane order, so the two
-    clouds may differ in the last bits there.
+    centroid by `core.project_all_words`, whose budget caps the cloud.
     """
     if not 0 < finest_eps < math.inf:
         raise ValueError(f"finest_eps must be positive and finite, got {finest_eps}")
-    lam = float(sys.lam)
-    diam = sys.diameter()
-    K = max(1, math.ceil(math.log(float(finest_eps) / diam) / math.log(lam)))
-    if sys.m**K > CLOUD_POINT_BUDGET:
-        raise BudgetExceeded(
-            f"attractor cloud at scale {finest_eps} needs {sys.m**K} points "
-            f"(budget {CLOUD_POINT_BUDGET}); use a coarser scale"
-        )
-    P = np.array([[float(v) for v in p] for p in sys.points])
-    terms = ((1 - lam) * lam ** np.arange(K))[:, None, None] * P
-    pts = np.zeros((1, sys.d))
-    for t in range(K):
-        # row j*m^t + i: digit t is j, the lower digits are those of row i
-        pts = (terms[t][:, None, :] + pts).reshape(-1, sys.d)
-    pts += lam**K * np.array([float(v) for v in centroid(sys)])
-    return pts
+    K = max(1, math.ceil(math.log(float(finest_eps) / sys.diameter()) / math.log(float(sys.lam))))
+    return project_all_words(sys, K, centroid(sys))

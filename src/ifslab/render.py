@@ -34,9 +34,7 @@ def chaos_game(sys: IfsSystem, iters: int, burn_in: int, seed: int):
 
 def bin_to_grid(sys: IfsSystem, pts, resolution: int):
     """Occupancy grid over the bounding box of Omega (True = occupied)."""
-    lo, hi = sys.omega.bounding_box()
-    lo = np.array([float(v) for v in lo])
-    hi = np.array([float(v) for v in hi])
+    lo, hi = (np.array(b, dtype=float) for b in sys.omega.bounding_box())
     span = np.where(hi > lo, hi - lo, 1.0)
     idx = np.floor((pts - lo) / span * resolution).astype(np.int64)
     idx = np.clip(idx, 0, resolution - 1)

@@ -3,10 +3,10 @@
 The oracles here avoid the code paths they are used to check: prefix counts
 come from direct interval images via the closed-form partial sums, the
 gasket clouds come from explicit base-m digit expansion, and hull membership
-comes from simplices of the generators, never from facets.  Attractor clouds
-are summed word by word in Python floats, mesh counts come from a set of
-integer tuples, and the triangle regions come from their defining
-inequalities.
+comes from simplices of the generators, never from facets.  Attractor
+clouds and sampled points are summed word by word in Python floats, mesh
+counts come from a set of integer tuples, and the triangle regions come
+from their defining inequalities.
 """
 
 import functools
@@ -70,26 +70,32 @@ def prefix_closed_form(sys, w, x0):
     return tuple(acc)
 
 
-def attractor_cloud_reference(sys, K):
-    """Every depth-K projection, one word at a time in Python floats.
+def word_sum_reference(sys, words, x0):
+    """f_w(x0) of every digit word w of length K, one word at a time in Python floats.
 
-    Row i is the word whose digit t is (i // m^t) % m.  Per coordinate the
-    sum starts at 0.0, adds (1-lam)*lam^t * p_{d_t} for t = 0..K-1 in order,
-    then adds lam^K times the centroid.  The powers lam^t are numpy's, which
-    are not always Python's correctly rounded ones (0.6**4 is an ulp apart).
+    Per coordinate the sum starts at 0.0, adds (1-lam)*lam^t * p_{w_t} for
+    t = 0..K-1 in order, then adds lam^K * x0.  The powers lam^t are
+    numpy's, which are not always Python's correctly rounded ones (0.6**4
+    is an ulp apart).
     """
     lam = float(sys.lam)
     P = [[float(v) for v in p] for p in sys.points]
-    c = [float(v) for v in centroid(sys)]
+    x0 = [float(v) for v in x0]
+    K = len(words[0])
     weights = ((1 - lam) * lam ** np.arange(K)).tolist()
     rows = []
-    for i in range(sys.m**K):
+    for w in words:
         x = [0.0] * sys.d
-        for t, w in enumerate(weights):
-            p = P[(i // sys.m**t) % sys.m]
-            x = [xk + w * pk for xk, pk in zip(x, p)]
-        rows.append([xk + lam**K * ck for xk, ck in zip(x, c)])
-    return np.array(rows, dtype=float).reshape(sys.m**K, sys.d)
+        for c, j in zip(weights, w):
+            x = [xk + c * pk for xk, pk in zip(x, P[j])]
+        rows.append([xk + lam**K * ck for xk, ck in zip(x, x0)])
+    return np.array(rows, dtype=float).reshape(len(rows), sys.d)
+
+
+def attractor_cloud_reference(sys, K):
+    """Every depth-K projection from the centroid; row i is the word whose digit t is (i // m^t) % m."""
+    words = [[(i // sys.m**t) % sys.m for t in range(K)] for i in range(sys.m**K)]
+    return word_sum_reference(sys, words, centroid(sys))
 
 
 def reference_mesh_count(points, epsilon):

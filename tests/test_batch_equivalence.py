@@ -386,7 +386,7 @@ GOLDEN = {
     "sample-measure-tri07":
         "338447b64b6ba03ecd4058c047153be5fa04e5259ab237f3df242e2b94a3ac11",
     "sample-measure-line":
-        "9753ec3804bbe776ef3f6da9d2aab2c48cbc812355aa36270b081b909f839ce8",
+        "a1c22365eb4b0f8fa3ecd214a230af05a5c6ab9c1c48356f3fe85f2313626d9a",
     "box-dim-attractor-tri06":
         "3d933d8a5e59e5c4ee411ccf8024f79afe666d8f5479b424c784c1300cb45fa4",
     "box-dim-attractor-line053":

@@ -273,12 +273,17 @@ class TestWn:
             for n in (1, 2, 3, 4, 5, 6):
                 assert wn_membership(s, w, tuple(p), n) == (e <= n)
 
-    def test_family_size(self, tri):
-        # one translation per block word: m^ell of them, the forcing block among them
-        s, w = tri
-        beta, T, idx0 = conditions._block_tables(s, w)
-        assert T.shape == (3**w.ell, 2) and beta == 0.7**w.ell
-        assert np.allclose(project_prefix(s, w.block0, (0.0, 0.0)), T[idx0])
+    def test_family_size(self):
+        # one translation f_u(0) per block word u: m^ell of them, the forcing block among them
+        for s in (triangle_system(0.7), new_ifs(0.8, TETRAHEDRON), new_ifs(0.45, [(0.0,), (1.0,), (3.0,)])):
+            w = vertex_overlap_witness(s)
+            beta, T, idx0 = conditions._block_tables(s, w)
+            assert T.shape == (s.m**w.ell, s.d) and beta == s.lam**w.ell
+            zero = (0.0,) * s.d
+            for i, row in enumerate(T):
+                u = [(i // s.m**t) % s.m for t in range(w.ell)]  # row i holds digit t = (i // m^t) % m
+                assert np.allclose(project_prefix(s, u, zero), row, rtol=0, atol=1e-15)
+            assert np.allclose(project_prefix(s, w.block0, zero), T[idx0], rtol=0, atol=1e-15)
 
     def test_against_brute_force_block_words(self, tri):
         s, w = tri

@@ -1,6 +1,7 @@
 """Every top-level import of src/ and tests/ is used in its module, no
-src/ module defers an ifslab import into a function, and no public
-function takes an option that no caller sets.
+src/ module defers an ifslab import into a function, no public function
+takes an option that no caller sets, and digit words are projected only
+by `core`.
 
 A plain `ast` walk, so the check needs no linter: a module fails when it
 binds a name by a top-level import and never reads that name again.
@@ -150,3 +151,31 @@ def test_the_check_sees_another_certificate():
     assert certificate_sources(src, "conditions") == [(2, "no_holes_certified=pedicini_holds(A, lam)[0]"),
                                                      (3, "no_holes_certified=True")]
     assert certificate_sources(src, "cli")[-1] == (4, "pedicini_holds")
+
+
+def second_projections(source, module):
+    """(line, call) of every digit-word projection in `source` made outside `core`'s kernel.
+
+    No module calls `einsum`, whose order of summation is numpy's, and only
+    `core`, which defines the batched projections, calls `project_prefix`.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "einsum" or (name == "project_prefix" and module != "core"):
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=[str(p.relative_to(ROOT)) for p in SRC_MODULES])
+def test_one_batched_projection(path):
+    assert second_projections(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_the_check_sees_a_second_projection():
+    src = ("x = np.einsum('t,ntd->nd', w, P)\ny = project_prefix(s, u, z)\n"
+           "z = core.project_prefix(s, u, z)\nv = project_words(s, d, c)\n")
+    assert second_projections(src, "measure") == [(1, "einsum"), (2, "project_prefix"),
+                                                  (3, "project_prefix")]
+    assert second_projections(src, "core") == [(1, "einsum")]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ifslab.addresses import classify_point
-from ifslab.core import new_ifs
+from ifslab.core import centroid, new_ifs
 from ifslab.errors import BadProbabilityVector, CertificateRequired, TooFewScales
 from ifslab.geometry import contains
 from ifslab.measure import (
@@ -29,6 +29,7 @@ from helpers import (
     reference_mesh_count,
     triangle_system,
     unit_system,
+    word_sum_reference,
 )
 
 
@@ -42,6 +43,18 @@ class TestSampler:
         a, da = sample_natural_measure(MeasureSampler(s, (1 / 3,) * 3, seed=42), 50)
         b, db = sample_natural_measure(MeasureSampler(s, (1 / 3,) * 3, seed=42), 50)
         assert np.array_equal(a, b) and np.array_equal(da, db)
+
+    @pytest.mark.parametrize("make, probs", [
+        (lambda: unit_system(0.53), (0.5, 0.5)),
+        (lambda: new_ifs(0.45, [(0.0,), (1.0,), (3.0,)]), (0.2, 0.3, 0.5)),
+        (lambda: triangle_system(0.7), (0.2, 0.3, 0.5)),
+        (lambda: new_ifs(0.8, TETRAHEDRON), (0.1, 0.2, 0.3, 0.4)),
+    ], ids=["line-0.53", "digits013-0.45", "triangle-0.7", "tetrahedron-0.8"])
+    def test_points_are_word_sums_of_their_digits(self, make, probs):
+        # the kernel's one order of summation, bit for bit, in d = 1, 2 and 3
+        s = make()
+        pts, digits = sample_natural_measure(MeasureSampler(s, probs, seed=5), 300)
+        assert np.array_equal(pts, word_sum_reference(s, digits.tolist(), centroid(s)))
 
     def test_degenerate_probs_collapse_to_anchor(self):
         s = triangle_system(0.5)
@@ -107,6 +120,16 @@ def test_attractor_cloud_matches_word_sums(name, make, eps):
     assert np.array_equal(cloud, want)  # bit for bit, row order included
     for e in (4 * eps, 2 * eps, eps, 0.7 * eps):
         assert mesh_count(cloud, e) == reference_mesh_count(cloud, e)
+
+
+@pytest.mark.parametrize("name,make,eps", CLOUD_CASES, ids=[c[0] for c in CLOUD_CASES])
+def test_sampled_points_are_cloud_points(name, make, eps):
+    # a sample and a cloud row with the same digits are the same bits
+    s = make()
+    cloud = attractor_point_cloud(s, eps)
+    K = round(math.log(len(cloud), s.m))
+    pts, digits = sample_natural_measure(MeasureSampler(s, (1 / s.m,) * s.m, seed=3, trunc=K), 200)
+    assert np.array_equal(pts, cloud[digits @ s.m ** np.arange(K)])
 
 
 @pytest.mark.parametrize("eps", [math.inf, 0.0, -0.1, math.nan])

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,33 @@ class TestCli:
         code = main(["box-dim", "--ifs", str(p), "--set", "attractor",
                      "--eps", "0.01,0.005,0.0025,1e-12", "--out", str(tmp_path / "x.csv")])
         assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("lam, points", [
+        # ell = 23, so the block table would hold 2^23 words
+        (0.5000001, [[0], [1]]),
+        # the hull fills 5e-10 of its bounding box, so uniform draws almost never land in it
+        (0.7, [[0, 0], [1, 1], [0.5, 0.500000001]]),
+    ], ids=["block-table", "thin-hull"])
+    def test_wn_coverage_budget_exits_3_with_one_line(self, tmp_path, capsys, lam, points):
+        p = tmp_path / "ifs.json"
+        p.write_text(json.dumps({"lambda": lam, "points": points}))
+        start = time.perf_counter()
+        assert main(["wn-coverage", "--ifs", str(p), "--n", "2", "--samples", "100", "--seed", "1"]) == 3
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_bare_memory_error_is_named(self, tri_json, monkeypatch, capsys):
+        # a MemoryError raised by Python code carries no message
+        def fail(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(ifslab.conditions, "vertex_overlap_witness", fail)
+        assert main(["wn-coverage", "--ifs", tri_json, "--n", "2", "--samples", "10", "--seed", "1"]) == 3
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
     @pytest.mark.parametrize("argv", [
         "sample-measure --ifs IFS --samples 1000000000000000 --seed 1",
