@@ -17,9 +17,14 @@ Float-path single chains are never certified: they report Unknown.
 
 `enumerate_prefixes` and `classify_point` walk the tree a level at a time
 through `_expand`: a float level of two or more nodes runs on the batched
-kernel `core._children_many`, every other level on the scalar
+kernel `core._children_many`, every other float level on the scalar
 `core._children`.  Both give the same remainders bit for bit, so verdicts
-and counts do not depend on which kernel ran.
+and counts do not depend on which kernel ran.  On an exact system and
+point the walkers and `feasible_children` keep each remainder as one
+integer state (`core._state`) and expand it with `core._children_exact`:
+no Fraction is built, and the canonical state is the cycle key.
+`PrefixTree.levels` reads states back as the Fractions `apply_inverse`
+gives.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, CertificateRequired, PointOutsideOmega
-from .core import IfsSystem, _children, _children_many
+from .core import IfsSystem, _children, _children_exact, _children_many, _fractions, _state
 from .geometry import DEFAULT_TOL, contains, is_exact_point
 
 NODE_BUDGET = 10**6  # most nodes a prefix tree or a classification may hold
@@ -61,14 +66,16 @@ class PrefixTree:
 
     Each level below the root is kept as it was expanded: the index of
     every node's parent in the level above, its last digit, and its
-    remainder (a list of tuples, or a (rows, d) float array from the
-    batched kernel).  `counts` reads only their lengths; `levels` builds
-    the PrefixNode lists, levels[k] holding depth k, on first read.
+    remainder (a list of tuples, a (rows, d) float array from the batched
+    kernel, or a list of integer states on the exact path).  `counts` reads
+    only their lengths; `levels` builds the PrefixNode lists, levels[k]
+    holding depth k, on first read, with exact remainders as Fractions.
     """
 
-    def __init__(self, point, steps):
+    def __init__(self, point, steps, exact):
         self.point = point
         self._steps = steps  # [(parents, digits, remainders)] for depths 1, 2, ...
+        self._exact = exact
 
     @property
     def counts(self):
@@ -80,6 +87,8 @@ class PrefixTree:
         for parents, digits, rems in self._steps:
             if isinstance(rems, np.ndarray):
                 parents, digits, rems = parents.tolist(), digits.tolist(), map(tuple, rems.tolist())
+            elif self._exact:
+                rems = map(_fractions, rems)
             above = out[-1]
             out.append([PrefixNode(prefix=above[i].prefix + (j,), remainder=r)
                         for i, j, r in zip(parents, digits, rems)])
@@ -111,7 +120,8 @@ def feasible_children(sys: IfsSystem, x):
     A superset of the true first address digits of x, and equal to them
     when the attractor has no holes.
     """
-    return tuple(j for j, _ in _children(sys, x))
+    exact, r = _root(sys, x)
+    return tuple(j for j, _ in (_children_exact(sys, r) if exact else _children(sys, r)))
 
 
 def enumerate_prefixes(sys: IfsSystem, x, depth: int) -> PrefixTree:
@@ -125,39 +135,51 @@ def enumerate_prefixes(sys: IfsSystem, x, depth: int) -> PrefixTree:
     _check_depth(depth)
     budget = NODE_BUDGET
     x = tuple(x)
+    exact, root = _root(sys, x)
     steps = []
-    frontier = [x]
+    frontier = [root]
     total = 1
     for dep in range(depth):
-        parents, digits, frontier = _expand(sys, frontier)
+        parents, digits, frontier = _expand(sys, frontier, exact=exact)
         steps.append((parents, digits, frontier))
         total += len(digits)
         if total > budget:
             raise BudgetExceeded(f"prefix tree exceeded {budget} nodes at depth {dep + 1}")
         if not len(digits):
             break
-    return PrefixTree(point=x, steps=steps)
+    return PrefixTree(point=x, steps=steps, exact=exact)
 
 
-def _expand(sys, frontier, tol=DEFAULT_TOL):
+def _root(sys, x):
+    """(exact, root node): x's integer state on an exact system and point, else the tuple x."""
+    x = tuple(x)
+    if sys.is_exact and is_exact_point(x):
+        return True, _state(x)
+    return False, x
+
+
+def _expand(sys, frontier, tol=DEFAULT_TOL, exact=False):
     """(parents, digits, remainders) of every feasible child of a level, node-major.
 
-    The one level step of `enumerate_prefixes` and `classify_point`.  A
-    level of two or more float remainders goes through the batched kernel
-    as one (rows, d) array, and its children stay one.  A single node, or
-    a level in exact or mixed arithmetic, steps through the scalar kernel.
-    Either way every remainder is bit for bit what `_children` computes.
+    The one level step of `enumerate_prefixes` and `classify_point`.  An
+    exact level is a list of integer states, expanded one node at a time by
+    `_children_exact`.  A level of two or more float remainders goes
+    through the batched kernel as one (rows, d) array, and its children
+    stay one.  A single float node, or a level in mixed arithmetic, steps
+    through the scalar kernel.  Either way every float remainder is bit for
+    bit what `_children` computes.
     """
-    if isinstance(frontier, np.ndarray):
-        if len(frontier) >= 2:
-            return _children_many(sys, frontier, tol)
-        frontier = [tuple(r) for r in frontier.tolist()]
-    elif len(frontier) >= 2 and all(type(v) is float for v in frontier[0]):
-        # every remainder of a level has the same coordinate types
-        return _children_many(sys, np.array(frontier), tol)
+    if not exact:
+        if isinstance(frontier, np.ndarray):
+            if len(frontier) >= 2:
+                return _children_many(sys, frontier, tol)
+            frontier = [tuple(r) for r in frontier.tolist()]
+        elif len(frontier) >= 2 and all(type(v) is float for v in frontier[0]):
+            # every remainder of a level has the same coordinate types
+            return _children_many(sys, np.array(frontier), tol)
     parents, digits, rems = [], [], []
     for i, r in enumerate(frontier):
-        for j, rj in _children(sys, r, tol):
+        for j, rj in _children_exact(sys, r) if exact else _children(sys, r, tol):
             parents.append(i)
             digits.append(j)
             rems.append(rj)
@@ -189,9 +211,9 @@ def _check_depth(depth):
 def first_bifurcation(sys: IfsSystem, x, depth: int):
     """Least n at which a common prefix of length n has two feasible continuations."""
     _check_depth(depth)
-    r = tuple(x)
+    exact, r = _root(sys, x)
     for dep in range(depth):
-        ch = _children(sys, r)
+        ch = _children_exact(sys, r) if exact else _children(sys, r)
         if len(ch) >= 2:
             return dep
         if not ch:
@@ -243,13 +265,12 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
         if not contains(sys.omega, x, tol=tol):
             raise PointOutsideOmega(f"{x} is outside Omega")
     budget = NODE_BUDGET
-    x = tuple(x)
-    exact = sys.is_exact and is_exact_point(x)
+    exact, root = _root(sys, x)
 
-    frontier = [x]
+    frontier = [root]
     counts = [1]
     bifurcation = None
-    seen = {x: 0} if exact else None
+    seen = {root: 0} if exact else None  # integer states are canonical cycle keys
     chain_digits = []  # None once the tree forks
     total_nodes = 1
 
@@ -257,7 +278,7 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
         return ClassificationReport(verdict, explored, bifurcation, counts, certificate, exact)
 
     for dep in range(depth):
-        parents, digits, frontier = _expand(sys, frontier, tol)
+        parents, digits, frontier = _expand(sys, frontier, tol, exact)
         n = len(digits)
         room = budget - total_nodes  # children the level may add
         forks = _fork_spans(parents) if n >= 2 and (no_holes_certified or bifurcation is None) else ()

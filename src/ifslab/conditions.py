@@ -36,6 +36,7 @@ from .geometry import contains, sample_uniform
 
 ELL_CAP = 64
 FRONTIER_CAP = 20_000_000  # rows across all samples in the block and covering searches
+PAIR_BUDGET = 1_000_000  # most (row, block word) pairs the block search lays out at once
 
 
 def osc_failure_sufficient(sys: IfsSystem):
@@ -225,7 +226,8 @@ def wn_entry_depths(sys: IfsSystem, w: OverlapWitness, pts, n_max: int):
     Level-synchronous search over block words: a word is expanded only while
     it avoids the forcing block, because once the block is consumable the
     no-holes hypothesis guarantees a feasible continuation of any length.
-    Both steps invert block maps x -> beta*x + T[u] in the batched kernel.
+    Both steps invert block maps x -> beta*x + T[u] in the batched kernel,
+    the avoiding step on at most PAIR_BUDGET (row, word) pairs at a time.
     """
     beta, T, idx0 = _block_tables(sys, w)
     T0 = T[idx0:idx0 + 1]
@@ -246,11 +248,28 @@ def wn_entry_depths(sys: IfsSystem, w: OverlapWitness, pts, n_max: int):
         s = s[keep]
         if k == n_max or len(r) == 0:
             break
-        parent, _, r = _feasible_many(sys.omega, r, T_avoid, beta)
+        parent, r = _avoiding_children(sys.omega, r, T_avoid, beta)
         s = s[parent]
-        if len(r) > FRONTIER_CAP:
-            raise BudgetExceeded(f"block-word frontier exceeded {FRONTIER_CAP} rows")
     return entry
+
+
+def _avoiding_children(omega, X, shifts, scale):
+    """(parents, remainders) of `_feasible_many`, laid out PAIR_BUDGET pairs at a time.
+
+    Rows go to `_feasible_many` in chunks, each chunk's pairs row-major, so
+    the concatenation is its order on all rows at once.  Children past
+    FRONTIER_CAP raise BudgetExceeded at the chunk that brings them there.
+    """
+    step = max(1, PAIR_BUDGET // len(shifts))
+    parents, rems, total = [], [], 0
+    for a in range(0, len(X), step):
+        parent, _, rem = _feasible_many(omega, X[a:a + step], shifts, scale)
+        total += len(rem)
+        if total > FRONTIER_CAP:
+            raise BudgetExceeded(f"block-word frontier exceeded {FRONTIER_CAP} rows")
+        parents.append(parent + a)
+        rems.append(rem)
+    return np.concatenate(parents), np.concatenate(rems)
 
 
 def wn_membership(sys: IfsSystem, w: OverlapWitness, x, n: int) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -71,6 +72,26 @@ class IfsSystem:
         a = np.array([[float(v) for v in c] for c in self.shifts])
         a.flags.writeable = False
         return a
+
+    @cached_property
+    def int_steps(self) -> tuple:
+        """(Q, C, v, Q*u, rows, K): the exact inverse steps on integer states, built once.
+
+        With lam = u/v and the shifts c_j = C[j]/Q over one denominator, the
+        state (N_1, ..., N_d, D) of N/D steps to N' = (N*Q - C_j*D)*v over
+        D' = D*Q*u (`_step`).  The child passes Omega's primitive facet row
+        n.x <= B when n.N' <= B*D', that is when v*Q*(n.N) <= D*K[j][f] with
+        K[j][f] = v*(n.C_j) + u*Q*B; `rows` holds the v*Q*n.
+        """
+        lam = Fraction(self.lam)
+        u, v = lam.numerator, lam.denominator
+        sh = [[Fraction(c) for c in s] for s in self.shifts]
+        q = math.lcm(*(c.denominator for s in sh for c in s))
+        C = tuple(tuple(c.numerator * (q // c.denominator) for c in s) for s in sh)
+        hs = self.omega.halfspaces
+        rows = tuple(tuple(v * q * a for a in n) for n, _, _ in hs)
+        K = tuple(tuple(v * sum(map(operator.mul, n, c)) + u * q * b for n, b, _ in hs) for c in C)
+        return q, C, v, q * u, rows, K
 
     @cached_property
     def facet_slacks(self) -> tuple:
@@ -138,46 +159,84 @@ def apply_inverse(sys: IfsSystem, j: int, x):
     """f_j^{-1}(x) = (x - c_j) / lam, with c_j = (1-lam)*p_j read from `sys.shifts`.
 
     On floats this is the inline (x - (1-lam)*p_j) / lam bit for bit.  On
-    an exact system and point it is `_inverse_exact`.
+    an exact system and point it is `_step` on x's integer state, read
+    back as one Fraction per coordinate.
     """
     _check_digit(sys, j)
     if sys.is_exact and is_exact_point(x):
-        return _inverse_exact(sys.lam, sys.shifts[j], x)
+        q, C, v, qu, _, _ = sys.int_steps
+        return _fractions(_step(_state(x), q, C[j], v, qu))
     lam = sys.lam
     return tuple((xi - ci) / lam for xi, ci in zip(x, sys.shifts[j]))
 
 
-def _inverse_exact(lam, c, x):
-    """(x - c)/lam with each coordinate one Fraction built from integers.
+def _state(x):
+    """(N_1, ..., N_d, D): an exact point over the lcm D of its denominators, in lowest terms.
 
-    (a/b - e/f) * v/u = (a*f - e*b)*v / (b*f*u) for lam = u/v, reduced by a
-    single gcd.  Kept out of `apply_inverse`, whose float path then pays
-    nothing for it.
+    Each coordinate is in lowest terms, so the entries have gcd 1 and equal
+    points give equal states.
     """
-    u, v = lam.numerator, lam.denominator
-    return tuple(Fraction((xi.numerator * ci.denominator - ci.numerator * xi.denominator) * v,
-                          xi.denominator * ci.denominator * u)
-                 for xi, ci in zip(x, c))
+    den = math.lcm(*(v.denominator for v in x))
+    return (*(v.numerator * (den // v.denominator) for v in x), den)
+
+
+def _fractions(state):
+    """The point N/D of an integer state, one Fraction per coordinate."""
+    *nums, den = state
+    return tuple(Fraction(n, den) for n in nums)
+
+
+def _step(state, q, c, v, qu):
+    """The state of f_j^{-1}(N/D) = (N*Q - C_j*D)*v / (D*Q*u), reduced by one gcd.
+
+    The one exact inverse step: `apply_inverse` and `_children_exact` both
+    take it, with (Q, C_j, v, Q*u) from `IfsSystem.int_steps`.
+    """
+    *nums, den = state
+    out = [(n * q - cn * den) * v for n, cn in zip(nums, c)]
+    den *= qu
+    g = math.gcd(den, *out)
+    return (*[n // g for n in out], den // g)
 
 
 def _children(sys: IfsSystem, x, tol=DEFAULT_TOL):
     """[(j, f_j^{-1}(x))] for every digit j whose image lies in Omega (closed test).
 
-    The one scalar feasibility kernel: the address walkers expand their
-    nodes here, on floats or exactly on rationals, except for the wide
-    float levels of `enumerate_prefixes` and `classify_point`, which
-    `addresses._expand` sends to its batched twin `_children_many`.  The shifts
-    c_j come cached on the system, and on the exact path `apply_inverse`
-    and `contains` both work on integers.  It is private because
-    bench/tracing.py wraps every public function, and its per-layer counts
-    need each apply_inverse and contains call to stay a direct child of the
-    walker that asked for it.
+    The scalar feasibility kernel on floats: the address walkers expand
+    their float nodes here, except for the wide float levels of
+    `enumerate_prefixes` and `classify_point`, which `addresses._expand`
+    sends to its batched twin `_children_many`.  Their exact nodes are
+    integer states, expanded by `_children_exact`; given exact inputs this
+    function still answers exactly, through `apply_inverse` and `contains`.
+    It is private because bench/tracing.py wraps every public function,
+    and its per-layer counts need each apply_inverse and contains call to
+    stay a direct child of the walker that asked for it.
     """
     out = []
     for j in range(sys.m):
         r = apply_inverse(sys, j, x)
         if contains(sys.omega, r, tol=tol):
             out.append((j, r))
+    return out
+
+
+def _children_exact(sys: IfsSystem, state):
+    """[(j, child state)]: `_children` on an exact remainder kept as its integer `_state`.
+
+    The closed test takes the node's facet products v*Q*(n.N) once and
+    compares them with D*K[j][f] (`IfsSystem.int_steps`); only feasible
+    children take the `_step`, and no Fraction is built.
+    """
+    q, C, v, qu, rows, K = sys.int_steps
+    *nums, den = state
+    tops = [sum(map(operator.mul, n, nums)) for n in rows]
+    out = []
+    for j, kj in enumerate(K):
+        for t, k in zip(tops, kj):
+            if t > den * k:
+                break
+        else:
+            out.append((j, _step(state, q, C[j], v, qu)))
     return out
 
 

@@ -216,7 +216,8 @@ def gamma_uniqueness_scan(lam, resolution: int = 60, max_steps: int = 400):
     A cell (i0, i1, i2)/resolution lies in Gamma_i when i_i < res*(1-lam)/lam
     and every other i_j < res*(1-lam).  For integers these read i_i <= wide
     and i_j <= narrow, with both bounds computed once, so the test needs no
-    Fraction per cell.
+    Fraction per cell.  As wide >= narrow, a cell lies in some Gamma_i
+    exactly when its middle entry is <= narrow and its largest <= wide.
     """
     lam = Fraction(lam)
     if not (0 < lam < 1):
@@ -227,8 +228,8 @@ def gamma_uniqueness_scan(lam, resolution: int = 60, max_steps: int = 400):
     for ix in range(1, resolution):
         for iy in range(1, resolution - ix):
             cell = (ix, iy, resolution - ix - iy)
-            if not any(cell[i] <= wide and all(c <= narrow for j, c in enumerate(cell) if j != i)
-                       for i in range(3)):
+            _, mid, top = sorted(cell)
+            if mid > narrow or top > wide:
                 continue
             t = BarycentricTriple(*(Fraction(c, resolution) for c in cell))
             r = digit_forcing(lam, t, max_steps=max_steps)

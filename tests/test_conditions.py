@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -310,6 +311,44 @@ class TestWn:
         got = [wn_membership(s, w, p, 1) for p in pts]
         assert got == [brute_force_wn(s, w, p, 1) for p in pts]
         assert any(got) and not all(got)
+
+    @pytest.mark.parametrize("budget", [1, 7, 500])
+    def test_pair_budget_keeps_every_level_row_major(self, tri, budget, monkeypatch):
+        s, w = tri
+        rng = np.random.default_rng(29)
+        pts = rng.random((300, 2)) * [1.2, 1.2] - 0.1
+        want = wn_entry_depths(s, w, pts, 7)
+        beta, T, _ = conditions._block_tables(s, w)
+        X = pts[:120]
+        parent, _, rem = core._feasible_many(s.omega, X, T, beta)
+        monkeypatch.setattr(conditions, "PAIR_BUDGET", budget)
+        got_parent, got_rem = conditions._avoiding_children(s.omega, X, T, beta)
+        assert got_parent.tolist() == parent.tolist()
+        assert got_rem.tobytes() == rem.tobytes()
+        assert wn_entry_depths(s, w, pts, 7).tolist() == want.tolist()
+
+    def test_frontier_cap_fires_inside_a_chunked_level(self, tri, monkeypatch):
+        s, w = tri
+        monkeypatch.setattr(conditions, "PAIR_BUDGET", 30)
+        monkeypatch.setattr(conditions, "FRONTIER_CAP", 40)
+        pts = np.random.default_rng(3).random((50, 2)) * 0.5
+        with pytest.raises(BudgetExceeded, match="block-word frontier exceeded 40 rows"):
+            wn_entry_depths(s, w, pts, 5)
+
+    def test_long_block_memory_stays_within_the_pair_budget(self):
+        # lam just above 1/2 on {0, 1}: the block has length 16, so every
+        # row meets 65535 block words; 60 rows took 99 MB laid out at once
+        s = unit_system(0.50001)
+        w = vertex_overlap_witness(s)
+        assert w.ell == 16
+        tracemalloc.start()
+        try:
+            frac, _ = wn_coverage_estimate(s, w, 2, samples=60, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert frac == 1.0
+        assert peak < 48 * 2**20
 
     def test_requires_certificate(self):
         s = triangle_system(0.6)  # below the 2/3 threshold

@@ -2,24 +2,37 @@
 
 `geometry.contains` (exact path), `triangle.digit_forcing` and
 `triangle.gamma_uniqueness_scan` compute with integer numerators instead of
-one Fraction per operation, and `core.apply_inverse` reads cached shifts.
-Each reference below is the plain Fraction formula; the fast paths must
-agree with it exactly.
+one Fraction per operation.  The exact address walk (`classify_point`,
+`enumerate_prefixes`, `first_bifurcation`, `feasible_children`) carries
+each remainder as one integer state (N_1, ..., N_d, D) through
+`core._children_exact`, and `core.apply_inverse` takes the same integer
+step.  Each reference below is the plain Fraction formula, the address
+walker a node-at-a-time loop over Fraction tuples; the fast paths must
+agree with it exactly, verdicts, counts, certificates and remainders.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ifslab import triangle
+from ifslab import addresses, core, triangle
+from ifslab.addresses import (
+    Mode,
+    classify_point,
+    enumerate_prefixes,
+    feasible_children,
+    first_bifurcation,
+)
 from ifslab.cli import main
-from ifslab.core import apply_inverse, image_polytope, new_ifs
+from ifslab.core import apply_inverse, image_polytope, new_ifs, project_prefix
+from ifslab.errors import BudgetExceeded
 from ifslab.geometry import contains, contains_many, hull_polytope
 from ifslab.triangle import (
     BarycentricTriple,
@@ -186,12 +199,17 @@ def test_float_apply_inverse_matches_inline_formula(points):
 
 
 def test_exact_apply_inverse_matches_fraction_formula():
-    s = new_ifs(F(13, 20), POLYTOPES["skew-triangle"])
-    for x in [(F(1, 3), F(1, 4)), (0, 1), (F(-7, 9), F(22, 7))]:
-        for j, p in enumerate(s.points):
-            want = tuple((F(xi) - (1 - s.lam) * pi) / s.lam for xi, pi in zip(x, p))
-            got = apply_inverse(s, j, x)
-            assert got == want and all(type(v) is Fraction for v in got)
+    for pts in POLYTOPES.values():
+        s = new_ifs(F(13, 20), pts)
+        for x in [(F(1, 3), F(1, 4), F(2, 9)), (0, 1, 0), (F(-7, 9), F(22, 7), 5)]:
+            x = x[:s.d]
+            for j, p in enumerate(s.points):
+                want = tuple((F(xi) - (1 - s.lam) * pi) / s.lam for xi, pi in zip(x, p))
+                got = apply_inverse(s, j, x)
+                assert got == want and all(type(v) is Fraction for v in got)
+            state = core._state(x)  # the integer state apply_inverse steps from
+            assert core._fractions(state) == tuple(F(v) for v in x)
+            assert math.gcd(*state) == 1 and state[-1] > 0
 
 
 IMAGE_CASES = {
@@ -242,3 +260,210 @@ def test_classify_grid_over_budget_exits_3_with_one_line(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: grid of resolution 400")
     assert not out.exists()
 
+
+
+# ---------------------------------------------------------------------------
+# the exact address walk against a Fraction reference walker
+
+
+WALK_SYSTEMS = {
+    "digits01-13/20": (F(13, 20), [(0,), (1,)]),
+    "digits013-11/20": (F(11, 20), [(0,), (1,), (3,)]),
+    "triangle-7/10": (F(7, 10), RIGHT_TRIANGLE),
+    "skew-triangle-5/7": (F(5, 7), POLYTOPES["skew-triangle"]),
+    "rectangle-3/5": (F(3, 5), [(0, 0), (2, 0), (2, 1), (0, 1)]),
+    "tetrahedron-3/4": (F(3, 4), TETRAHEDRON),
+    "skew-tetrahedron-4/5": (F(4, 5), POLYTOPES["skew-tetrahedron"]),
+}
+
+
+def _walk_system(name):
+    lam, pts = WALK_SYSTEMS[name]
+    return new_ifs(lam, _exact(pts))
+
+
+def _ref_children(sys, x):
+    """[(j, f_j^{-1}(x))] in plain Fractions, tested on the facets in Fractions."""
+    lam = F(sys.lam)
+    out = []
+    for j, p in enumerate(sys.points):
+        y = tuple((F(v) - (1 - lam) * F(pv)) / lam for v, pv in zip(x, p))
+        if _contains_reference(sys.omega, y):
+            out.append((j, y))
+    return out
+
+
+def _ref_first_bifurcation(sys, x, depth):
+    for dep in range(depth):
+        ch = _ref_children(sys, x)
+        if len(ch) != 1:
+            return dep if ch else None
+        x = ch[0][1]
+    return None
+
+
+def _ref_levels(sys, x, depth, budget):
+    """[[(prefix, remainder)] per depth], node-major; BudgetExceeded past `budget` nodes."""
+    levels = [[((), tuple(x))]]
+    total = 1
+    for _ in range(depth):
+        level = [(w + (j,), y) for w, r in levels[-1] for j, y in _ref_children(sys, r)]
+        total += len(level)
+        if total > budget:
+            raise BudgetExceeded
+        levels.append(level)
+        if not level:
+            break
+    return levels
+
+
+def _ref_classify(sys, x, depth, certified, budget):
+    """(verdict, explored, first bifurcation, counts, cycle) from a walk one node at a time.
+
+    The first node of a level with two children certifies multiplicity
+    under `certified`, when its first child's index in the level is at most
+    the room left in the budget; a single chain certifies uniqueness at the
+    first remainder it has seen before.
+    """
+    x = tuple(x)
+    frontier, counts, bif, seen, chain, total = [x], [1], None, {x: 0}, [], 1
+    for dep in range(depth):
+        level, room = [], budget - total
+        for r in frontier:
+            ch = _ref_children(sys, r)
+            if len(ch) >= 2 and bif is None:
+                bif = dep
+                if certified and len(level) <= room:
+                    return "multiple-certified", dep + 1, bif, counts + [len(level) + len(ch)], None
+            level += ch
+        total += len(level)
+        if total > budget:
+            raise BudgetExceeded
+        counts.append(len(level))
+        if not level:
+            return "unknown", dep + 1, bif, counts, None
+        frontier = [y for _, y in level]
+        if chain is not None and len(level) == 1:
+            chain.append(level[0][0])
+            y = frontier[0]
+            if y in seen:
+                return "unique-certified", dep + 1, bif, counts, (seen[y], dep + 1 - seen[y], tuple(chain))
+            seen[y] = dep + 1
+        else:
+            chain = None
+    return "multiple-likely" if counts[-1] >= 2 else "unknown", depth, bif, counts, None
+
+
+def _walk_points(sys, rng):
+    """Rationals of unequal denominators in and near Omega, ints mixed in, and periodic points."""
+    lo, hi = (tuple(F(v) for v in b) for b in sys.omega.bounding_box())
+    out = [tuple(sys.points[0])]
+    for _ in range(5):
+        dens = rng.integers(2, 400, size=sys.d).tolist()
+        out.append(tuple(a + F(int(rng.integers(0, k + 1)), k) * (b - a)
+                         for a, b, k in zip(lo, hi, dens)))
+    out.append(tuple(int(v) for v in lo))
+    zero = (F(0),) * sys.d
+    for w in ((0,), (1, 0), (sys.m - 1, 0, 1), (0, 0, 1)):
+        out.append(tuple(v / (1 - sys.lam ** len(w)) for v in project_prefix(sys, w, zero)))
+    return out
+
+
+def _report(rep):
+    c = rep.certificate
+    return (rep.verdict.value, rep.explored_depth, rep.first_bifurcation, rep.prefix_counts,
+            None if c is None else (c.entry_depth, c.period, c.digits))
+
+
+def _walk_outputs(sys, x, depth):
+    tree = enumerate_prefixes(sys, x, depth)
+    return (feasible_children(sys, x), first_bifurcation(sys, x, 3 * depth), tree.counts,
+            [[(nd.prefix, nd.remainder) for nd in lv] for lv in tree.levels],
+            _report(classify_point(sys, x, 2 * depth)),
+            _report(classify_point(sys, x, 3 * depth, mode=Mode.EXACT_NO_HOLES,
+                                   no_holes_certified=True)))
+
+
+@pytest.mark.parametrize("name", list(WALK_SYSTEMS))
+def test_exact_walk_matches_fraction_reference_walker(name):
+    sys = _walk_system(name)
+    depth = 5 if sys.d < 3 else 4  # trees grow like (m*lam)^depth
+    rng = np.random.default_rng(len(name))
+    verdicts = set()
+    for x in _walk_points(sys, rng):
+        inside = _contains_reference(sys.omega, tuple(F(v) for v in x))
+        assert feasible_children(sys, x) == tuple(j for j, _ in _ref_children(sys, x))
+        assert first_bifurcation(sys, x, 40) == _ref_first_bifurcation(sys, x, 40)
+        tree = enumerate_prefixes(sys, x, depth)
+        want = _ref_levels(sys, x, depth, addresses.NODE_BUDGET)
+        assert tree.counts == [len(lv) for lv in want]
+        got = [[(nd.prefix, nd.remainder) for nd in lv] for lv in tree.levels]
+        assert got == want
+        assert all(type(v) is Fraction for lv in tree.levels[1:] for nd in lv for v in nd.remainder)
+        for certified in (False, True) if inside else (False,):
+            rep = classify_point(sys, x, 2 * depth, no_holes_certified=certified)
+            assert rep.exact
+            assert _report(rep) == _ref_classify(sys, x, 2 * depth, certified, addresses.NODE_BUDGET)
+            verdicts.add(rep.verdict.value)
+    assert len(verdicts) >= 2
+
+
+def test_exact_walk_inputs_reach_every_verdict():
+    seen = set()
+    for name in WALK_SYSTEMS:
+        sys = _walk_system(name)
+        depth = 10 if sys.d < 3 else 8  # as in the comparison above
+        for x in _walk_points(sys, np.random.default_rng(len(name))):
+            inside = _contains_reference(sys.omega, tuple(F(v) for v in x))
+            for certified in (False, True) if inside else (False,):
+                seen.add(classify_point(sys, x, depth, no_holes_certified=certified).verdict.value)
+    assert seen == {"unique-certified", "multiple-certified", "multiple-likely", "unknown"}
+
+
+@pytest.mark.parametrize("name, x", [
+    ("digits013-11/20", (F(7, 5),)),
+    ("triangle-7/10", (F(2, 7), F(1, 3))),
+    ("tetrahedron-3/4", (F(1, 5), F(2, 7), F(1, 4))),
+])
+def test_exact_walk_budget_matches_fraction_reference_walker(name, x, monkeypatch):
+    sys = _walk_system(name)
+    raised = set()
+    for budget in (3, 12, 40, 150):
+        monkeypatch.setattr(addresses, "NODE_BUDGET", budget)
+        for certified in (False, True):
+            try:
+                want = _ref_classify(sys, x, 8, certified, budget)
+            except BudgetExceeded:
+                with pytest.raises(BudgetExceeded, match=f"exceeded {budget} nodes"):
+                    classify_point(sys, x, 8, no_holes_certified=certified)
+                raised.add(certified)
+            else:
+                assert _report(classify_point(sys, x, 8, no_holes_certified=certified)) == want
+        try:
+            want = _ref_levels(sys, x, 6, budget)
+        except BudgetExceeded:
+            with pytest.raises(BudgetExceeded, match=f"exceeded {budget} nodes"):
+                enumerate_prefixes(sys, x, 6)
+        else:
+            assert [[(nd.prefix, nd.remainder) for nd in lv]
+                    for lv in enumerate_prefixes(sys, x, 6).levels] == want
+    assert False in raised  # a certified walk may certify before the budget runs out
+
+
+def test_exact_walk_never_calls_apply_inverse(monkeypatch):
+    cases = []
+    for name in ("digits013-11/20", "skew-triangle-5/7", "skew-tetrahedron-4/5"):
+        sys = _walk_system(name)
+        for x in _walk_points(sys, np.random.default_rng(1)):
+            if _contains_reference(sys.omega, tuple(F(v) for v in x)):
+                cases.append((sys, x, _walk_outputs(sys, x, 4)))
+
+    def refuse(*args):
+        raise AssertionError("the exact walk stepped through apply_inverse")
+
+    monkeypatch.setattr(core, "apply_inverse", refuse)
+    with pytest.raises(AssertionError, match="apply_inverse"):
+        core._children(cases[0][0], cases[0][1])  # the patch reaches the scalar float kernel
+    assert len(cases) >= 12
+    for sys, x, want in cases:
+        assert _walk_outputs(sys, x, 4) == want
