@@ -205,9 +205,8 @@ def _children(sys: IfsSystem, x, tol=DEFAULT_TOL):
     The scalar feasibility kernel on floats: the address walkers expand
     their float nodes here, except for the wide float levels of
     `enumerate_prefixes` and `classify_point`, which `addresses._expand`
-    sends to its batched twin `_children_many`.  Their exact nodes are
-    integer states, expanded by `_children_exact`; given exact inputs this
-    function still answers exactly, through `apply_inverse` and `contains`.
+    sends to its batched twin `_children_many`.  No exact node comes here:
+    the walkers keep it as an integer state, expanded by `_children_exact`.
     It is private because bench/tracing.py wraps every public function,
     and its per-layer counts need each apply_inverse and contains call to
     stay a direct child of the walker that asked for it.
@@ -225,7 +224,8 @@ def _children_exact(sys: IfsSystem, state):
 
     The closed test takes the node's facet products v*Q*(n.N) once and
     compares them with D*K[j][f] (`IfsSystem.int_steps`); only feasible
-    children take the `_step`, and no Fraction is built.
+    children take the `_step`, and no Fraction is built.  It expands every
+    exact node of the address walkers and of `triangle._force`.
     """
     q, C, v, qu, rows, K = sys.int_steps
     *nums, den = state

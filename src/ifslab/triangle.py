@@ -1,19 +1,24 @@
 """Closed forms and the digit-forcing procedure for the three-map triangle family.
 
-Everything here works in normalised barycentric coordinates (x, y, z) with
+The closed forms work in normalised barycentric coordinates (x, y, z) with
 x + y + z = 1: the three maps act on a triple as t -> lam*t + (1-lam)*e_j, so
 all the inequalities below are independent of the actual triangle shape.
 Cartesian systems are converted through an affine change of basis first.
+
+Digit forcing walks the exact triangle (1,0), (0,1), (0,0) on the core exact
+kernel, where the triple (x, y, z) is the point (x, y) and f_j^{-1} its digit step.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+from .core import _children_exact, _state, new_ifs
 from .errors import DimensionMismatch, IrrationalInput
 
 SUM_TOL = 1e-12
@@ -111,14 +116,14 @@ class ForcingResult:
 
 
 def digit_forcing(lam, target, max_steps: int = 10_000) -> ForcingResult:
-    """Force the digit triples of a barycentric target with exact rationals.
+    """Force the digits of a barycentric target with exact rationals.
 
-    Each step divides out one power of lam from the three expansions
-    sum a_n lam^n = x/(1-lam) (and likewise y, z); a digit triple is feasible
-    when all three shifted remainders stay inside [0, 1/(1-lam)], endpoints
-    included so that uniqueness conclusions stay conservative.  Exactly one
-    feasible triple forces the step; an exact remainder repeat certifies the
-    unique address forever.
+    Digit d is feasible when (t - (1-lam)*e_d)/lam stays in the closed
+    triangle, endpoints included so that uniqueness conclusions stay
+    conservative.  The walk is `_force` on the corner triangle (see the
+    module docstring): one `core._children_exact` call per node.  Exactly
+    one feasible digit forces the step; a repeat of the reduced integer
+    state certifies the unique address forever.
     """
     if not isinstance(lam, Rational):
         raise IrrationalInput(
@@ -129,50 +134,40 @@ def digit_forcing(lam, target, max_steps: int = 10_000) -> ForcingResult:
     lam = Fraction(lam)
     if not (0 < lam < 1):
         raise ValueError(f"lambda must lie in (0,1), got {lam}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     triple = target.as_tuple() if isinstance(target, BarycentricTriple) else tuple(target)
+    if len(triple) != 3:
+        raise DimensionMismatch(f"barycentric target needs 3 coordinates, got {len(triple)}")
     if not all(isinstance(v, Rational) for v in triple):
         raise IrrationalInput("digit forcing needs exact rational target coordinates")
     triple = tuple(Fraction(v) for v in triple)
     if sum(triple) != 1:
         raise ValueError("barycentric target must satisfy x + y + z = 1 exactly")
+    return _force(_corner_system(lam), _state(triple[:2]), max_steps)
 
-    # state_c = x_c/(1-lam) as integer numerators s_c over one denominator D;
-    # with lam = u/v a digit d moves state_c to (state_c - [c == d])/lam,
-    # i.e. numerators v*t_c over u*D with t_c = s_c - D*[c == d], feasible
-    # when 0 <= t_c/(u*D) * v <= v/(v-u) for all c.  The tuple reduced by
-    # its gcd is canonical, so it is the exact cycle key.
-    u, v = lam.numerator, lam.denominator
-    q = math.lcm(*(c.denominator for c in triple))
-    state = _reduced([c.numerator * (q // c.denominator) * v for c in triple], q * (v - u))
+
+@functools.lru_cache
+def _corner_system(lam):
+    """The exact triangle (1,0), (0,1), (0,0) at a Fraction lam, built once per lam."""
+    return new_ifs(lam, [(1, 0), (0, 1), (0, 0)])
+
+
+def _force(sys, state, max_steps):
+    """The forced chain from a corner-system state; the reduced state is the cycle key."""
     seen = {state: 0}
     digits = []
-    for step in range(max_steps):
-        *s, den = state
-        cap = u * den
-        feasible = []
-        for d in range(3):
-            t = [sc - den if c == d else sc for c, sc in enumerate(s)]
-            if all(0 <= tc and tc * (v - u) <= cap for tc in t):
-                feasible.append((d, t))
-        if not feasible:
-            return ForcingResult(ForcingKind.DEAD_END, step, None, tuple(digits))
-        if len(feasible) >= 2:
-            return ForcingResult(ForcingKind.FORCED_PREFIX_THEN_BRANCH, step, None, tuple(digits))
-        d, t = feasible[0]
-        state = _reduced([tc * v for tc in t], cap)
+    for step in range(1, max_steps + 1):
+        kids = _children_exact(sys, state)
+        if len(kids) != 1:
+            kind = ForcingKind.FORCED_PREFIX_THEN_BRANCH if kids else ForcingKind.DEAD_END
+            return ForcingResult(kind, step - 1, None, tuple(digits))
+        [(d, state)] = kids
         digits.append(d)
         if state in seen:
-            return ForcingResult(
-                ForcingKind.UNIQUE_BY_CYCLE, step + 1, step + 1 - seen[state], tuple(digits)
-            )
-        seen[state] = step + 1
+            return ForcingResult(ForcingKind.UNIQUE_BY_CYCLE, step, step - seen[state], tuple(digits))
+        seen[state] = step
     return ForcingResult(ForcingKind.EXHAUSTED, max_steps, None, tuple(digits))
-
-
-def _reduced(nums, den):
-    """(*nums, den) divided by the gcd of all its entries; den > 0."""
-    g = math.gcd(den, *nums)
-    return (*(n // g for n in nums), den // g)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +213,14 @@ def gamma_uniqueness_scan(lam, resolution: int = 60, max_steps: int = 400):
     and i_j <= narrow, with both bounds computed once, so the test needs no
     Fraction per cell.  As wide >= narrow, a cell lies in some Gamma_i
     exactly when its middle entry is <= narrow and its largest <= wide.
+    A visited cell goes to `_force` as its reduced state (i0, i1, res)/gcd.
     """
     lam = Fraction(lam)
     if not (0 < lam < 1):
         raise ValueError(f"lambda must lie in (0,1), got {lam}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
+    sys = _corner_system(lam)
     wide = math.ceil(resolution * (1 - lam) / lam) - 1
     narrow = math.ceil(resolution * (1 - lam)) - 1
     out = []
@@ -231,8 +230,8 @@ def gamma_uniqueness_scan(lam, resolution: int = 60, max_steps: int = 400):
             _, mid, top = sorted(cell)
             if mid > narrow or top > wide:
                 continue
-            t = BarycentricTriple(*(Fraction(c, resolution) for c in cell))
-            r = digit_forcing(lam, t, max_steps=max_steps)
+            g = math.gcd(ix, iy, resolution)
+            r = _force(sys, (ix // g, iy // g, resolution // g), max_steps)
             if r.kind is ForcingKind.UNIQUE_BY_CYCLE:
-                out.append((t, r))
+                out.append((BarycentricTriple(*(Fraction(c, resolution) for c in cell)), r))
     return out

@@ -1,14 +1,16 @@
 """The exact path on integers, checked against Fraction references kept here.
 
-`geometry.contains` (exact path), `triangle.digit_forcing` and
-`triangle.gamma_uniqueness_scan` compute with integer numerators instead of
-one Fraction per operation.  The exact address walk (`classify_point`,
+`geometry.contains` (exact path) computes with integer numerators instead
+of one Fraction per operation.  The exact address walk (`classify_point`,
 `enumerate_prefixes`, `first_bifurcation`, `feasible_children`) carries
 each remainder as one integer state (N_1, ..., N_d, D) through
 `core._children_exact`, and `core.apply_inverse` takes the same integer
-step.  Each reference below is the plain Fraction formula, the address
-walker a node-at-a-time loop over Fraction tuples; the fast paths must
-agree with it exactly, verdicts, counts, certificates and remainders.
+step.  `triangle.digit_forcing` and `triangle.gamma_uniqueness_scan` walk
+their forced chains through the same kernel, on the corner triangle
+(1,0), (0,1), (0,0).  Each reference below is the plain Fraction formula,
+the address walker a node-at-a-time loop over Fraction tuples; the fast
+paths must agree with it exactly, verdicts, counts, certificates and
+remainders.
 """
 
 from __future__ import annotations
@@ -133,12 +135,18 @@ def test_digit_forcing_matches_fraction_reference():
     for k in range(501, 1000, 3):
         lam = F(k, 1000)
         targets = [pi_point(lam).as_tuple(), pi_prime_point(lam).as_tuple(),
-                   (F(1), F(0), F(0)), (F(0), F(1, 2), F(1, 2)), (F(1, 3), F(0), F(2, 3))]
+                   (F(1), F(0), F(0)), (F(0), F(1, 2), F(1, 2)), (F(1, 3), F(0), F(2, 3)),
+                   # outside the triangle: one or two coordinates negative
+                   (F(-1, 3), F(2, 3), F(2, 3)), (F(3, 2), F(-1, 4), F(-1, 4)),
+                   (F(1, 5), F(-1, 10), F(9, 10)),
+                   # vertices and edge points given as ints, or ints mixed with Fractions
+                   (0, 1, 0), (0, 0, 1), (F(1, 2), F(1, 2), 0), (0, F(2, 7), F(5, 7)),
+                   (1, F(1, 3), F(-1, 3)), (2, -1, 0)]
         for _ in range(3):
             den = int(rng.integers(2, 5000))
             a, b = sorted(int(v) for v in rng.integers(0, den + 1, size=2))
             targets.append((F(a, den), F(b - a, den), F(den - b, den)))
-        for t, steps in itertools.product(targets, (2, 60)):
+        for t, steps in itertools.product(targets, (0, 2, 60)):
             got = digit_forcing(lam, t, max_steps=steps)
             assert got == _forcing_reference(lam, t, steps), (lam, t)
             kinds.add(got.kind)
@@ -162,12 +170,14 @@ def _gamma_reference(lam, resolution, max_steps, visit):
 @pytest.mark.parametrize("resolution", [24, 31, 60])
 def test_gamma_scan_matches_fraction_reference(resolution, monkeypatch):
     visited = []
+    force = triangle._force
 
-    def recording(lam, target, max_steps):
-        visited.append(target)
-        return digit_forcing(lam, target, max_steps=max_steps)
+    def recording(sys, state, max_steps):
+        x, y, den = state  # the cell (x, y, den - x - y)/den of the corner triangle
+        visited.append(BarycentricTriple(F(x, den), F(y, den), F(den - x - y, den)))
+        return force(sys, state, max_steps)
 
-    monkeypatch.setattr(triangle, "digit_forcing", recording)
+    monkeypatch.setattr(triangle, "_force", recording)
     total = 0
     # 2/3 and 7/10 put res*(1-lam) or res*(1-lam)/lam on an integer
     for lam in [F(k, 1000) for k in range(667, 683)] + [F(2, 3), F(7, 10)]:
@@ -467,3 +477,40 @@ def test_exact_walk_never_calls_apply_inverse(monkeypatch):
     assert len(cases) >= 12
     for sys, x, want in cases:
         assert _walk_outputs(sys, x, 4) == want
+
+
+def test_digit_forcing_expands_only_through_the_core_kernel(monkeypatch):
+    calls = []
+    kernel = triangle._children_exact
+
+    def counting(sys, state):
+        calls.append(state)
+        return kernel(sys, state)
+
+    built = []
+
+    class CountingTriple(BarycentricTriple):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(triangle, "_children_exact", counting)
+    monkeypatch.setattr(triangle, "BarycentricTriple", CountingTriple)
+    kinds = set()
+    for lam in (F(2, 5), F(3, 5), F(7, 10)):
+        for t in (pi_point(lam).as_tuple(), (F(1, 2), F(1, 4), F(1, 4)), (1, 0, 0)):
+            for steps in (0, 2, 200):
+                calls.clear()
+                r = digit_forcing(lam, t, max_steps=steps)
+                kinds.add(r.kind)
+                # one call per walked node: the last node of a fork or dead end is walked too
+                walked = r.step + (r.kind in (ForcingKind.FORCED_PREFIX_THEN_BRANCH,
+                                              ForcingKind.DEAD_END))
+                assert len(calls) == walked, (lam, t, steps, r)
+    assert kinds == set(ForcingKind)
+    # the scan builds a triple for a hit only: none on the 40-grid at 2/3, six on the 19-grid
+    for resolution, hits in ((40, 0), (19, 6)):
+        calls.clear()
+        built.clear()
+        assert len(gamma_uniqueness_scan(F(2, 3), resolution, max_steps=100)) == hits
+        assert len(calls) > 0 and len(built) == hits

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ifslab.addresses import Verdict, classify_point
-from ifslab.errors import IrrationalInput
+from ifslab.errors import DimensionMismatch, IrrationalInput
 from ifslab.triangle import (
     BarycentricTriple,
     ForcingKind,
@@ -153,6 +153,24 @@ class TestDigitForcing:
             digit_forcing(0.6, pi_point(Fraction(3, 5)))
         with pytest.raises(IrrationalInput):
             digit_forcing(Fraction(3, 5), (0.2, 0.3, 0.5))
+
+    @pytest.mark.parametrize("target", [
+        (Fraction(1, 2), Fraction(1, 2)),
+        (Fraction(1, 4),) * 4,
+        (),
+    ])
+    def test_target_of_wrong_length_rejected(self, target):
+        with pytest.raises(DimensionMismatch, match="3 coordinates"):
+            digit_forcing(Fraction(3, 5), target)
+
+    def test_negative_max_steps_rejected(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            digit_forcing(Fraction(3, 5), pi_point(Fraction(3, 5)), max_steps=-1)
+        with pytest.raises(ValueError, match="max_steps"):
+            gamma_uniqueness_scan(Fraction(2, 3), 19, max_steps=-1)
+        # no corner region at this lambda, so the scan walks nothing; it still refuses
+        with pytest.raises(ValueError, match="max_steps"):
+            gamma_uniqueness_scan(Fraction(9, 10), 19, max_steps=-1)
 
     def test_pi_is_period_three_of_inverse_shift(self):
         # applying the three forced inverse steps returns the exact triple
