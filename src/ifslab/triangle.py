@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .core import _children_exact, _state, new_ifs
+from .core import IfsSystem, _children_exact, _state, new_ifs
 from .errors import DimensionMismatch, IrrationalInput
 
 SUM_TOL = 1e-12
+_CORNERS = new_ifs(Fraction(1, 2), [(1, 0), (0, 1), (0, 0)])  # lam is set per call
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,6 @@ def digit_forcing(lam, target, max_steps: int = 10_000) -> ForcingResult:
         raise DimensionMismatch(f"barycentric target needs 3 coordinates, got {len(triple)}")
     if not all(isinstance(v, Rational) for v in triple):
         raise IrrationalInput("digit forcing needs exact rational target coordinates")
-    triple = tuple(Fraction(v) for v in triple)
     if sum(triple) != 1:
         raise ValueError("barycentric target must satisfy x + y + z = 1 exactly")
     return _force(_corner_system(lam), _state(triple[:2]), max_steps)
@@ -149,8 +149,8 @@ def digit_forcing(lam, target, max_steps: int = 10_000) -> ForcingResult:
 
 @functools.lru_cache
 def _corner_system(lam):
-    """The exact triangle (1,0), (0,1), (0,0) at a Fraction lam, built once per lam."""
-    return new_ifs(lam, [(1, 0), (0, 1), (0, 0)])
+    """`_CORNERS` at a Fraction lam in (0, 1); a new lam reuses its hull, built at import."""
+    return IfsSystem(lam=lam, points=_CORNERS.points, omega=_CORNERS.omega)
 
 
 def _force(sys, state, max_steps):

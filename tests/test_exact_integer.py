@@ -514,3 +514,6 @@ def test_digit_forcing_expands_only_through_the_core_kernel(monkeypatch):
         built.clear()
         assert len(gamma_uniqueness_scan(F(2, 3), resolution, max_steps=100)) == hits
         assert len(calls) > 0 and len(built) == hits
+    # a new lam builds only its IfsSystem: the corner hull is the one built at import
+    digit_forcing(F(5, 11), pi_point(F(5, 11)))
+    assert triangle._corner_system(F(5, 11)).omega is triangle._CORNERS.omega
