@@ -15,16 +15,15 @@ what turns finite-depth observations into certificates:
 
 Float-path single chains are never certified: they report Unknown.
 
-`enumerate_prefixes` and `classify_point` walk the tree a level at a time
-through `_expand`: a float level of two or more nodes runs on the batched
-kernel `core._children_many`, every other float level on the scalar
-`core._children`.  Both give the same remainders bit for bit, so verdicts
-and counts do not depend on which kernel ran.  On an exact system and
-point the walkers and `feasible_children` keep each remainder as one
-integer state (`core._state`) and expand it with `core._children_exact`:
-no Fraction is built, and the canonical state is the cycle key.
-`PrefixTree.levels` reads states back as the Fractions `apply_inverse`
-gives.
+A forced chain, one feasible child a level, is walked by `_chain` alone:
+`first_bifurcation`, the chain phase of `classify_point` and the
+triangle's digit forcing.  Trees are walked a level at a time by
+`_expand`, every float level of two or more nodes on the batched kernel
+`core._children_many`, whose remainders are bit for bit those of the
+scalar `core._children`.  An exact remainder is one integer state
+(`core._state`), expanded by `core._children_exact`: no Fraction is
+built, and the state is the cycle key.  `PrefixTree.levels` reads states
+back as the Fractions `apply_inverse` gives.
 """
 
 from __future__ import annotations
@@ -133,7 +132,6 @@ def enumerate_prefixes(sys: IfsSystem, x, depth: int) -> PrefixTree:
     More than NODE_BUDGET nodes raise BudgetExceeded.
     """
     _check_depth(depth)
-    budget = NODE_BUDGET
     x = tuple(x)
     exact, root = _root(sys, x)
     steps = []
@@ -143,8 +141,8 @@ def enumerate_prefixes(sys: IfsSystem, x, depth: int) -> PrefixTree:
         parents, digits, frontier = _expand(sys, frontier, exact=exact)
         steps.append((parents, digits, frontier))
         total += len(digits)
-        if total > budget:
-            raise BudgetExceeded(f"prefix tree exceeded {budget} nodes at depth {dep + 1}")
+        if total > NODE_BUDGET:
+            raise BudgetExceeded(f"prefix tree exceeded {NODE_BUDGET} nodes at depth {dep + 1}")
         if not len(digits):
             break
     return PrefixTree(point=x, steps=steps, exact=exact)
@@ -161,8 +159,8 @@ def _root(sys, x):
 def _expand(sys, frontier, tol=DEFAULT_TOL, exact=False):
     """(parents, digits, remainders) of every feasible child of a level, node-major.
 
-    The one level step of `enumerate_prefixes` and `classify_point`.  An
-    exact level is a list of integer states, expanded one node at a time by
+    The level step of `enumerate_prefixes` and of `classify_point`'s tree
+    phase.  An exact level is a list of integer states, expanded one node at a time by
     `_children_exact`.  A level of two or more float remainders goes
     through the batched kernel as one (rows, d) array, and its children
     stay one.  A single float node, or a level in mixed arithmetic, steps
@@ -211,15 +209,32 @@ def _check_depth(depth):
 def first_bifurcation(sys: IfsSystem, x, depth: int):
     """Least n at which a common prefix of length n has two feasible continuations."""
     _check_depth(depth)
-    exact, r = _root(sys, x)
-    for dep in range(depth):
-        ch = _children_exact(sys, r) if exact else _children(sys, r)
-        if len(ch) >= 2:
-            return dep
-        if not ch:
-            return None
-        r = ch[0][1]
-    return None
+    chain, kids, _ = _chain(sys, *_root(sys, x), depth)
+    return len(chain) if kids else None
+
+
+def _chain(sys, exact, node, steps, tol=DEFAULT_TOL):
+    """(digits, children, entry): the one walk along a forced chain of feasible digits.
+
+    From `node` it follows the only feasible child, through
+    `_children_exact` on an integer state or `_children` on floats, for
+    at most `steps` levels.  At a node with no child or with two or more
+    it stops and returns those children; they are None when the steps ran
+    out or an exact state repeated.  `entry` is the step at which the
+    repeated state was first seen, else None: the chain is then periodic
+    forever, which proves the address unique.  Float states are never compared.
+    """
+    seen = {node: 0} if exact else None
+    digits = []
+    for step in range(1, steps + 1):
+        kids = _children_exact(sys, node) if exact else _children(sys, node, tol)
+        if len(kids) != 1:
+            return tuple(digits), kids, None
+        [(j, node)] = kids
+        digits.append(j)
+        if exact and seen.setdefault(node, step) < step:
+            return tuple(digits), None, seen[node]
+    return tuple(digits), None, None
 
 
 def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
@@ -243,12 +258,15 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
     * UNKNOWN -- anything else (single float chain, no cycle yet, or the
       tree died out, which in relaxed mode means x is not in the attractor).
 
-    The tree is walked a level at a time through `_expand`, so its wide
-    float levels run on the batched kernel.  Verdicts, counts and the
-    budget are those of a walk over `_children` one node at a time: the
-    certifying node is the first in node-major order that qualifies, and
-    the last count runs to its last child.  The budget is a count of
-    children: with `room` = NODE_BUDGET minus the nodes held before a
+    A chain phase follows x's one feasible child through `_chain` up to
+    the first node with none or two or more; an exact state that repeats
+    on the way is the cycle.  A tree phase then walks that node's children
+    a level at a time through `_expand`, wide float levels on the batched
+    kernel, with the verdicts and counts of a walk over `_children` one
+    node at a time: the certifying node is the first in node-major order
+    that qualifies, and the last count runs to its last child.  The budget
+    counts nodes.  A chain that fills NODE_BUDGET raises BudgetExceeded;
+    past it, with `room` = NODE_BUDGET minus the nodes held before a
     level, a fork whose first child has index a in that level may certify
     only when a <= room, and a level that brings the total past
     NODE_BUDGET without certifying raises BudgetExceeded.
@@ -266,25 +284,25 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
             raise PointOutsideOmega(f"{x} is outside Omega")
     budget = NODE_BUDGET
     exact, root = _root(sys, x)
-
-    frontier = [root]
-    counts = [1]
-    bifurcation = None
-    seen = {root: 0} if exact else None  # integer states are canonical cycle keys
-    chain_digits = []  # None once the tree forks
-    total_nodes = 1
+    chain, kids, entry = _chain(sys, exact, root, min(depth, budget), tol)
+    start = len(chain)
+    if start == budget:
+        raise BudgetExceeded(f"classification exceeded {budget} nodes at depth {budget}")
+    counts = [1] * (start + 1)
+    bifurcation = start if kids else None
 
     def report(verdict, explored, certificate=None):
         return ClassificationReport(verdict, explored, bifurcation, counts, certificate, exact)
 
-    for dep in range(depth):
-        parents, digits, frontier = _expand(sys, frontier, tol, exact)
+    if entry is not None:
+        return report(Verdict.UNIQUE_CERTIFIED, start, CycleCertificate(entry, start - entry, chain))
+    total_nodes = start + 1
+    for dep in range(start, depth):  # the first level holds the children the chain stopped at
+        parents, digits, frontier = (_expand(sys, frontier, tol, exact) if dep > start else
+                                     ([0] * len(kids), [j for j, _ in kids], [r for _, r in kids]))
         n = len(digits)
         room = budget - total_nodes  # children the level may add
-        forks = _fork_spans(parents) if n >= 2 and (no_holes_certified or bifurcation is None) else ()
-        if forks and bifurcation is None:
-            bifurcation = dep
-        for a, b in forks if no_holes_certified else ():
+        for a, b in _fork_spans(parents) if no_holes_certified else ():
             if a > room:
                 break
             if exact or _solid(sys, frontier[a:b]) >= 2:
@@ -296,16 +314,5 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
         counts.append(n)
         if not n:
             return report(Verdict.UNKNOWN, dep + 1)
-        if chain_digits is not None and n == 1:
-            # a pure chain's levels hold one node, so they stay scalar lists
-            r = frontier[0]
-            chain_digits.append(digits[0])
-            if exact:
-                if r in seen:
-                    cycle = CycleCertificate(seen[r], dep + 1 - seen[r], tuple(chain_digits))
-                    return report(Verdict.UNIQUE_CERTIFIED, dep + 1, cycle)
-                seen[r] = dep + 1
-        else:
-            chain_digits = None
 
     return report(Verdict.MULTIPLE_LIKELY if counts[-1] >= 2 else Verdict.UNKNOWN, depth)

@@ -36,7 +36,7 @@ from .geometry import contains, sample_uniform
 
 ELL_CAP = 64
 FRONTIER_CAP = 20_000_000  # rows across all samples in the block and covering searches
-PAIR_BUDGET = 1_000_000  # most (row, block word) pairs the block search lays out at once
+PAIR_BUDGET = 1_000_000  # most (row, map) pairs the block and covering searches lay out at once
 
 
 def osc_failure_sufficient(sys: IfsSystem):
@@ -80,8 +80,8 @@ def covering_deficiency(sys: IfsSystem, n: int, samples: int, seed: int):
     kernel: zero is consistent with no holes, and an excess beyond ~3
     standard errors certifies holes at that depth.  A dive along every
     sample's first feasible child covers most samples; the rest get a
-    breadth-first search over all feasible children, capped at FRONTIER_CAP
-    rows a level.
+    breadth-first search over all feasible children, laid out PAIR_BUDGET
+    pairs at a time and capped at FRONTIER_CAP rows a level.
     """
     rng = np.random.default_rng(seed)
     pts = sample_uniform(sys.omega, samples, rng)
@@ -113,10 +113,8 @@ def _reached(sys, pts, n):
     """Number of rows of pts with some chain of feasible children of depth n, breadth first."""
     r, s = pts, np.arange(len(pts))
     for _ in range(n):
-        parent, _, r = _children_many(sys, r)
+        parent, r = _chunked_children(sys.omega, r, sys.float_shifts, float(sys.lam), "covering-search")
         s = s[parent]
-        if len(r) > FRONTIER_CAP:
-            raise BudgetExceeded(f"covering-search frontier exceeded {FRONTIER_CAP} rows")
     return len(np.unique(s))
 
 
@@ -227,7 +225,8 @@ def wn_entry_depths(sys: IfsSystem, w: OverlapWitness, pts, n_max: int):
     it avoids the forcing block, because once the block is consumable the
     no-holes hypothesis guarantees a feasible continuation of any length.
     Both steps invert block maps x -> beta*x + T[u] in the batched kernel,
-    the avoiding step on at most PAIR_BUDGET (row, word) pairs at a time.
+    the avoiding step on at most PAIR_BUDGET (row, word) pairs at a time
+    (`_chunked_children`).
     """
     beta, T, idx0 = _block_tables(sys, w)
     T0 = T[idx0:idx0 + 1]
@@ -248,25 +247,27 @@ def wn_entry_depths(sys: IfsSystem, w: OverlapWitness, pts, n_max: int):
         s = s[keep]
         if k == n_max or len(r) == 0:
             break
-        parent, r = _avoiding_children(sys.omega, r, T_avoid, beta)
+        parent, r = _chunked_children(sys.omega, r, T_avoid, beta, "block-word")
         s = s[parent]
     return entry
 
 
-def _avoiding_children(omega, X, shifts, scale):
+def _chunked_children(omega, X, shifts, scale, search):
     """(parents, remainders) of `_feasible_many`, laid out PAIR_BUDGET pairs at a time.
 
-    Rows go to `_feasible_many` in chunks, each chunk's pairs row-major, so
-    the concatenation is its order on all rows at once.  Children past
-    FRONTIER_CAP raise BudgetExceeded at the chunk that brings them there.
+    The breadth-first step of the block-word and covering searches.  Rows
+    go to `_feasible_many` in chunks, each chunk's pairs row-major, so the
+    concatenation is its order on all rows at once.  Children past
+    FRONTIER_CAP raise BudgetExceeded, naming the `search`, at the chunk
+    that brings them there.
     """
     step = max(1, PAIR_BUDGET // len(shifts))
     parents, rems, total = [], [], 0
-    for a in range(0, len(X), step):
+    for a in range(0, len(X) or 1, step):  # no rows still make one empty chunk
         parent, _, rem = _feasible_many(omega, X[a:a + step], shifts, scale)
         total += len(rem)
         if total > FRONTIER_CAP:
-            raise BudgetExceeded(f"block-word frontier exceeded {FRONTIER_CAP} rows")
+            raise BudgetExceeded(f"{search} frontier exceeded {FRONTIER_CAP} rows")
         parents.append(parent + a)
         rems.append(rem)
     return np.concatenate(parents), np.concatenate(rems)

@@ -83,11 +83,9 @@ class IfsSystem:
         n.x <= B when n.N' <= B*D', that is when v*Q*(n.N) <= D*K[j][f] with
         K[j][f] = v*(n.C_j) + u*Q*B; `rows` holds the v*Q*n.
         """
-        lam = Fraction(self.lam)
-        u, v = lam.numerator, lam.denominator
-        sh = [[Fraction(c) for c in s] for s in self.shifts]
-        q = math.lcm(*(c.denominator for s in sh for c in s))
-        C = tuple(tuple(c.numerator * (q // c.denominator) for c in s) for s in sh)
+        u, v = self.lam.numerator, self.lam.denominator  # every Rational is in lowest terms
+        q = math.lcm(*(c.denominator for s in self.shifts for c in s))
+        C = tuple(tuple(c.numerator * (q // c.denominator) for c in s) for s in self.shifts)
         hs = self.omega.halfspaces
         rows = tuple(tuple(v * q * a for a in n) for n, _, _ in hs)
         K = tuple(tuple(v * sum(map(operator.mul, n, c)) + u * q * b for n, b, _ in hs) for c in C)
@@ -202,14 +200,12 @@ def _step(state, q, c, v, qu):
 def _children(sys: IfsSystem, x, tol=DEFAULT_TOL):
     """[(j, f_j^{-1}(x))] for every digit j whose image lies in Omega (closed test).
 
-    The scalar feasibility kernel on floats: the address walkers expand
-    their float nodes here, except for the wide float levels of
-    `enumerate_prefixes` and `classify_point`, which `addresses._expand`
-    sends to its batched twin `_children_many`.  No exact node comes here:
-    the walkers keep it as an integer state, expanded by `_children_exact`.
-    It is private because bench/tracing.py wraps every public function,
-    and its per-layer counts need each apply_inverse and contains call to
-    stay a direct child of the walker that asked for it.
+    The scalar feasibility kernel on floats, for `addresses._chain` and the
+    narrow float levels of `addresses._expand`; wide float levels go to its
+    batched twin `_children_many`, and exact nodes, kept as integer states,
+    to `_children_exact`.  It is private because bench/tracing.py wraps
+    every public function, and its per-layer counts need each apply_inverse
+    and contains call to stay a direct child of the walker that asked for it.
     """
     out = []
     for j in range(sys.m):
@@ -225,7 +221,7 @@ def _children_exact(sys: IfsSystem, state):
     The closed test takes the node's facet products v*Q*(n.N) once and
     compares them with D*K[j][f] (`IfsSystem.int_steps`); only feasible
     children take the `_step`, and no Fraction is built.  It expands every
-    exact node of the address walkers and of `triangle._force`.
+    exact node of the address walkers, forced chains (`addresses._chain`) included.
     """
     q, C, v, qu, rows, K = sys.int_steps
     *nums, den = state

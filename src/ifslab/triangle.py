@@ -5,8 +5,8 @@ x + y + z = 1: the three maps act on a triple as t -> lam*t + (1-lam)*e_j, so
 all the inequalities below are independent of the actual triangle shape.
 Cartesian systems are converted through an affine change of basis first.
 
-Digit forcing walks the exact triangle (1,0), (0,1), (0,0) on the core exact
-kernel, where the triple (x, y, z) is the point (x, y) and f_j^{-1} its digit step.
+Digit forcing walks the exact triangle (1,0), (0,1), (0,0) with the address
+chain walker, where the triple (x, y, z) is the point (x, y) and f_j^{-1} its digit step.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
 
-from .core import IfsSystem, _children_exact, _state, new_ifs
+from .addresses import _chain
+from .core import IfsSystem, _state, new_ifs
 from .errors import DimensionMismatch, IrrationalInput
 
 SUM_TOL = 1e-12
@@ -121,10 +122,10 @@ def digit_forcing(lam, target, max_steps: int = 10_000) -> ForcingResult:
 
     Digit d is feasible when (t - (1-lam)*e_d)/lam stays in the closed
     triangle, endpoints included so that uniqueness conclusions stay
-    conservative.  The walk is `_force` on the corner triangle (see the
-    module docstring): one `core._children_exact` call per node.  Exactly
-    one feasible digit forces the step; a repeat of the reduced integer
-    state certifies the unique address forever.
+    conservative.  The walk is `addresses._chain` on the corner triangle
+    (see the module docstring): one `core._children_exact` call per node.
+    Exactly one feasible digit forces the step; a repeat of the reduced
+    integer state certifies the unique address forever.
     """
     if not isinstance(lam, Rational):
         raise IrrationalInput(
@@ -154,20 +155,13 @@ def _corner_system(lam):
 
 
 def _force(sys, state, max_steps):
-    """The forced chain from a corner-system state; the reduced state is the cycle key."""
-    seen = {state: 0}
-    digits = []
-    for step in range(1, max_steps + 1):
-        kids = _children_exact(sys, state)
-        if len(kids) != 1:
-            kind = ForcingKind.FORCED_PREFIX_THEN_BRANCH if kids else ForcingKind.DEAD_END
-            return ForcingResult(kind, step - 1, None, tuple(digits))
-        [(d, state)] = kids
-        digits.append(d)
-        if state in seen:
-            return ForcingResult(ForcingKind.UNIQUE_BY_CYCLE, step, step - seen[state], tuple(digits))
-        seen[state] = step
-    return ForcingResult(ForcingKind.EXHAUSTED, max_steps, None, tuple(digits))
+    """`addresses._chain` from a corner-system state, read as a ForcingResult."""
+    digits, kids, entry = _chain(sys, True, state, max_steps)
+    if entry is not None:
+        return ForcingResult(ForcingKind.UNIQUE_BY_CYCLE, len(digits), len(digits) - entry, digits)
+    kind = (ForcingKind.EXHAUSTED if kids is None else
+            ForcingKind.FORCED_PREFIX_THEN_BRANCH if kids else ForcingKind.DEAD_END)
+    return ForcingResult(kind, len(digits), None, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +214,8 @@ def gamma_uniqueness_scan(lam, resolution: int = 60, max_steps: int = 400):
         raise ValueError(f"lambda must lie in (0,1), got {lam}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
+    if not (isinstance(resolution, Integral) and resolution >= 1):
+        raise ValueError(f"resolution must be an integer of at least 1, got {resolution!r}")
     sys = _corner_system(lam)
     wide = math.ceil(resolution * (1 - lam) / lam) - 1
     narrow = math.ceil(resolution * (1 - lam)) - 1

@@ -173,6 +173,38 @@ class TestCoveringDeficiency:
         with pytest.raises(BudgetExceeded, match="exceeded 5 rows"):
             covering_deficiency(triangle_system(0.5), n=6, samples=50, seed=2)
 
+    @pytest.mark.parametrize("budget", [1, 6, 100])
+    def test_pair_budget_bounds_the_search_and_keeps_its_output(self, budget, monkeypatch):
+        cases = [(triangle_system(0.5), 6, 400, 2), (unit_system(0.45), 8, 300, 3),
+                 (new_ifs(0.55, TETRAHEDRON), 4, 200, 4)]
+        want = [covering_deficiency(*c) for c in cases]
+        pairs = []
+        feasible = conditions._feasible_many
+
+        def recording(omega, X, shifts, scale):
+            pairs.append(len(X) * len(shifts))
+            return feasible(omega, X, shifts, scale)
+
+        monkeypatch.setattr(conditions, "_feasible_many", recording)
+        monkeypatch.setattr(conditions, "PAIR_BUDGET", budget)
+        assert [covering_deficiency(*c) for c in cases] == want
+        assert len(pairs) > 10 and max(pairs) <= max(budget, 4)  # a chunk holds one row at least
+
+    def test_covering_cap_fires_inside_a_chunked_level(self, monkeypatch):
+        rows = []
+        feasible = conditions._feasible_many
+
+        def recording(omega, X, shifts, scale):
+            rows.append(len(X))
+            return feasible(omega, X, shifts, scale)
+
+        monkeypatch.setattr(conditions, "_feasible_many", recording)
+        monkeypatch.setattr(conditions, "PAIR_BUDGET", 6)
+        monkeypatch.setattr(conditions, "FRONTIER_CAP", 40)
+        with pytest.raises(BudgetExceeded, match="covering-search frontier exceeded 40 rows"):
+            covering_deficiency(triangle_system(0.5), n=6, samples=200, seed=2)
+        assert max(rows) == 2  # PAIR_BUDGET // 3 maps: no level is laid out whole
+
 
 class TestOverlapWitness:
     def test_interval_witness_strict(self):
@@ -322,7 +354,7 @@ class TestWn:
         X = pts[:120]
         parent, _, rem = core._feasible_many(s.omega, X, T, beta)
         monkeypatch.setattr(conditions, "PAIR_BUDGET", budget)
-        got_parent, got_rem = conditions._avoiding_children(s.omega, X, T, beta)
+        got_parent, got_rem = conditions._chunked_children(s.omega, X, T, beta, "block-word")
         assert got_parent.tolist() == parent.tolist()
         assert got_rem.tobytes() == rem.tobytes()
         assert wn_entry_depths(s, w, pts, 7).tolist() == want.tolist()

@@ -6,11 +6,11 @@ of one Fraction per operation.  The exact address walk (`classify_point`,
 each remainder as one integer state (N_1, ..., N_d, D) through
 `core._children_exact`, and `core.apply_inverse` takes the same integer
 step.  `triangle.digit_forcing` and `triangle.gamma_uniqueness_scan` walk
-their forced chains through the same kernel, on the corner triangle
-(1,0), (0,1), (0,0).  Each reference below is the plain Fraction formula,
-the address walker a node-at-a-time loop over Fraction tuples; the fast
-paths must agree with it exactly, verdicts, counts, certificates and
-remainders.
+their forced chains through the same kernel, by the one chain walker
+`addresses._chain`, on the corner triangle (1,0), (0,1), (0,0).  Each
+reference below is the plain Fraction formula, the address walker a
+node-at-a-time loop over Fraction tuples; the fast paths must agree with
+it exactly, verdicts, counts, certificates and remainders.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import pytest
 from ifslab import addresses, core, triangle
 from ifslab.addresses import (
     Mode,
+    Verdict,
     classify_point,
     enumerate_prefixes,
     feasible_children,
@@ -481,7 +482,7 @@ def test_exact_walk_never_calls_apply_inverse(monkeypatch):
 
 def test_digit_forcing_expands_only_through_the_core_kernel(monkeypatch):
     calls = []
-    kernel = triangle._children_exact
+    kernel = addresses._children_exact  # where the forced-chain walker reads it
 
     def counting(sys, state):
         calls.append(state)
@@ -494,7 +495,7 @@ def test_digit_forcing_expands_only_through_the_core_kernel(monkeypatch):
             built.append(self)
             super().__post_init__()
 
-    monkeypatch.setattr(triangle, "_children_exact", counting)
+    monkeypatch.setattr(addresses, "_children_exact", counting)
     monkeypatch.setattr(triangle, "BarycentricTriple", CountingTriple)
     kinds = set()
     for lam in (F(2, 5), F(3, 5), F(7, 10)):
@@ -517,3 +518,73 @@ def test_digit_forcing_expands_only_through_the_core_kernel(monkeypatch):
     # a new lam builds only its IfsSystem: the corner hull is the one built at import
     digit_forcing(F(5, 11), pi_point(F(5, 11)))
     assert triangle._corner_system(F(5, 11)).omega is triangle._CORNERS.omega
+
+
+@pytest.mark.parametrize("name", list(WALK_SYSTEMS))
+def test_first_bifurcation_is_the_classification_fork(name):
+    exact = _walk_system(name)
+    approx = new_ifs(float(exact.lam), [tuple(map(float, p)) for p in exact.points])
+    depth = 12 if exact.d == 1 else 8
+    seen = set()
+    for x in _walk_points(exact, np.random.default_rng(len(name))):
+        for sys, pt in ((exact, x), (approx, tuple(map(float, x)))):
+            for certified in (False, True):
+                rep = classify_point(sys, pt, depth, no_holes_certified=certified)
+                assert first_bifurcation(sys, pt, depth) == rep.first_bifurcation, (pt, certified)
+                seen.add((sys.is_exact, rep.first_bifurcation is None))
+    assert len(seen) >= 3  # forks and unforked chains, on both paths between them
+
+
+def test_digit_forcing_agrees_with_classify_point_on_the_corner_triangle():
+    # both walk the forced chain of (x, y) on the triangle (1,0), (0,1), (0,0)
+    kinds = set()
+    for k in range(501, 1000, 11):
+        lam = F(k, 1000)
+        sys = new_ifs(lam, [(1, 0), (0, 1), (0, 0)])
+        for t in (pi_point(lam).as_tuple(), pi_prime_point(lam).as_tuple(), (F(1, 3),) * 3,
+                  (1, 0, 0), (F(1, 2), F(1, 4), F(1, 4)), (F(1, 7), F(2, 7), F(4, 7)),
+                  (F(-1, 3), F(2, 3), F(2, 3))):
+            for steps in (2, 60):
+                r = digit_forcing(lam, t, max_steps=steps)
+                kinds.add(r.kind)
+                closed = r.kind in (ForcingKind.UNIQUE_BY_CYCLE, ForcingKind.EXHAUSTED)
+                rep = classify_point(sys, t[:2], r.step if closed else r.step + 1)
+                assert rep.prefix_counts[:r.step + 1] == [1] * (r.step + 1)
+                if r.kind is ForcingKind.UNIQUE_BY_CYCLE:
+                    c = rep.certificate
+                    assert rep.verdict is Verdict.UNIQUE_CERTIFIED and rep.explored_depth == r.step
+                    assert (c.entry_depth, c.period, c.digits) == (r.step - r.period, r.period,
+                                                                  r.digits)
+                    continue
+                assert rep.certificate is None
+                fork = r.step if r.kind is ForcingKind.FORCED_PREFIX_THEN_BRANCH else None
+                assert rep.first_bifurcation == fork
+                assert (rep.prefix_counts[-1] == 0) == (r.kind is ForcingKind.DEAD_END)
+    assert kinds == set(ForcingKind)
+
+
+def _int_steps_reference(sys):
+    """`IfsSystem.int_steps` built from Fraction copies of lam and of every shift."""
+    lam = F(sys.lam)
+    u, v = lam.numerator, lam.denominator
+    sh = [[F(c) for c in s] for s in sys.shifts]
+    q = math.lcm(*(c.denominator for s in sh for c in s))
+    C = tuple(tuple(c.numerator * (q // c.denominator) for c in s) for s in sh)
+    hs = sys.omega.halfspaces
+    rows = tuple(tuple(v * q * a for a in n) for n, _, _ in hs)
+    K = tuple(tuple(v * sum(a * b for a, b in zip(n, c)) + u * q * b for n, b, _ in hs) for c in C)
+    return q, C, v, q * u, rows, K
+
+
+@pytest.mark.parametrize("sys", [
+    triangle._corner_system(F(2, 3)),
+    triangle._corner_system(F(683, 1000)),
+    new_ifs(F(3, 4), [(0, 0, 0), (F(3, 2), 0, 0), (0, F(1, 3), 0), (F(1, 5), F(2, 7), 1)]),
+], ids=["corner-2/3", "corner-683/1000", "tetrahedron-3/4"])
+def test_int_steps_matches_fraction_built_values(sys):
+    got = sys.int_steps
+    assert got == _int_steps_reference(sys)
+    q, C, v, qu, rows, K = got
+    ints = [q, v, qu, *itertools.chain(*C, *rows, *K)]
+    assert all(type(a) is int for a in ints)
+

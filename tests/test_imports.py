@@ -1,7 +1,7 @@
 """Every top-level import of src/ and tests/ is used in its module, no
 src/ module defers an ifslab import into a function, no public function
-takes an option that no caller sets, and digit words are projected only
-by `core`.
+takes an option that no caller sets, digit words are projected only by
+`core`, and only `core` and `addresses` read the scalar kernels.
 
 A plain `ast` walk, so the check needs no linter: a module fails when it
 binds a name by a top-level import and never reads that name again.
@@ -179,3 +179,40 @@ def test_the_check_sees_a_second_projection():
     assert second_projections(src, "measure") == [(1, "einsum"), (2, "project_prefix"),
                                                   (3, "project_prefix")]
     assert second_projections(src, "core") == [(1, "einsum")]
+
+
+SCALAR_KERNELS = {"_children", "_children_exact"}
+
+
+def scalar_kernel_reads(source, module):
+    """(line, name) of every read or import of a scalar kernel outside `core` and `addresses`.
+
+    `core` defines `_children` and `_children_exact`, and `addresses` walks
+    them, forced chains through `_chain`; any other module that wants a
+    forced chain calls `_chain`, so no second chain loop grows elsewhere.
+    """
+    if module in ("core", "addresses"):
+        return []
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = (getattr(node, "id", None) if isinstance(node, ast.Name) else
+                getattr(node, "attr", None) if isinstance(node, ast.Attribute) else
+                getattr(node, "name", None) if isinstance(node, ast.alias) else None)
+        if name in SCALAR_KERNELS:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=[str(p.relative_to(ROOT)) for p in SRC_MODULES])
+def test_only_core_and_addresses_read_the_scalar_kernels(path):
+    assert scalar_kernel_reads(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_the_check_sees_a_scalar_kernel_read():
+    src = ("from .core import _children_exact, _children_many\nimport ifslab.core as core\n"
+           "kids = core._children(s, x)\nk = _children_exact(s, r)\nf = map(_children_exact, rs)\n"
+           "ok = _children_many(s, X)\n")
+    assert scalar_kernel_reads(src, "triangle") == [(1, "_children_exact"), (3, "_children"),
+                                                    (4, "_children_exact"), (5, "_children_exact")]
+    assert scalar_kernel_reads(src, "addresses") == scalar_kernel_reads(src, "core") == []
+

@@ -172,6 +172,16 @@ class TestDigitForcing:
         with pytest.raises(ValueError, match="max_steps"):
             gamma_uniqueness_scan(Fraction(9, 10), 19, max_steps=-1)
 
+    @pytest.mark.parametrize("resolution", [0, -7, 19.0, Fraction(19), "19"])
+    def test_resolution_must_be_a_positive_int(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be an integer of at least 1"):
+            gamma_uniqueness_scan(Fraction(2, 3), resolution)
+
+    def test_smallest_resolution_scans_an_empty_grid(self):
+        assert gamma_uniqueness_scan(Fraction(2, 3), 1) == []
+        assert gamma_uniqueness_scan(Fraction(2, 3), np.int64(19)) == gamma_uniqueness_scan(
+            Fraction(2, 3), 19)
+
     def test_pi_is_period_three_of_inverse_shift(self):
         # applying the three forced inverse steps returns the exact triple
         lam = Fraction(3, 5)
