@@ -19,8 +19,10 @@ A forced chain, one feasible child a level, is walked by `_chain` alone:
 `first_bifurcation`, the chain phase of `classify_point` and the
 triangle's digit forcing.  Trees are walked a level at a time by
 `_expand`, every float level of two or more nodes on the batched kernel
-`core._children_many`, whose remainders are bit for bit those of the
-scalar `core._children`.  An exact remainder is one integer state
+`core._children_many`: one fused step from the level's (rows, d) array to
+its children, which come back as one (children, d) array, a view of
+coordinate rows, with remainders bit for bit those of the scalar
+`core._children`.  An exact remainder is one integer state
 (`core._state`), expanded by `core._children_exact`: no Fraction is
 built, and the state is the cycle key.  `PrefixTree.levels` reads states
 back as the Fractions `apply_inverse` gives.
@@ -162,10 +164,12 @@ def _expand(sys, frontier, tol=DEFAULT_TOL, exact=False):
     The level step of `enumerate_prefixes` and of `classify_point`'s tree
     phase.  An exact level is a list of integer states, expanded one node at a time by
     `_children_exact`.  A level of two or more float remainders goes
-    through the batched kernel as one (rows, d) array, and its children
-    stay one.  A single float node, or a level in mixed arithmetic, steps
-    through the scalar kernel.  Either way every float remainder is bit for
-    bit what `_children` computes.
+    through the batched kernel's one fused step as one (rows, d) array,
+    and its children stay one: a (children, d) view of coordinate rows,
+    which the next level's step reads a coordinate at a time.  A single
+    float node, or a level in mixed arithmetic, steps through the scalar
+    kernel.  Either way every float remainder is bit for bit what
+    `_children` computes.
     """
     if not exact:
         if isinstance(frontier, np.ndarray):

@@ -27,8 +27,8 @@ from .errors import (
     DuplicatePoints,
     LambdaOutOfRange,
 )
-from .geometry import (DEFAULT_TOL, Polytope, contains, contains_many, hull_polytope,
-                       is_exact_point, is_exact_scalar)
+from .geometry import (DEFAULT_TOL, Polytope, _inside, contains, hull_polytope, is_exact_point,
+                       is_exact_scalar)
 
 CLOUD_POINT_BUDGET = 4_000_000  # most rows project_all_words lays out
 
@@ -65,7 +65,9 @@ class IfsSystem:
     def float_shifts(self):
         """`shifts` rounded to a read-only (m, d) float array, for `_children_many`.
 
-        Built on the first batched expansion and kept.  The scalar
+        `_feasible_many` reads its transpose, one row of shifts per
+        coordinate, to build the candidates coordinate-major.  Built on the
+        first batched expansion and kept.  The scalar
         `apply_inverse` reads the plain `shifts` field instead: a cached
         property costs an attribute lookup more on every scalar step.
         """
@@ -242,23 +244,33 @@ def _feasible_many(omega: Polytope, X, shifts, scale, tol=DEFAULT_TOL):
     The one batched feasibility kernel, over a (rows, d) float array and
     any family of inverse steps x -> (x - t_j)/scale: the maps f_j
     themselves (`_children_many`) or the block words of W_n
-    (conditions.wn_entry_depths).  Pairs come row-major, then map-minor,
-    and `contains_many` repeats the float membership test of `contains`
-    in its order of operations.
+    (conditions.wn_entry_depths).  One fused step: the candidates are
+    built straight into coordinate rows, a (d, rows*maps) array with the
+    pairs row-major, then map-minor; the one float membership test
+    (geometry._inside) reads them in place, and the hits are taken as one
+    flat index.  The remainders are a (hits, d) view of their coordinate
+    rows, and each is bit for bit (x - t_j)/scale.
     """
-    cand = (X[:, None, :] - shifts) / scale  # (rows, maps, d)
-    parent, digit = np.nonzero(contains_many(omega, cand, tol=tol))
-    return parent, digit, cand[parent, digit]
+    d, maps = omega.dim, len(shifts)
+    cand = np.empty((d, len(X), maps))  # C order: each coordinate row holds the pairs row-major
+    np.subtract(X.T[:, :, None], shifts.T[:, None, :], out=cand)
+    cols = np.divide(cand, scale, out=cand).reshape(d, -1)
+    hit = _inside(omega, cols, tol).nonzero()[0]  # np.flatnonzero's ravel costs a Python call
+    parent, digit = np.divmod(hit, maps)
+    return parent, digit, cols.take(hit, axis=1).T
 
 
 def _children_many(sys: IfsSystem, X, tol=DEFAULT_TOL):
     """`_children` of every row of a (rows, d) float array, as (parent, digit, remainders).
 
-    `_feasible_many` on the system's own maps.  Children come node-major,
-    then digit-minor, as `_children` lists them, and each is bit for bit
-    what `_children` returns for a row given as a tuple of floats: f_j^{-1}
-    is (x - c_j)/lam with c_j = `sys.shifts[j]`, taken in the system's own
-    arithmetic and then rounded to float.
+    `_feasible_many` on the system's own maps, in one fused step from the
+    parent rows to the feasible children.  Children come node-major, then
+    digit-minor, as `_children` lists them, and each is bit for bit what
+    `_children` returns for a row given as a tuple of floats: f_j^{-1} is
+    (x - c_j)/lam with c_j = `sys.shifts[j]`, taken in the system's own
+    arithmetic and then rounded to float.  The remainders come as a
+    (children, d) transposed view of coordinate rows, so the next level's
+    candidates read each coordinate contiguously.
     """
     return _feasible_many(sys.omega, X, sys.float_shifts, float(sys.lam), tol)
 

@@ -12,9 +12,13 @@ generators, and `volume` reads its exact value from the same facets.
 `contains` tests one point on the float or the exact-rational path: the
 exact test is closed integer arithmetic, and the float test moves every
 facet outward by a signed `tol` (a negative one is an interior margin).
-`contains_many` is the one batched test, over float point arrays; it
-repeats the float path of `contains` operation for operation, so the two
-never disagree, not even within rounding of the tolerance shell.
+The one batched test, `_inside`, reads points coordinate-major, as a
+(d, N) array with one row per coordinate, and tests every facet at once
+on FACET_BLOCK columns at a time.  `contains_many` hands it (..., d)
+point arrays transposed, and core._feasible_many its candidates, built
+in that layout.  It repeats the float path of `contains` operation for
+operation, so the two never disagree, not even within rounding of the
+tolerance shell.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ from .errors import BudgetExceeded, DegenerateAffineHull, DimensionMismatch
 
 DEFAULT_TOL = 1e-9
 DRAW_BUDGET = 10_000  # most bounding-box draws sample_uniform makes per point it returns
+# columns `_inside` tests against every facet at once: its (facets, block)
+# float temporaries take 32 KB a facet, and a block costs a fixed number
+# of numpy calls whatever the number of facets
+FACET_BLOCK = 4096
 
 
 def is_exact_scalar(v) -> bool:
@@ -51,8 +59,8 @@ class Polytope:
     normal . x <= offset and sq_norm = |normal|^2, for the tolerance.  On
     exact generators the entries are ints, the facet's primitive integer
     row (an `image_polytope` offset may be a Fraction); else floats.
-    `float_halfspaces` is the same H-representation as float arrays, the
-    only form the batched test `contains_many` reads.
+    `float_halfspaces` is the same H-representation as float facet
+    columns, the only form the batched test `_inside` reads.
     """
 
     generators: tuple
@@ -65,15 +73,18 @@ class Polytope:
 
     @cached_property
     def float_halfspaces(self):
-        """The H-representation as read-only float arrays (A, b, |row| norms).
+        """The H-representation as read-only float facet columns (A, b, |row| norms).
 
-        Built on the first batched query and kept.  Not at construction:
+        A[k] is the (facets, 1) column of the k-th normal coordinates, and b
+        and the norms are (facets, 1) columns too, so `_inside` broadcasts
+        them against a block of points with no per-call reshaping.  Built
+        on the first batched query and kept.  Not at construction:
         polytopes that only scalar tests read never need it.
         """
         arrays = (
-            np.array([[float(v) for v in n] for n, _, _ in self.halfspaces]),
-            np.array([float(off) for _, off, _ in self.halfspaces]),
-            np.sqrt(np.array([float(sq) for _, _, sq in self.halfspaces])),
+            np.array([[float(v) for v in n] for n, _, _ in self.halfspaces]).T[:, :, None].copy(),
+            np.array([[float(off)] for _, off, _ in self.halfspaces]),
+            np.sqrt(np.array([[float(sq)] for _, _, sq in self.halfspaces])),
         )
         for a in arrays:
             a.flags.writeable = False
@@ -253,27 +264,38 @@ def _volume(pts, d):
 def contains_many(poly: Polytope, pts, tol=DEFAULT_TOL):
     """Closed membership over the last axis of a (..., d) float array, in any dimension.
 
-    The one batched feasibility test, and the float path of `contains` bit
-    for bit: per halfspace, s = off - (n_0 x_0 + n_1 x_1 + ...) summed one
-    column at a time in that order, and x passes when s >= -tol * |n|.  The
-    matmul form A x <= b + tol * |n| rounds otherwise and disagrees with
-    `contains` on points within rounding of the tol shell.  A NaN slack
-    fails, as in `contains`, so a NaN point lies in no polytope.
+    The float path of `contains` bit for bit: the points, transposed to
+    coordinate rows without a copy, go through the one batched test
+    `_inside`.  A NaN point lies in no polytope, as in `contains`.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.shape[-1] != poly.dim:
         raise DimensionMismatch(f"points have dimension {pts.shape[-1]}, polytope {poly.dim}")
+    return _inside(poly, pts.reshape(-1, poly.dim).T, tol).reshape(pts.shape[:-1])
+
+
+def _inside(poly: Polytope, cols, tol):
+    """Closed float membership of every column of a (d, N) coordinate array, as an (N,) bool mask.
+
+    The one batched feasibility test, read by `contains_many` and
+    core._feasible_many.  Per halfspace, s = off - (n_0 x_0 + n_1 x_1 +
+    ...) is summed one coordinate at a time in that order, and x passes
+    when s >= -tol * |n|: the float path of `contains`, operation for
+    operation.  The matmul form A x <= b + tol * |n| rounds otherwise and
+    disagrees with `contains` on points within rounding of the tol shell.
+    A NaN slack fails.  Every facet is tested at once on FACET_BLOCK
+    columns at a time, so the temporaries stay bounded on any N.
+    """
     A, b, norms = poly.float_halfspaces
-    cols = np.ascontiguousarray(pts.reshape(-1, poly.dim).T)  # (d, N): one row per coordinate
-    acc = np.empty(cols.shape[1])
-    tmp = np.empty_like(acc)
-    inside = np.ones(cols.shape[1], dtype=bool)
-    for n, off, thr in zip(A.tolist(), b.tolist(), (-float(tol) * norms).tolist()):
-        np.multiply(cols[0], n[0], out=acc)
+    thr = -float(tol) * norms
+    inside = np.empty(cols.shape[1], dtype=bool)
+    for a in range(0, cols.shape[1], FACET_BLOCK):
+        x = cols[:, a:a + FACET_BLOCK]
+        s = A[0] * x[0]  # (facets, block)
         for k in range(1, poly.dim):
-            acc += np.multiply(cols[k], n[k], out=tmp)
-        inside &= np.subtract(off, acc, out=acc) >= thr
-    return inside.reshape(pts.shape[:-1])
+            s += A[k] * x[k]
+        np.logical_and.reduce(np.subtract(b, s, out=s) >= thr, axis=0, out=inside[a:a + FACET_BLOCK])
+    return inside
 
 
 def sample_uniform(poly: Polytope, n, rng):

@@ -19,6 +19,9 @@ from .geometry import DEFAULT_TOL, contains_many
 
 
 GRID_CELL_BUDGET = 2**24  # most cells grid_points lays out
+# cells grid_points lays out at once in d >= 2, in slabs of whole first-axis
+# lines: grids of up to 256^2 cells stay one slab, one membership test
+GRID_SLAB_CELLS = 2**16
 
 
 def default_truncation(lam) -> int:
@@ -162,8 +165,11 @@ def grid_points(sys: IfsSystem, resolution: int):
     """Lattice over Omega: interior fractions k/resolution in 1-D, else cell centres.
 
     In d >= 2 the bounding box is cut into resolution^d cells, the first
-    axis slowest, and the centres inside Omega are kept.  More than
-    GRID_CELL_BUDGET cells raise BudgetExceeded before anything is allocated.
+    axis slowest, and the centres inside Omega are kept.  The centres are
+    laid out and tested in slabs of first-axis lines of about
+    GRID_SLAB_CELLS cells, so only the kept ones grow with the grid.  More
+    than GRID_CELL_BUDGET cells raise BudgetExceeded before anything is
+    allocated.
     """
     if resolution**sys.d > GRID_CELL_BUDGET:
         raise BudgetExceeded(
@@ -174,9 +180,13 @@ def grid_points(sys: IfsSystem, resolution: int):
     if sys.d == 1:
         return lo + (np.arange(1, resolution) / resolution)[:, None] * (hi - lo)
     c = (np.arange(resolution) + 0.5) / resolution
-    axes = np.meshgrid(*[c] * sys.d, indexing="ij")
-    pts = lo + np.stack([g.ravel() for g in axes], axis=1) * (hi - lo)
-    return pts[contains_many(sys.omega, pts)]
+    step = max(1, GRID_SLAB_CELLS // max(len(c), 1) ** (sys.d - 1))  # first-axis lines a slab holds
+    kept = []
+    for a in range(0, len(c) or 1, step):  # no cells still make one empty slab
+        axes = np.meshgrid(c[a:a + step], *[c] * (sys.d - 1), indexing="ij")
+        pts = lo + np.stack([g.ravel() for g in axes], axis=1) * (hi - lo)
+        kept.append(pts[contains_many(sys.omega, pts)])
+    return np.concatenate(kept)
 
 
 def uniqueness_grid(sys: IfsSystem, resolution: int, depth: int):

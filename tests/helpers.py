@@ -40,6 +40,13 @@ def triangle_system_exact(lam):
     return new_ifs(Fraction(lam), RIGHT_TRIANGLE_EXACT)
 
 
+def float_facets(poly):
+    """(A, b, |row| norms): the polytope's halfspaces as plain (facets, d), (facets,) float arrays."""
+    A = np.array([[float(v) for v in n] for n, _, _ in poly.halfspaces])
+    b = np.array([float(off) for _, off, _ in poly.halfspaces])
+    return A, b, np.sqrt(np.array([float(sq) for _, _, sq in poly.halfspaces]))
+
+
 def chaos_game_reference(sys, iters, burn_in, seed):
     """The chaos-game orbit as one loop over steps, all coordinates together.
 

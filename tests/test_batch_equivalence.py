@@ -27,7 +27,8 @@ from ifslab.geometry import DEFAULT_TOL, contains
 from ifslab.measure import box_dim_estimate, chain_walk, mesh_count
 from ifslab.render import chaos_game
 
-from helpers import chaos_game_reference, reference_mesh_count, triangle_system, unit_system
+from helpers import (chaos_game_reference, float_facets, reference_mesh_count, triangle_system,
+                     unit_system)
 
 TETRAHEDRON = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -87,7 +88,7 @@ def reference_witness(sys):
 
 def reference_chain_walk(sys, pts, depth, tol=DEFAULT_TOL):
     """The chain walk over every row at every depth, dead or alive."""
-    A, b, norms = sys.omega.float_halfspaces
+    A, b, norms = float_facets(sys.omega)
     slack = b + tol * norms
     lam = float(sys.lam)
     P = np.array([[float(v) for v in p] for p in sys.points])

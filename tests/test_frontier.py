@@ -7,20 +7,22 @@ walker that switches wide float levels to the kernel is held to the
 outputs of a walker that never does.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ifslab import addresses, conditions
+from ifslab import addresses, conditions, geometry
 from ifslab.addresses import enumerate_prefixes
 from ifslab.conditions import covering_deficiency
-from ifslab.core import _children, _children_many, new_ifs
+from ifslab.core import _children, _children_many, _feasible_many, new_ifs, project_all_words
 from ifslab.deleted_digits import DigitSet, as_ifs
 from ifslab.errors import BudgetExceeded, DimensionMismatch
 from ifslab.geometry import DEFAULT_TOL, contains, contains_many, hull_polytope, sample_uniform
 
-from helpers import RIGHT_TRIANGLE_EXACT, triangle_system, triangle_system_exact, unit_system
+from helpers import (RIGHT_TRIANGLE_EXACT, float_facets, triangle_system, triangle_system_exact,
+                     unit_system)
 
 TETRAHEDRON = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -40,7 +42,7 @@ def _points(sys, seed, count):
 
 def _shell_probes(poly, rng, count, tol=DEFAULT_TOL):
     """Points within rounding of the tol shell of a random facet, in float."""
-    A, b, norms = poly.float_halfspaces
+    A, b, norms = float_facets(poly)
     lo, hi = (np.array([float(v) for v in c]) for c in poly.bounding_box())
     x = lo + rng.random((count, poly.dim)) * (hi - lo)
     h = rng.integers(len(A), size=count)
@@ -98,6 +100,107 @@ def test_kernel_equals_scalar_children(name):
     want = _scalar_children_many(sys, X, DEFAULT_TOL)
     assert (parents.tolist(), digits.tolist()) == want[:2]
     assert repr([tuple(r) for r in rems.tolist()]) == repr(want[2])
+
+
+def _scalar_feasible(omega, X, shifts, scale, tol=DEFAULT_TOL):
+    """`_feasible_many` one (row, map) pair at a time over the scalar `contains`."""
+    parents, digits, rems = [], [], []
+    for i, row in enumerate(X.tolist()):
+        for j, t in enumerate(shifts.tolist()):
+            r = tuple((x - c) / scale for x, c in zip(row, t))
+            if contains(omega, r, tol):
+                parents.append(i)
+                digits.append(j)
+                rems.append(r)
+    return parents, digits, rems
+
+
+def _block_family(sys, ell, avoid):
+    """The W_n block steps x -> (x - T[u])/lam^ell: the block word 0^ell alone, or every other word."""
+    T = project_all_words(sys, ell, (0.0,) * sys.d)
+    return (T[1:] if avoid else T[:1]), float(sys.lam) ** ell
+
+
+# (system, (ell, avoid) of a W_n block family, or None for the system's own
+# maps): one map (the W_n block test), m maps in d = 1, 2, 3, and the 26
+# avoiding words of a triangle block of length 3
+FAMILIES = {
+    "interval-maps": (unit_system(0.6), None),
+    "triangle-maps": (triangle_system(0.7), None),
+    "triangle-block": (triangle_system(0.7), (3, False)),
+    "triangle-avoid-26": (triangle_system(0.7), (3, True)),
+    "tetrahedron-maps": (new_ifs(0.8, TETRAHEDRON), None),
+}
+
+
+def _family(name):
+    sys, block = FAMILIES[name]
+    shifts, scale = _block_family(sys, *block) if block else (sys.float_shifts, float(sys.lam))
+    return sys, shifts, scale
+
+
+def _fused_rows(sys, shifts, scale, rows, rng):
+    """Rows whose candidates straddle Omega: in and around it, on its tol shell, and NaN."""
+    lo, hi = (np.array([float(v) for v in c]) for c in sys.omega.bounding_box())
+    X = lo - 0.2 + rng.random((rows, sys.d)) * (hi - lo + 0.4)
+    # candidates within rounding of the tol shell: x = scale*p + t_j for a shell probe p
+    shell = rng.random(rows) < 0.4
+    j = rng.integers(len(shifts), size=rows)
+    X[shell] = _shell_probes(sys.omega, rng, rows)[shell] * scale + shifts[j[shell]]
+    X[rng.random((rows, sys.d)) < 0.05] = np.nan
+    X[1:2, -1] = np.nan
+    return X
+
+
+def _assert_fused_step_equals_scalar(sys, shifts, scale, X, own_maps):
+    parent, digit, rems = _feasible_many(sys.omega, X, shifts, scale)
+    assert parent.dtype == digit.dtype == np.intp and rems.dtype == np.float64
+    assert parent.shape == digit.shape == (len(rems),) and rems.shape == (len(rems), sys.d)
+    pairs = list(zip(parent.tolist(), digit.tolist()))
+    assert pairs == sorted(set(pairs))  # row-major, then map-minor
+    want = _scalar_feasible(sys.omega, X, shifts, scale)
+    assert (parent.tolist(), digit.tolist()) == want[:2]
+    assert repr([tuple(r) for r in rems.tolist()]) == repr(want[2])
+    if own_maps:
+        got = _children_many(sys, X)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, (parent, digit, rems)))
+        assert repr(_scalar_children_many(sys, X, DEFAULT_TOL)) == repr(want)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+@pytest.mark.parametrize("rows", [0, 1, 2, 37])
+def test_fused_step_equals_scalar_at_block_edges(name, rows, monkeypatch):
+    # 0 rows is _chunked_children's empty chunk; each block size puts the
+    # rows*maps candidate columns one short of a block bound, on it, one
+    # past it, or across several blocks
+    sys, shifts, scale = _family(name)
+    X = _fused_rows(sys, shifts, scale, rows, np.random.default_rng(31 + rows))
+    cols = rows * len(shifts)
+    for block in sorted({max(cols - 1, 1), max(cols, 1), cols + 1, max(cols // 3, 1), 1}):
+        monkeypatch.setattr(geometry, "FACET_BLOCK", block)
+        _assert_fused_step_equals_scalar(sys, shifts, scale, X, FAMILIES[name][1] is None)
+
+
+@pytest.mark.parametrize("cols", [geometry.FACET_BLOCK - 1, geometry.FACET_BLOCK,
+                                  geometry.FACET_BLOCK + 1, 3 * geometry.FACET_BLOCK + 5])
+def test_fused_step_equals_scalar_around_the_real_block(cols):
+    sys, shifts, scale = _family("triangle-block")
+    X = _fused_rows(sys, shifts, scale, cols, np.random.default_rng(cols))
+    _assert_fused_step_equals_scalar(sys, shifts, scale, X, False)
+
+
+def test_fused_step_holds_no_copy_of_its_candidates():
+    sys = triangle_system(0.7)
+    X = np.random.default_rng(37).random((200_000, 2))
+    _children_many(sys, X[:2])  # builds the cached float shifts and facet columns
+    tracemalloc.start()
+    try:
+        out = _children_many(sys, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cand = len(X) * sys.m * sys.d * 8  # the (d, rows*maps) candidate rows
+    assert peak <= cand + sum(a.nbytes for a in out) + 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Every top-level import of src/ and tests/ is used in its module, no
 src/ module defers an ifslab import into a function, no public function
 takes an option that no caller sets, digit words are projected only by
-`core`, and only `core` and `addresses` read the scalar kernels.
+`core`, only `core` and `addresses` read the scalar kernels, and only the
+one batched facet loop reads the float facets.
 
 A plain `ast` walk, so the check needs no linter: a module fails when it
 binds a name by a top-level import and never reads that name again.
@@ -216,3 +217,39 @@ def test_the_check_sees_a_scalar_kernel_read():
                                                     (4, "_children_exact"), (5, "_children_exact")]
     assert scalar_kernel_reads(src, "addresses") == scalar_kernel_reads(src, "core") == []
 
+
+
+def float_facet_reads(source, module):
+    """(line, function) of every read of `float_halfspaces` outside `geometry._inside`.
+
+    The float facet columns are the batched membership test's own layout:
+    only its one facet loop reads them, so no second float membership
+    test, rounding in another order, grows beside it.
+    """
+    where = {}
+    tree = ast.parse(source)
+    for fn in ast.walk(tree):  # outer functions first, so the innermost name wins
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where.update({id(n): fn.name for n in ast.walk(fn)})
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "float_halfspaces":
+            fn = where.get(id(node), "<module>")
+            if (module, fn) != ("geometry", "_inside"):
+                found.append((node.lineno, fn))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=[str(p.relative_to(ROOT)) for p in SRC_MODULES])
+def test_only_the_batched_facet_loop_reads_the_float_facets(path):
+    assert float_facet_reads(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_the_check_sees_another_float_facet_read():
+    src = ("A = omega.float_halfspaces\n"
+           "def _inside(poly, cols, tol):\n    A, b, n = poly.float_halfspaces\n"
+           "    def inner():\n        return poly.float_halfspaces\n"
+           "def contains_many(poly, pts):\n    return poly.float_halfspaces[0]\n")
+    assert float_facet_reads(src, "geometry") == [(1, "<module>"), (5, "inner"), (7, "contains_many")]
+    assert float_facet_reads(src, "core") == [(1, "<module>"), (3, "_inside"), (5, "inner"),
+                                              (7, "contains_many")]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from ifslab.addresses import classify_point
 from ifslab.core import centroid, new_ifs
 from ifslab.errors import BadProbabilityVector, CertificateRequired, TooFewScales
-from ifslab.geometry import contains
+from ifslab import measure
+from ifslab.geometry import contains, contains_many
 from ifslab.measure import (
     MeasureSampler,
     attractor_point_cloud,
@@ -203,6 +205,44 @@ class TestUniquenessGrid:
             if contains(s.omega, x):
                 want.append(x)
         assert grid_points(s, res).tolist() == want
+
+    @staticmethod
+    def _one_shot_grid(s, res):
+        """The lattice laid out in one piece: every cell centre at once, then one membership test."""
+        lo, hi = (np.array(b, dtype=float) for b in s.omega.bounding_box())
+        if s.d == 1:
+            return lo + (np.arange(1, res) / res)[:, None] * (hi - lo)
+        c = (np.arange(res) + 0.5) / res
+        axes = np.meshgrid(*[c] * s.d, indexing="ij")
+        pts = lo + np.stack([g.ravel() for g in axes], axis=1) * (hi - lo)
+        return pts[contains_many(s.omega, pts)]
+
+    @pytest.mark.parametrize("slab", [1, 7, 300, measure.GRID_SLAB_CELLS])
+    def test_grid_slabs_match_the_one_shot_lattice(self, slab, monkeypatch):
+        # a slab of one first-axis line, of a few, and the default, which
+        # holds the 37^2 and 23^3 grids whole and cuts the others in two
+        monkeypatch.setattr(measure, "GRID_SLAB_CELLS", slab)
+        cases = [(unit_system(0.6), 50), (triangle_system(0.7), 0), (triangle_system(0.7), 1),
+                 (triangle_system(0.7), 37), (triangle_system(0.7), 300),
+                 (new_ifs(0.8, TETRAHEDRON), 23), (new_ifs(0.8, TETRAHEDRON), 50)]
+        for s, res in cases:
+            got, want = grid_points(s, res), self._one_shot_grid(s, res)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+
+    def test_grid_memory_grows_with_the_kept_points_only(self):
+        s = triangle_system(0.7)
+        grid_points(s, 2)  # builds the polytope's cached float arrays
+        tracemalloc.start()
+        try:
+            pts = grid_points(s, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the kept points twice (the slabs' pieces, then their concatenation)
+        # and one slab's temporaries; a one-shot lattice of 2^20 cells is 16 MB
+        # a coordinate array before any test
+        assert peak <= 2 * pts.nbytes + 8 * 2**20
 
 
 class TestChainWalk:
