@@ -10,7 +10,9 @@ and box-counting dimensions of the exceptional sets.
 from .core import IfsSystem, new_ifs, apply_map, apply_inverse, project_prefix, image_polytope, load_system
 from .geometry import Polytope, hull_polytope, contains, volume
 from .addresses import (
+    ChainKind,
     ClassificationReport,
+    ForcedChain,
     Mode,
     PrefixNode,
     Verdict,
@@ -18,6 +20,7 @@ from .addresses import (
     enumerate_prefixes,
     feasible_children,
     first_bifurcation,
+    forced_chain,
 )
 from .conditions import (
     OverlapWitness,

@@ -15,9 +15,9 @@ what turns finite-depth observations into certificates:
 
 Float-path single chains are never certified: they report Unknown.
 
-A forced chain, one feasible child a level, is walked by `_chain` alone:
-`first_bifurcation`, the chain phase of `classify_point` and the
-triangle's digit forcing.  Trees are walked a level at a time by
+A forced chain, one feasible child a level, is walked by `_chain` alone
+into one `ForcedChain`; `forced_chain`, `first_bifurcation`, `classify_point`
+and digit forcing read it.  Trees are walked a level at a time by
 `_expand`, every float level of two or more nodes on the batched kernel
 `core._children_many`: one fused step from the level's (rows, d) array to
 its children, which come back as one (children, d) array, a view of
@@ -31,8 +31,9 @@ back as the Fractions `apply_inverse` gives.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -96,13 +97,33 @@ class PrefixTree:
         return out
 
 
-@dataclass(frozen=True)
-class CycleCertificate:
-    """Remainder orbit re-entered itself: digits repeat with this period forever."""
+class ChainKind(enum.Enum):
+    UNIQUE_BY_CYCLE = "unique-by-cycle"
+    FORCED_PREFIX_THEN_BRANCH = "forced-prefix-then-branch"
+    DEAD_END = "dead-end"
+    EXHAUSTED = "exhausted"
 
-    entry_depth: int
-    period: int
-    digits: tuple  # the full forced digit chain up to cycle closure
+
+@dataclass(frozen=True)
+class ForcedChain:
+    """A forced chain of feasible digits and how it stopped.
+
+    On a cycle the digits from step `entry_depth` on repeat forever.  At a
+    fork or dead end `children` holds its (digit, remainder) pairs.
+    """
+
+    kind: ChainKind
+    digits: tuple  # 0..m-1, one forced digit per step
+    entry_depth: int | None = None
+    children: list | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def step(self):
+        return len(self.digits)
+
+    @property
+    def period(self):
+        return None if self.entry_depth is None else len(self.digits) - self.entry_depth
 
 
 @dataclass
@@ -111,7 +132,7 @@ class ClassificationReport:
     explored_depth: int
     first_bifurcation: int | None
     prefix_counts: list
-    certificate: CycleCertificate | None = None
+    certificate: ForcedChain | None = None  # the chain, when it closed a cycle
     exact: bool = False
 
 
@@ -205,40 +226,46 @@ def _solid(sys, rems):
     return sum(contains(sys.omega, r, tol=-CERT_MARGIN) for r in rems)
 
 
-def _check_depth(depth):
-    if depth < 0:
-        raise ValueError(f"depth must be at least 0, got {depth}")
+def _check_depth(depth, name="depth", least=0):
+    """Reject a step count (or `name`) that is not an integer of at least `least`."""
+    if not (type(depth) is int or isinstance(depth, Integral)) or depth < least:  # int: no ABC check
+        raise ValueError(f"{name} must be an integer of at least {least}, got {depth!r}")
 
 
 def first_bifurcation(sys: IfsSystem, x, depth: int):
     """Least n at which a common prefix of length n has two feasible continuations."""
     _check_depth(depth)
-    chain, kids, _ = _chain(sys, *_root(sys, x), depth)
-    return len(chain) if kids else None
+    chain = _chain(sys, *_root(sys, x), depth)
+    return chain.step if chain.children else None  # children, if any, are a fork's
+
+
+def forced_chain(sys: IfsSystem, x, steps: int) -> ForcedChain:
+    """x's forced chain for at most `steps` levels; only an exact one can close a cycle."""
+    _check_depth(steps, "steps")
+    return _chain(sys, *_root(sys, x), steps)
 
 
 def _chain(sys, exact, node, steps, tol=DEFAULT_TOL):
-    """(digits, children, entry): the one walk along a forced chain of feasible digits.
+    """The one walk along a forced chain of feasible digits, as a ForcedChain.
 
     From `node` it follows the only feasible child, through
-    `_children_exact` on an integer state or `_children` on floats, for
-    at most `steps` levels.  At a node with no child or with two or more
-    it stops and returns those children; they are None when the steps ran
-    out or an exact state repeated.  `entry` is the step at which the
-    repeated state was first seen, else None: the chain is then periodic
-    forever, which proves the address unique.  Float states are never compared.
+    `_children_exact` on an integer state or `_children` on floats, for at
+    most `steps` levels, and stops at a node with no child or two or more,
+    or at an exact state seen before: the chain is then periodic forever,
+    which proves the address unique.  Float states are never compared.
     """
     seen = {node: 0} if exact else None
     digits = []
     for step in range(1, steps + 1):
         kids = _children_exact(sys, node) if exact else _children(sys, node, tol)
         if len(kids) != 1:
-            return tuple(digits), kids, None
+            kind = ChainKind.FORCED_PREFIX_THEN_BRANCH if kids else ChainKind.DEAD_END
+            return ForcedChain(kind, tuple(digits), None, kids)
         [(j, node)] = kids
         digits.append(j)
         if exact and seen.setdefault(node, step) < step:
-            return tuple(digits), None, seen[node]
-    return tuple(digits), None, None
+            return ForcedChain(ChainKind.UNIQUE_BY_CYCLE, tuple(digits), seen[node])
+    return ForcedChain(ChainKind.EXHAUSTED, tuple(digits))
 
 
 def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
@@ -263,8 +290,8 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
       tree died out, which in relaxed mode means x is not in the attractor).
 
     A chain phase follows x's one feasible child through `_chain` up to
-    the first node with none or two or more; an exact state that repeats
-    on the way is the cycle.  A tree phase then walks that node's children
+    the first node with none or two or more; a chain whose exact state
+    repeats is the certificate.  A tree phase then walks that node's children
     a level at a time through `_expand`, wide float levels on the batched
     kernel, with the verdicts and counts of a walk over `_children` one
     node at a time: the certifying node is the first in node-major order
@@ -288,18 +315,18 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
             raise PointOutsideOmega(f"{x} is outside Omega")
     budget = NODE_BUDGET
     exact, root = _root(sys, x)
-    chain, kids, entry = _chain(sys, exact, root, min(depth, budget), tol)
-    start = len(chain)
+    chain = _chain(sys, exact, root, min(depth, budget), tol)
+    start, kids = chain.step, chain.children
     if start == budget:
         raise BudgetExceeded(f"classification exceeded {budget} nodes at depth {budget}")
     counts = [1] * (start + 1)
-    bifurcation = start if kids else None
+    bifurcation = start if kids else None  # children, if any, are a fork's
 
     def report(verdict, explored, certificate=None):
         return ClassificationReport(verdict, explored, bifurcation, counts, certificate, exact)
 
-    if entry is not None:
-        return report(Verdict.UNIQUE_CERTIFIED, start, CycleCertificate(entry, start - entry, chain))
+    if chain.entry_depth is not None:  # a cycle
+        return report(Verdict.UNIQUE_CERTIFIED, start, chain)
     total_nodes = start + 1
     for dep in range(start, depth):  # the first level holds the children the chain stopped at
         parents, digits, frontier = (_expand(sys, frontier, tol, exact) if dep > start else

@@ -5,20 +5,21 @@ x + y + z = 1: the three maps act on a triple as t -> lam*t + (1-lam)*e_j, so
 all the inequalities below are independent of the actual triangle shape.
 Cartesian systems are converted through an affine change of basis first.
 
-Digit forcing walks the exact triangle (1,0), (0,1), (0,0) with the address
-chain walker, where the triple (x, y, z) is the point (x, y) and f_j^{-1} its digit step.
+Digit forcing is the forced chain of `addresses.forced_chain` on the exact
+triangle (1,0), (0,1), (0,0), where the triple (x, y, z) is the point (x, y)
+and f_j^{-1} its digit step: it returns that chain's `addresses.ForcedChain`,
+and this module keeps no walker and no record of its own.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral, Rational
+from numbers import Rational
 
-from .addresses import _chain
+from .addresses import ChainKind, ForcedChain, _chain, _check_depth
 from .core import IfsSystem, _state, new_ifs
 from .errors import DimensionMismatch, IrrationalInput
 
@@ -102,42 +103,21 @@ def m_separation_holds(lam) -> bool:
     return z > 1 - lam
 
 
-class ForcingKind(enum.Enum):
-    UNIQUE_BY_CYCLE = "unique-by-cycle"
-    FORCED_PREFIX_THEN_BRANCH = "forced-prefix-then-branch"
-    DEAD_END = "dead-end"
-    EXHAUSTED = "exhausted"
-
-
-@dataclass(frozen=True)
-class ForcingResult:
-    kind: ForcingKind
-    step: int       # branch/dead-end step, or the step at which the cycle closed
-    period: int | None
-    digits: tuple   # forced digit indices (0: a_n=1, 1: b_n=1, 2: c_n=1)
-
-
-def digit_forcing(lam, target, max_steps: int = 10_000) -> ForcingResult:
+def digit_forcing(lam, target, max_steps: int = 10_000) -> ForcedChain:
     """Force the digits of a barycentric target with exact rationals.
 
     Digit d is feasible when (t - (1-lam)*e_d)/lam stays in the closed
     triangle, endpoints included so that uniqueness conclusions stay
-    conservative.  The walk is `addresses._chain` on the corner triangle
-    (see the module docstring): one `core._children_exact` call per node.
-    Exactly one feasible digit forces the step; a repeat of the reduced
-    integer state certifies the unique address forever.
+    conservative.  The result is the target's ForcedChain on the corner
+    triangle (see the module docstring), digit 0, 1, 2 for a_n, b_n, c_n = 1.
     """
     if not isinstance(lam, Rational):
-        raise IrrationalInput(
-            "digit forcing certifies with exact rationals; for float inputs "
-            "use addresses.classify_point, which can certify or suggest several "
-            "addresses but leaves a single float chain unknown"
-        )
+        raise IrrationalInput("digit forcing certifies with exact rationals; a float chain "
+                              "(addresses.forced_chain or classify_point) is never certified")
     lam = Fraction(lam)
     if not (0 < lam < 1):
         raise ValueError(f"lambda must lie in (0,1), got {lam}")
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
+    _check_depth(max_steps, "max_steps")
     triple = target.as_tuple() if isinstance(target, BarycentricTriple) else tuple(target)
     if len(triple) != 3:
         raise DimensionMismatch(f"barycentric target needs 3 coordinates, got {len(triple)}")
@@ -145,23 +125,13 @@ def digit_forcing(lam, target, max_steps: int = 10_000) -> ForcingResult:
         raise IrrationalInput("digit forcing needs exact rational target coordinates")
     if sum(triple) != 1:
         raise ValueError("barycentric target must satisfy x + y + z = 1 exactly")
-    return _force(_corner_system(lam), _state(triple[:2]), max_steps)
+    return _chain(_corner_system(lam), True, _state(triple[:2]), max_steps)
 
 
 @functools.lru_cache
 def _corner_system(lam):
     """`_CORNERS` at a Fraction lam in (0, 1); a new lam reuses its hull, built at import."""
     return IfsSystem(lam=lam, points=_CORNERS.points, omega=_CORNERS.omega)
-
-
-def _force(sys, state, max_steps):
-    """`addresses._chain` from a corner-system state, read as a ForcingResult."""
-    digits, kids, entry = _chain(sys, True, state, max_steps)
-    if entry is not None:
-        return ForcingResult(ForcingKind.UNIQUE_BY_CYCLE, len(digits), len(digits) - entry, digits)
-    kind = (ForcingKind.EXHAUSTED if kids is None else
-            ForcingKind.FORCED_PREFIX_THEN_BRANCH if kids else ForcingKind.DEAD_END)
-    return ForcingResult(kind, len(digits), None, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +177,13 @@ def gamma_uniqueness_scan(lam, resolution: int = 60, max_steps: int = 400):
     and i_j <= narrow, with both bounds computed once, so the test needs no
     Fraction per cell.  As wide >= narrow, a cell lies in some Gamma_i
     exactly when its middle entry is <= narrow and its largest <= wide.
-    A visited cell goes to `_force` as its reduced state (i0, i1, res)/gcd.
+    A visited cell's chain starts from its reduced state (i0, i1, res)/gcd.
     """
     lam = Fraction(lam)
     if not (0 < lam < 1):
         raise ValueError(f"lambda must lie in (0,1), got {lam}")
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
-    if not (isinstance(resolution, Integral) and resolution >= 1):
-        raise ValueError(f"resolution must be an integer of at least 1, got {resolution!r}")
+    _check_depth(max_steps, "max_steps")
+    _check_depth(resolution, "resolution", 1)
     sys = _corner_system(lam)
     wide = math.ceil(resolution * (1 - lam) / lam) - 1
     narrow = math.ceil(resolution * (1 - lam)) - 1
@@ -227,7 +195,7 @@ def gamma_uniqueness_scan(lam, resolution: int = 60, max_steps: int = 400):
             if mid > narrow or top > wide:
                 continue
             g = math.gcd(ix, iy, resolution)
-            r = _force(sys, (ix // g, iy // g, resolution // g), max_steps)
-            if r.kind is ForcingKind.UNIQUE_BY_CYCLE:
+            r = _chain(sys, True, (ix // g, iy // g, resolution // g), max_steps)
+            if r.kind is ChainKind.UNIQUE_BY_CYCLE:
                 out.append((BarycentricTriple(*(Fraction(c, resolution) for c in cell)), r))
     return out

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ifslab.addresses import Verdict, classify_point
+from ifslab.addresses import ChainKind, Verdict, classify_point
 from ifslab.conditions import (
     covering_deficiency,
     no_holes_sufficient,
@@ -30,7 +30,6 @@ from ifslab.measure import (
 )
 from ifslab.render import chaos_game
 from ifslab.triangle import (
-    ForcingKind,
     digit_forcing,
     gamma_nonempty,
     golden_ratio,
@@ -65,7 +64,7 @@ def test_criterion_2_forcing_cycles():
         tick = time.time()
         lam = Fraction(num, den)
         r = digit_forcing(lam, pi_point(lam))
-        assert r.kind is ForcingKind.UNIQUE_BY_CYCLE
+        assert r.kind is ChainKind.UNIQUE_BY_CYCLE
         assert r.period == 3
         # forced one-hot triples rotate (0,0,1) -> (0,1,0) -> (1,0,0):
         # coordinates a, b, c carry the patterns (001), (010), (100)

@@ -168,7 +168,7 @@ class TestClassify:
 
 @pytest.mark.parametrize("walk", [classify_point, enumerate_prefixes, first_bifurcation])
 def test_negative_depth_is_rejected(walk):
-    with pytest.raises(ValueError, match="depth must be at least 0, got -3"):
+    with pytest.raises(ValueError, match="depth must be an integer of at least 0, got -3"):
         walk(triangle_system(0.7), (0.3, 0.4), -3)
 
 

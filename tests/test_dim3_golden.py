@@ -22,9 +22,10 @@ from helpers import verify_witness
 TETRAHEDRON = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 # The witness is graded "proper-overlap": f_1(p_0) lies on a face of
-# f_0(Omega).  With its grade set back to "vertex-interior" the digest is the
-# one the weights-margin witness gave, bc47322d614d480a8349e44f022575b7d580ff43b56f72aef0292088c103f34c.
-GOLDEN = "3c47e2e4ab9264be86f17fa0ed255e1b5cb7d2ce7d56db5eef7a026d17fdaa99"
+# f_0(Omega).  With its grade set back to "vertex-interior", as the earlier
+# weights-margin witness graded it, the digest is
+# e422d84cffa5e9ee77ff9af57412fc8dd43b7dab2d9dd00847a9485998f7e1a4.
+GOLDEN = "5dc2654ea34b2842ea016904ed82609a638fc7b5f5774ae1936889f30b1c71c3"
 
 F = Fraction
 EXACT_POINTS = (
@@ -37,8 +38,9 @@ EXACT_POINTS = (
 
 
 def _report(rep):
-    return (rep.verdict.value, rep.explored_depth, rep.first_bifurcation,
-            rep.prefix_counts, rep.certificate, rep.exact)
+    c = rep.certificate
+    return (rep.verdict.value, rep.explored_depth, rep.first_bifurcation, rep.prefix_counts,
+            None if c is None else (c.entry_depth, c.period, c.digits), rep.exact)
 
 
 def _certified(sys, x):

@@ -26,6 +26,8 @@ import pytest
 
 from ifslab import addresses, core, triangle
 from ifslab.addresses import (
+    ChainKind,
+    ForcedChain,
     Mode,
     Verdict,
     classify_point,
@@ -39,8 +41,6 @@ from ifslab.errors import BudgetExceeded
 from ifslab.geometry import contains, contains_many, hull_polytope
 from ifslab.triangle import (
     BarycentricTriple,
-    ForcingKind,
-    ForcingResult,
     digit_forcing,
     gamma_uniqueness_scan,
     pi_point,
@@ -118,16 +118,15 @@ def _forcing_reference(lam, triple, max_steps):
             if all(0 <= v <= top for v in nxt):
                 feasible.append((d, nxt))
         if not feasible:
-            return ForcingResult(ForcingKind.DEAD_END, step, None, tuple(digits))
+            return ForcedChain(ChainKind.DEAD_END, tuple(digits))
         if len(feasible) >= 2:
-            return ForcingResult(ForcingKind.FORCED_PREFIX_THEN_BRANCH, step, None, tuple(digits))
+            return ForcedChain(ChainKind.FORCED_PREFIX_THEN_BRANCH, tuple(digits))
         d, state = feasible[0]
         digits.append(d)
         if state in seen:
-            return ForcingResult(ForcingKind.UNIQUE_BY_CYCLE, step + 1, step + 1 - seen[state],
-                                 tuple(digits))
+            return ForcedChain(ChainKind.UNIQUE_BY_CYCLE, tuple(digits), seen[state])
         seen[state] = step + 1
-    return ForcingResult(ForcingKind.EXHAUSTED, max_steps, None, tuple(digits))
+    return ForcedChain(ChainKind.EXHAUSTED, tuple(digits))
 
 
 def test_digit_forcing_matches_fraction_reference():
@@ -151,7 +150,7 @@ def test_digit_forcing_matches_fraction_reference():
             got = digit_forcing(lam, t, max_steps=steps)
             assert got == _forcing_reference(lam, t, steps), (lam, t)
             kinds.add(got.kind)
-    assert kinds == set(ForcingKind)
+    assert kinds == set(ChainKind)
 
 
 def _gamma_reference(lam, resolution, max_steps, visit):
@@ -163,7 +162,7 @@ def _gamma_reference(lam, resolution, max_steps, visit):
             if any(in_gamma_region(t, i, lam) for i in range(3)):
                 visit.append(t)
                 r = _forcing_reference(lam, t.as_tuple(), max_steps)
-                if r.kind is ForcingKind.UNIQUE_BY_CYCLE:
+                if r.kind is ChainKind.UNIQUE_BY_CYCLE:
                     out.append((t, r))
     return out
 
@@ -171,14 +170,14 @@ def _gamma_reference(lam, resolution, max_steps, visit):
 @pytest.mark.parametrize("resolution", [24, 31, 60])
 def test_gamma_scan_matches_fraction_reference(resolution, monkeypatch):
     visited = []
-    force = triangle._force
+    chain = triangle._chain
 
-    def recording(sys, state, max_steps):
+    def recording(sys, exact, state, max_steps):
         x, y, den = state  # the cell (x, y, den - x - y)/den of the corner triangle
         visited.append(BarycentricTriple(F(x, den), F(y, den), F(den - x - y, den)))
-        return force(sys, state, max_steps)
+        return chain(sys, exact, state, max_steps)
 
-    monkeypatch.setattr(triangle, "_force", recording)
+    monkeypatch.setattr(triangle, "_chain", recording)
     total = 0
     # 2/3 and 7/10 put res*(1-lam) or res*(1-lam)/lam on an integer
     for lam in [F(k, 1000) for k in range(667, 683)] + [F(2, 3), F(7, 10)]:
@@ -505,10 +504,10 @@ def test_digit_forcing_expands_only_through_the_core_kernel(monkeypatch):
                 r = digit_forcing(lam, t, max_steps=steps)
                 kinds.add(r.kind)
                 # one call per walked node: the last node of a fork or dead end is walked too
-                walked = r.step + (r.kind in (ForcingKind.FORCED_PREFIX_THEN_BRANCH,
-                                              ForcingKind.DEAD_END))
+                walked = r.step + (r.kind in (ChainKind.FORCED_PREFIX_THEN_BRANCH,
+                                              ChainKind.DEAD_END))
                 assert len(calls) == walked, (lam, t, steps, r)
-    assert kinds == set(ForcingKind)
+    assert kinds == set(ChainKind)
     # the scan builds a triple for a hit only: none on the 40-grid at 2/3, six on the 19-grid
     for resolution, hits in ((40, 0), (19, 6)):
         calls.clear()
@@ -547,20 +546,20 @@ def test_digit_forcing_agrees_with_classify_point_on_the_corner_triangle():
             for steps in (2, 60):
                 r = digit_forcing(lam, t, max_steps=steps)
                 kinds.add(r.kind)
-                closed = r.kind in (ForcingKind.UNIQUE_BY_CYCLE, ForcingKind.EXHAUSTED)
+                closed = r.kind in (ChainKind.UNIQUE_BY_CYCLE, ChainKind.EXHAUSTED)
                 rep = classify_point(sys, t[:2], r.step if closed else r.step + 1)
                 assert rep.prefix_counts[:r.step + 1] == [1] * (r.step + 1)
-                if r.kind is ForcingKind.UNIQUE_BY_CYCLE:
+                if r.kind is ChainKind.UNIQUE_BY_CYCLE:
                     c = rep.certificate
                     assert rep.verdict is Verdict.UNIQUE_CERTIFIED and rep.explored_depth == r.step
                     assert (c.entry_depth, c.period, c.digits) == (r.step - r.period, r.period,
                                                                   r.digits)
                     continue
                 assert rep.certificate is None
-                fork = r.step if r.kind is ForcingKind.FORCED_PREFIX_THEN_BRANCH else None
+                fork = r.step if r.kind is ChainKind.FORCED_PREFIX_THEN_BRANCH else None
                 assert rep.first_bifurcation == fork
-                assert (rep.prefix_counts[-1] == 0) == (r.kind is ForcingKind.DEAD_END)
-    assert kinds == set(ForcingKind)
+                assert (rep.prefix_counts[-1] == 0) == (r.kind is ChainKind.DEAD_END)
+    assert kinds == set(ChainKind)
 
 
 def _int_steps_reference(sys):

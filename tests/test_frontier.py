@@ -275,7 +275,7 @@ def _ref_classify(sys, x, depth, no_holes_certified=False, tol=DEFAULT_TOL):
             chain_digits.append(j)
             if exact:
                 if r in seen:
-                    cert = addresses.CycleCertificate(seen[r], (dep + 1) - seen[r], tuple(chain_digits))
+                    cert = addresses.ForcedChain(addresses.ChainKind.UNIQUE_BY_CYCLE, tuple(chain_digits), seen[r])
                     return Report(Verdict.UNIQUE_CERTIFIED, dep + 1, None, counts, cert, exact=True)
                 seen[r] = dep + 1
         else:

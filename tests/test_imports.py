@@ -1,8 +1,9 @@
 """Every top-level import of src/ and tests/ is used in its module, no
 src/ module defers an ifslab import into a function, no public function
 takes an option that no caller sets, digit words are projected only by
-`core`, only `core` and `addresses` read the scalar kernels, and only the
-one batched facet loop reads the float facets.
+`core`, only `core` and `addresses` read the scalar kernels, only
+`addresses` defines a forced-chain record and only it and `triangle` read
+the chain walker, and only the one batched facet loop reads the float facets.
 
 A plain `ast` walk, so the check needs no linter: a module fails when it
 binds a name by a top-level import and never reads that name again.
@@ -190,7 +191,8 @@ def scalar_kernel_reads(source, module):
 
     `core` defines `_children` and `_children_exact`, and `addresses` walks
     them, forced chains through `_chain`; any other module that wants a
-    forced chain calls `_chain`, so no second chain loop grows elsewhere.
+    forced chain reads it from `addresses`, so no second chain loop grows
+    elsewhere.
     """
     if module in ("core", "addresses"):
         return []
@@ -217,6 +219,49 @@ def test_the_check_sees_a_scalar_kernel_read():
                                                     (4, "_children_exact"), (5, "_children_exact")]
     assert scalar_kernel_reads(src, "addresses") == scalar_kernel_reads(src, "core") == []
 
+
+CHAIN_KINDS = {"unique-by-cycle", "forced-prefix-then-branch", "dead-end", "exhausted"}
+CHAIN_FIELDS = {"entry_depth", "period"}
+
+
+def second_chain_records(source, module):
+    """(line, what) of every forced-chain record or walker read outside its one home.
+
+    `addresses` defines `ForcedChain` and its `ChainKind`, and walks
+    chains in `_chain`; `triangle`'s digit forcing reads `_chain` too.  A
+    class elsewhere that holds a chain kind's value or a cycle field, or a
+    read of `_chain` from a third module, is a second shape of the record.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and module != "addresses":
+            for n in ast.walk(node):
+                if isinstance(n, ast.Constant) and n.value in CHAIN_KINDS:
+                    found.append((n.lineno, f"{node.name}: {n.value}"))
+                elif isinstance(n, ast.AnnAssign) and getattr(n.target, "id", None) in CHAIN_FIELDS:
+                    found.append((n.lineno, f"{node.name}.{n.target.id}"))
+        name = (getattr(node, "id", None) if isinstance(node, ast.Name) else
+                getattr(node, "attr", None) if isinstance(node, ast.Attribute) else
+                getattr(node, "name", None) if isinstance(node, ast.alias) else None)
+        if name == "_chain" and module not in ("addresses", "triangle"):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=[str(p.relative_to(ROOT)) for p in SRC_MODULES])
+def test_one_forced_chain_record(path):
+    assert second_chain_records(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_the_check_sees_a_second_chain_record():
+    src = ("import enum\nfrom .addresses import _chain\n"
+           "class Kind(enum.Enum):\n    CYCLE = 'unique-by-cycle'\n"
+           "class Result:\n    step: int\n    period: int | None\n"
+           "r = addresses._chain(s, True, x, 9)\n")
+    assert second_chain_records(src, "cli") == [(2, "_chain"), (4, "Kind: unique-by-cycle"),
+                                                (7, "Result.period"), (8, "_chain")]
+    assert second_chain_records(src, "triangle") == [(4, "Kind: unique-by-cycle"), (7, "Result.period")]
+    assert second_chain_records(src, "addresses") == []
 
 
 def float_facet_reads(source, module):

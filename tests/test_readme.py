@@ -13,9 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from ifslab.addresses import Verdict
+from ifslab.addresses import ChainKind, Verdict
 from ifslab.cli import main
-from ifslab.triangle import ForcingKind
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -60,5 +59,7 @@ def test_library_quick_tour():
     assert stated("# -> multiple-certified").verdict is Verdict.MULTIPLE_CERTIFIED
     unique = stated("# -> unique-certified, period 3")
     assert unique.verdict is Verdict.UNIQUE_CERTIFIED and unique.certificate.period == 3
-    forcing = stated("# ForcingResult(kind=UNIQUE_BY_CYCLE, period=3, digits=(2, 1, 0))")
-    assert (forcing.kind, forcing.period, forcing.digits) == (ForcingKind.UNIQUE_BY_CYCLE, 3, (2, 1, 0))
+    chain = stated("# -> unique-by-cycle, period 3")
+    assert (chain.kind, chain.period) == (ChainKind.UNIQUE_BY_CYCLE, 3)
+    forcing = stated("# ForcedChain(kind=UNIQUE_BY_CYCLE, period=3, digits=(2, 1, 0))")
+    assert (forcing.kind, forcing.period, forcing.digits) == (ChainKind.UNIQUE_BY_CYCLE, 3, (2, 1, 0))

@@ -3,11 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ifslab.addresses import Verdict, classify_point
+from ifslab.addresses import ChainKind, Verdict, classify_point
 from ifslab.errors import DimensionMismatch, IrrationalInput
 from ifslab.triangle import (
     BarycentricTriple,
-    ForcingKind,
     barycentric_to_point,
     digit_forcing,
     gamma_nonempty,
@@ -124,7 +123,7 @@ class TestBarycentricConversion:
 class TestDigitForcing:
     def test_unique_cycle_at_three_fifths(self):
         r = digit_forcing(Fraction(3, 5), pi_point(Fraction(3, 5)))
-        assert r.kind is ForcingKind.UNIQUE_BY_CYCLE
+        assert r.kind is ChainKind.UNIQUE_BY_CYCLE
         assert r.period == 3
         # forced coordinate indices c, b, a repeating: digit triples
         # (0,0,1), (0,1,0), (1,0,0)
@@ -132,21 +131,21 @@ class TestDigitForcing:
 
     def test_vertex_period_one(self):
         r = digit_forcing(Fraction(3, 5), (Fraction(1), Fraction(0), Fraction(0)))
-        assert r.kind is ForcingKind.UNIQUE_BY_CYCLE
+        assert r.kind is ChainKind.UNIQUE_BY_CYCLE
         assert r.period == 1 and r.digits == (0,)
 
     def test_branch_above_lambda0(self):
         r = digit_forcing(Fraction(7, 10), pi_point(Fraction(7, 10)))
-        assert r.kind is ForcingKind.FORCED_PREFIX_THEN_BRANCH
+        assert r.kind is ChainKind.FORCED_PREFIX_THEN_BRANCH
         assert r.step <= 20
 
     def test_unique_below_branch_above(self):
         for num, den in ((11, 20), (3, 5), (13, 20), (27, 40)):
             r = digit_forcing(Fraction(num, den), pi_point(Fraction(num, den)))
-            assert r.kind is ForcingKind.UNIQUE_BY_CYCLE
+            assert r.kind is ChainKind.UNIQUE_BY_CYCLE
         for num, den in ((69, 100), (7, 10), (71, 100)):
             r = digit_forcing(Fraction(num, den), pi_point(Fraction(num, den)))
-            assert r.kind is ForcingKind.FORCED_PREFIX_THEN_BRANCH
+            assert r.kind is ChainKind.FORCED_PREFIX_THEN_BRANCH
 
     def test_float_rejected(self):
         with pytest.raises(IrrationalInput):
@@ -195,7 +194,7 @@ class TestDigitForcing:
         # a gap midpoint for small lambda: no digit keeps remainders in range
         lam = Fraction(2, 5)
         r = digit_forcing(lam, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
-        assert r.kind is ForcingKind.DEAD_END
+        assert r.kind is ChainKind.DEAD_END
 
     def test_remainder_sum_invariant(self):
         # replaying the forced digits: the three remainders always sum to
@@ -226,9 +225,9 @@ class TestAgreementWithEngine:
             f = digit_forcing(lam, t, max_steps=200)
             pt = barycentric_to_point(s, t)
             rep = classify_point(s, pt, 200, no_holes_certified=True)
-            if f.kind is ForcingKind.UNIQUE_BY_CYCLE:
+            if f.kind is ChainKind.UNIQUE_BY_CYCLE:
                 assert rep.verdict is Verdict.UNIQUE_CERTIFIED
-            elif f.kind is ForcingKind.FORCED_PREFIX_THEN_BRANCH:
+            elif f.kind is ChainKind.FORCED_PREFIX_THEN_BRANCH:
                 assert rep.first_bifurcation == f.step
             checked += 1
         assert checked == 200
@@ -237,7 +236,7 @@ class TestAgreementWithEngine:
 def test_gamma_scan_reports_only_cycles():
     hits = gamma_uniqueness_scan(Fraction(67, 100), resolution=24, max_steps=200)
     for t, r in hits:
-        assert r.kind is ForcingKind.UNIQUE_BY_CYCLE
+        assert r.kind is ChainKind.UNIQUE_BY_CYCLE
 
 
 def test_gamma_scan_finds_the_rotations_of_both_period_three_points():
@@ -249,4 +248,4 @@ def test_gamma_scan_finds_the_rotations_of_both_period_three_points():
     hits = gamma_uniqueness_scan(lam, resolution=19)
     assert [tuple(int(v * 19) for v in t.as_tuple()) for t, _ in hits] == [
         (4, 6, 9), (4, 9, 6), (6, 4, 9), (6, 9, 4), (9, 4, 6), (9, 6, 4)]
-    assert all(r.kind is ForcingKind.UNIQUE_BY_CYCLE and r.period == 3 for _, r in hits)
+    assert all(r.kind is ChainKind.UNIQUE_BY_CYCLE and r.period == 3 for _, r in hits)
