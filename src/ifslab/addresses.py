@@ -31,7 +31,7 @@ back as the Fractions `apply_inverse` gives.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from numbers import Integral
 
@@ -109,7 +109,9 @@ class ForcedChain:
     """A forced chain of feasible digits and how it stopped.
 
     On a cycle the digits from step `entry_depth` on repeat forever.  At a
-    fork or dead end `children` holds its (digit, remainder) pairs.
+    fork or dead end `children` holds its (digit, remainder) pairs: points
+    from `forced_chain` and digit forcing, Fractions on an exact walk, and
+    integer states (`core._state`) inside the package's own walks.
     """
 
     kind: ChainKind
@@ -242,7 +244,15 @@ def first_bifurcation(sys: IfsSystem, x, depth: int):
 def forced_chain(sys: IfsSystem, x, steps: int) -> ForcedChain:
     """x's forced chain for at most `steps` levels; only an exact one can close a cycle."""
     _check_depth(steps, "steps")
-    return _chain(sys, *_root(sys, x), steps)
+    exact, root = _root(sys, x)
+    return _with_points(_chain(sys, exact, root, steps), exact)
+
+
+def _with_points(chain, exact):
+    """`chain` with an exact fork's child states read back as the Fractions `apply_inverse` gives."""
+    if not (exact and chain.children):
+        return chain
+    return replace(chain, children=[(j, _fractions(state)) for j, state in chain.children])
 
 
 def _chain(sys, exact, node, steps, tol=DEFAULT_TOL):

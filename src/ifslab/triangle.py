@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .addresses import ChainKind, ForcedChain, _chain, _check_depth
+from .addresses import ChainKind, ForcedChain, _chain, _check_depth, _with_points
 from .core import IfsSystem, _state, new_ifs
 from .errors import DimensionMismatch, IrrationalInput
 
@@ -125,7 +125,7 @@ def digit_forcing(lam, target, max_steps: int = 10_000) -> ForcedChain:
         raise IrrationalInput("digit forcing needs exact rational target coordinates")
     if sum(triple) != 1:
         raise ValueError("barycentric target must satisfy x + y + z = 1 exactly")
-    return _chain(_corner_system(lam), True, _state(triple[:2]), max_steps)
+    return _with_points(_chain(_corner_system(lam), True, _state(triple[:2]), max_steps), True)
 
 
 @functools.lru_cache
@@ -178,10 +178,14 @@ def gamma_uniqueness_scan(lam, resolution: int = 60, max_steps: int = 400):
     Fraction per cell.  As wide >= narrow, a cell lies in some Gamma_i
     exactly when its middle entry is <= narrow and its largest <= wide.
     A visited cell's chain starts from its reduced state (i0, i1, res)/gcd.
+    lam must be Rational: a float would be scanned at its dyadic value.
     """
-    lam = Fraction(lam)
     if not (0 < lam < 1):
         raise ValueError(f"lambda must lie in (0,1), got {lam}")
+    if not isinstance(lam, Rational):
+        raise IrrationalInput(f"the gamma scan forces digits with exact rationals; got lam = {lam!r}, "
+                              "pass a Fraction")
+    lam = Fraction(lam)
     _check_depth(max_steps, "max_steps")
     _check_depth(resolution, "resolution", 1)
     sys = _corner_system(lam)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ifslab import conditions
+from ifslab import conditions, render
 from ifslab.addresses import first_bifurcation
 from ifslab.cli import fmt, main, write_csv
 from ifslab.core import apply_map, image_polytope, new_ifs, project_prefix
@@ -318,17 +318,50 @@ CHAOS_SYSTEMS = {
     "d2-m3-fraction": new_ifs(Fraction(3, 5), [(Fraction(0), Fraction(0)),
                                                (Fraction(1), Fraction(0)),
                                                (Fraction(1, 3), Fraction(2, 3))]),
+    "d2-m3-lam095": triangle_system(0.95),  # W = 1442: too long a coupling to pay at 20,000
 }
+
+
+def _record_lanes(monkeypatch):
+    """A list that gets, per call of the coupled lanes, whether every lane coupled."""
+    seen, lanes = [], render._coupled_lanes
+
+    def recording(*args):
+        out = lanes(*args)
+        seen.append(out is not None)
+        return out
+
+    monkeypatch.setattr(render, "_coupled_lanes", recording)
+    return seen
 
 
 @pytest.mark.parametrize("name", list(CHAOS_SYSTEMS))
 @pytest.mark.parametrize("seed", [0, 7])
-def test_chaos_game_matches_joint_loop(name, seed):
+def test_chaos_game_matches_joint_loop(name, seed, monkeypatch):
     s = CHAOS_SYSTEMS[name]
-    got = chaos_game(s, 3000, 150, seed)
-    want = chaos_game_reference(s, 3000, 150, seed)
-    assert got.shape == want.shape == (2850, s.d)
-    assert got.tobytes() == want.tobytes()
+    lanes = _record_lanes(monkeypatch)
+    for iters in (3000, 20_000):
+        got = chaos_game(s, iters, 150, seed)
+        want = chaos_game_reference(s, iters, 150, seed)
+        assert got.shape == want.shape == (iters - 150, s.d)
+        assert got.tobytes() == want.tobytes()
+    # 3,000 iterations are too few for lanes to pay; 20,000 run every
+    # system but lam = 0.95 in lanes, and every lane couples
+    assert lanes == ([] if name == "d2-m3-lam095" else [True])
+
+
+def test_chaos_game_falls_back_when_a_lane_does_not_couple(monkeypatch):
+    # two steps of replay leave every lane far from its predecessor's end
+    monkeypatch.setattr(render, "_coupling_steps", lambda lam: 2)
+    lanes = _record_lanes(monkeypatch)
+    for s in CHAOS_SYSTEMS.values():
+        got = chaos_game(s, 5000, 150, 3)
+        assert got.tobytes() == chaos_game_reference(s, 5000, 150, 3).tobytes()
+    assert lanes == [False] * len(CHAOS_SYSTEMS)
+
+
+def test_coupling_steps():
+    assert [render._coupling_steps(lam) for lam in (0.6, 0.7, 0.95)] == [152, 214, 1442]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from ifslab.addresses import (
     first_bifurcation,
     forced_chain,
 )
-from ifslab.core import new_ifs
+from ifslab.core import apply_inverse, new_ifs
+from ifslab.errors import IrrationalInput
 from ifslab.triangle import (
     barycentric_to_point,
     digit_forcing,
@@ -105,6 +106,38 @@ def test_digit_forcing_is_the_corner_triangle_chain():
                 floats = forced_chain(corners, tuple(map(float, t[:2])), steps)
                 assert floats.kind is not ChainKind.UNIQUE_BY_CYCLE
     assert seen == set(ChainKind)
+
+
+def _forked_children(sys, x, chain):
+    """The fork's children as `apply_inverse` gives them, after the chain's forced digits."""
+    for j in chain.digits:
+        x = apply_inverse(sys, j, x)
+    return [(j, apply_inverse(sys, j, x)) for j, _ in chain.children]
+
+
+def test_a_fork_gives_its_children_as_points():
+    forks = {True: 0, False: 0}
+    for sys, x, steps in _cases():
+        c = forced_chain(sys, x, steps)
+        if c.kind is ChainKind.FORCED_PREFIX_THEN_BRANCH:
+            assert c.children == _forked_children(sys, x, c), (x, steps)
+            assert all(type(v) is (Fraction if sys.is_exact else float) for _, r in c.children for v in r)
+            forks[sys.is_exact] += 1
+    for k in range(501, 1000, 37):
+        lam = F(k, 1000)
+        corners = new_ifs(lam, [(1, 0), (0, 1), (0, 0)])
+        for t in ((F(1, 3),) * 3, (F(1, 2), F(1, 4), F(1, 4))):
+            c = digit_forcing(lam, t, max_steps=60)
+            if c.kind is ChainKind.FORCED_PREFIX_THEN_BRANCH:
+                assert c.children == _forked_children(corners, t[:2], c), (lam, t)
+                forks[True] += 1
+    assert forks[True] > 0 and forks[False] > 0
+
+
+def test_gamma_scan_takes_only_a_rational_lambda():
+    with pytest.raises(IrrationalInput, match="exact rationals"):
+        gamma_uniqueness_scan(2 / 3, 19)
+    assert len(gamma_uniqueness_scan(F(2, 3), 19)) == 6
 
 
 def test_the_record_keeps_the_names_the_bench_reads():

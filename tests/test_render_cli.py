@@ -1,9 +1,11 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from ifslab.cli import main
 from ifslab.core import load_system
 from ifslab.deleted_digits import DigitSet, as_ifs
 from ifslab.measure import MeasureSampler, sample_natural_measure
+from ifslab import render
 from ifslab.render import chaos_game, render_attractor, write_pgm
 
 from helpers import triangle_system, unit_system
@@ -56,6 +59,64 @@ class TestRender:
         assert lines[1] == "2 2"
         assert lines[2] == "255"
         assert lines[3:] == ["0 255", "255 0"]
+
+    def test_pgm_rows_are_the_pixels_text(self):
+        image = np.arange(256, dtype=np.int64).reshape(16, 16)
+        for img in (image, image.astype(np.uint8), image.T):
+            buf = io.StringIO()
+            write_pgm(buf, img)
+            rows = buf.getvalue().splitlines()[3:]
+            assert rows == [" ".join(str(v) for v in row) for row in img.tolist()]
+
+    @pytest.mark.parametrize("image", [
+        np.array([[300, -1]]), np.array([[0, 256]]), np.array([[-1, 0]], dtype=np.int8),
+        np.array([0, 255]), np.zeros((2, 2, 2), dtype=np.uint8), np.array([[0.0, 255.0]]),
+        np.array([[True, False]]),
+    ], ids=["out-of-range", "256", "negative-int8", "1-D", "3-D", "float", "bool"])
+    def test_pgm_rejects_what_is_not_a_2d_integer_image_in_0_255(self, image):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="2-D integer array of values in 0..255"):
+            write_pgm(buf, image)
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("name, value, least", [
+        *[(name, v, 0) for name in ("iters", "burn_in") for v in (5000.5, -1, "3")],
+        *[("resolution", v, 1) for v in (2.5, 0, "3")],
+    ])
+    def test_a_count_is_an_integer_of_at_least_its_least(self, name, value, least):
+        # each count passes the one step-count rule before iters > burn_in >= 100
+        args = {"iters": 5000, "burn_in": 100, "resolution": 64, "seed": 1, name: value}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer of at least "
+                                                       f"{least}, got {value!r}")):
+            render_attractor(triangle_system(0.7), **args)
+
+    def test_a_numpy_integer_count_is_a_count(self):
+        s = triangle_system(0.7)
+        want = render_attractor(s, 5000, 100, 64, 1)
+        got = render_attractor(s, np.int64(5000), np.int64(100), np.int64(64), 1)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("path", ["lanes", "fallback"])
+    def test_chaos_game_peak_memory(self, path, monkeypatch):
+        # 10^6 iterations at d = 2 hold 16 B of point each, and either 8 B
+        # of digit (the lanes) or, after lanes that did not couple, 8 B of
+        # digit list and 8 B of coordinate column (the scalar recurrence)
+        if path == "fallback":
+            lanes = render._coupled_lanes
+
+            def uncoupled(*args):
+                lanes(*args)
+
+            monkeypatch.setattr(render, "_coupled_lanes", uncoupled)
+        n = 10**6
+        tracemalloc.start()
+        try:
+            pts = chaos_game(triangle_system(0.7), n, 100, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pts.shape == (n - 100, 2)
+        assert peak <= 33 * n
 
 
 @pytest.fixture()
