@@ -31,15 +31,18 @@ back as the Fractions `apply_inverse` gives.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property
-from numbers import Integral
+from numbers import Rational
 
 import numpy as np
 
-from .errors import BudgetExceeded, CertificateRequired, PointOutsideOmega
-from .core import IfsSystem, _children, _children_exact, _children_many, _fractions, _state
-from .geometry import DEFAULT_TOL, contains, is_exact_point
+from .errors import BudgetExceeded, CertificateRequired, DimensionMismatch, PointOutsideOmega
+from .core import (IfsSystem, _check_depth, _children, _children_exact, _children_many, _fractions,
+                   _state)
+from .geometry import contains, is_exact_point
 
 NODE_BUDGET = 10**6  # most nodes a prefix tree or a classification may hold
 CERT_MARGIN = 1e-9  # interior margin required of both branches before certifying multiplicity
@@ -74,10 +77,9 @@ class PrefixTree:
     holding depth k, on first read, with exact remainders as Fractions.
     """
 
-    def __init__(self, point, steps, exact):
-        self.point = point
+    def __init__(self, point, steps):
+        self.point = point  # as `_root` read it: exact just when the walk is
         self._steps = steps  # [(parents, digits, remainders)] for depths 1, 2, ...
-        self._exact = exact
 
     @property
     def counts(self):
@@ -89,7 +91,7 @@ class PrefixTree:
         for parents, digits, rems in self._steps:
             if isinstance(rems, np.ndarray):
                 parents, digits, rems = parents.tolist(), digits.tolist(), map(tuple, rems.tolist())
-            elif self._exact:
+            elif is_exact_point(self.point):
                 rems = map(_fractions, rems)
             above = out[-1]
             out.append([PrefixNode(prefix=above[i].prefix + (j,), remainder=r)
@@ -144,8 +146,8 @@ def feasible_children(sys: IfsSystem, x):
     A superset of the true first address digits of x, and equal to them
     when the attractor has no holes.
     """
-    exact, r = _root(sys, x)
-    return tuple(j for j, _ in (_children_exact(sys, r) if exact else _children(sys, r)))
+    _, root = _root(sys, x)
+    return tuple(j for j, _ in (_children_exact if sys.is_exact else _children)(sys, root))
 
 
 def enumerate_prefixes(sys: IfsSystem, x, depth: int) -> PrefixTree:
@@ -157,54 +159,58 @@ def enumerate_prefixes(sys: IfsSystem, x, depth: int) -> PrefixTree:
     More than NODE_BUDGET nodes raise BudgetExceeded.
     """
     _check_depth(depth)
-    x = tuple(x)
-    exact, root = _root(sys, x)
+    x, root = _root(sys, x)
     steps = []
     frontier = [root]
     total = 1
     for dep in range(depth):
-        parents, digits, frontier = _expand(sys, frontier, exact=exact)
+        parents, digits, frontier = _expand(sys, frontier)
         steps.append((parents, digits, frontier))
         total += len(digits)
         if total > NODE_BUDGET:
             raise BudgetExceeded(f"prefix tree exceeded {NODE_BUDGET} nodes at depth {dep + 1}")
         if not len(digits):
             break
-    return PrefixTree(point=x, steps=steps, exact=exact)
+    return PrefixTree(point=x, steps=steps)
 
 
 def _root(sys, x):
-    """(exact, root node): x's integer state on an exact system and point, else the tuple x."""
+    """(point, root node) of a walk from x: x of the system's dimension, else DimensionMismatch.
+
+    An exact system reads a float coordinate as its exact Fraction, keeps
+    Rationals, and starts from the `_state`; a float system reads floats
+    and starts from the point.  A non-finite coordinate raises ValueError.
+    """
     x = tuple(x)
-    if sys.is_exact and is_exact_point(x):
-        return True, _state(x)
-    return False, x
+    if len(x) != sys.d:
+        raise DimensionMismatch(f"point has dimension {len(x)}, system {sys.d}")
+    if not sys.is_exact:
+        x = tuple(map(float, x))
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"point {x} has a non-finite coordinate")
+        return x, x
+    if not all(isinstance(v, Rational) or math.isfinite(v) for v in x):
+        raise ValueError(f"point {x} has a non-finite coordinate")
+    x = tuple(v if isinstance(v, Rational) else Fraction(v) for v in x)
+    return x, _state(x)
 
 
-def _expand(sys, frontier, tol=DEFAULT_TOL, exact=False):
+def _expand(sys, frontier):
     """(parents, digits, remainders) of every feasible child of a level, node-major.
 
     The level step of `enumerate_prefixes` and of `classify_point`'s tree
-    phase.  An exact level is a list of integer states, expanded one node at a time by
-    `_children_exact`.  A level of two or more float remainders goes
-    through the batched kernel's one fused step as one (rows, d) array,
-    and its children stay one: a (children, d) view of coordinate rows,
-    which the next level's step reads a coordinate at a time.  A single
-    float node, or a level in mixed arithmetic, steps through the scalar
-    kernel.  Either way every float remainder is bit for bit what
-    `_children` computes.
+    phase.  An exact level is a list of integer states, expanded one node at
+    a time by `_children_exact`.  A float level of two or more nodes takes
+    the batched kernel's one fused step, its children one (children, d) view
+    of coordinate rows; a single float node steps through `_children`.
     """
-    if not exact:
-        if isinstance(frontier, np.ndarray):
-            if len(frontier) >= 2:
-                return _children_many(sys, frontier, tol)
-            frontier = [tuple(r) for r in frontier.tolist()]
-        elif len(frontier) >= 2 and all(type(v) is float for v in frontier[0]):
-            # every remainder of a level has the same coordinate types
-            return _children_many(sys, np.array(frontier), tol)
+    if not sys.is_exact and len(frontier) >= 2:
+        return _children_many(sys, np.asarray(frontier))
+    if isinstance(frontier, np.ndarray):
+        frontier = [tuple(r) for r in frontier.tolist()]
     parents, digits, rems = [], [], []
     for i, r in enumerate(frontier):
-        for j, rj in _children_exact(sys, r) if exact else _children(sys, r, tol):
+        for j, rj in _children_exact(sys, r) if sys.is_exact else _children(sys, r):
             parents.append(i)
             digits.append(j)
             rems.append(rj)
@@ -228,24 +234,17 @@ def _solid(sys, rems):
     return sum(contains(sys.omega, r, tol=-CERT_MARGIN) for r in rems)
 
 
-def _check_depth(depth, name="depth", least=0):
-    """Reject a step count (or `name`) that is not an integer of at least `least`."""
-    if not (type(depth) is int or isinstance(depth, Integral)) or depth < least:  # int: no ABC check
-        raise ValueError(f"{name} must be an integer of at least {least}, got {depth!r}")
-
-
 def first_bifurcation(sys: IfsSystem, x, depth: int):
     """Least n at which a common prefix of length n has two feasible continuations."""
     _check_depth(depth)
-    chain = _chain(sys, *_root(sys, x), depth)
+    chain = _chain(sys, _root(sys, x)[1], depth)
     return chain.step if chain.children else None  # children, if any, are a fork's
 
 
 def forced_chain(sys: IfsSystem, x, steps: int) -> ForcedChain:
     """x's forced chain for at most `steps` levels; only an exact one can close a cycle."""
     _check_depth(steps, "steps")
-    exact, root = _root(sys, x)
-    return _with_points(_chain(sys, exact, root, steps), exact)
+    return _with_points(_chain(sys, _root(sys, x)[1], steps), sys.is_exact)
 
 
 def _with_points(chain, exact):
@@ -255,7 +254,7 @@ def _with_points(chain, exact):
     return replace(chain, children=[(j, _fractions(state)) for j, state in chain.children])
 
 
-def _chain(sys, exact, node, steps, tol=DEFAULT_TOL):
+def _chain(sys, node, steps):
     """The one walk along a forced chain of feasible digits, as a ForcedChain.
 
     From `node` it follows the only feasible child, through
@@ -264,10 +263,11 @@ def _chain(sys, exact, node, steps, tol=DEFAULT_TOL):
     or at an exact state seen before: the chain is then periodic forever,
     which proves the address unique.  Float states are never compared.
     """
+    exact = sys.is_exact
     seen = {node: 0} if exact else None
     digits = []
     for step in range(1, steps + 1):
-        kids = _children_exact(sys, node) if exact else _children(sys, node, tol)
+        kids = _children_exact(sys, node) if exact else _children(sys, node)
         if len(kids) != 1:
             kind = ChainKind.FORCED_PREFIX_THEN_BRANCH if kids else ChainKind.DEAD_END
             return ForcedChain(kind, tuple(digits), None, kids)
@@ -279,7 +279,7 @@ def _chain(sys, exact, node, steps, tol=DEFAULT_TOL):
 
 
 def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
-                   no_holes_certified=False, tol=DEFAULT_TOL) -> ClassificationReport:
+                   no_holes_certified=False) -> ClassificationReport:
     """Classify the address structure of x from its feasible-prefix tree.
 
     Verdicts:
@@ -317,15 +317,15 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
     PointOutsideOmega for x outside Omega.
     """
     _check_depth(depth)
+    x, root = _root(sys, x)
     if mode is Mode.EXACT_NO_HOLES:
         if not no_holes_certified:
             raise CertificateRequired(
                 "exact-no-holes mode needs a no-holes certificate (conditions.no_holes_sufficient)")
-        if not contains(sys.omega, x, tol=tol):
+        if not contains(sys.omega, x):
             raise PointOutsideOmega(f"{x} is outside Omega")
     budget = NODE_BUDGET
-    exact, root = _root(sys, x)
-    chain = _chain(sys, exact, root, min(depth, budget), tol)
+    chain = _chain(sys, root, min(depth, budget))
     start, kids = chain.step, chain.children
     if start == budget:
         raise BudgetExceeded(f"classification exceeded {budget} nodes at depth {budget}")
@@ -333,20 +333,20 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
     bifurcation = start if kids else None  # children, if any, are a fork's
 
     def report(verdict, explored, certificate=None):
-        return ClassificationReport(verdict, explored, bifurcation, counts, certificate, exact)
+        return ClassificationReport(verdict, explored, bifurcation, counts, certificate, sys.is_exact)
 
     if chain.entry_depth is not None:  # a cycle
         return report(Verdict.UNIQUE_CERTIFIED, start, chain)
     total_nodes = start + 1
     for dep in range(start, depth):  # the first level holds the children the chain stopped at
-        parents, digits, frontier = (_expand(sys, frontier, tol, exact) if dep > start else
+        parents, digits, frontier = (_expand(sys, frontier) if dep > start else
                                      ([0] * len(kids), [j for j, _ in kids], [r for _, r in kids]))
         n = len(digits)
         room = budget - total_nodes  # children the level may add
         for a, b in _fork_spans(parents) if no_holes_certified else ():
             if a > room:
                 break
-            if exact or _solid(sys, frontier[a:b]) >= 2:
+            if sys.is_exact or _solid(sys, frontier[a:b]) >= 2:
                 counts.append(b)  # the children of every node up to this one
                 return report(Verdict.MULTIPLE_CERTIFIED, dep + 1)
         total_nodes += n

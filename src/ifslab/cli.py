@@ -20,7 +20,7 @@ from . import addresses, conditions, measure, render, triangle
 from .core import load_system
 from .deleted_digits import DigitSet, attractor_interval, count_expansions
 from .errors import BudgetExceeded, IfsLabError, PointOutsideOmega
-from .geometry import DEFAULT_TOL, contains
+from .geometry import contains
 
 
 def fmt(v) -> str:
@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point")
     p.add_argument("--bary")
     p.add_argument("--depth", type=int, default=40)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--exact", action="store_true")
 
     p = sub.add_parser("classify-grid", help="chain-classify a grid over Omega")
@@ -143,9 +142,9 @@ def cmd_analyze_point(args) -> int:
         pt = _parse_fracs(args.point) if args.exact else _parse_floats(args.point)
         if len(pt) == 3 and sys_.d == 2 and sys_.m == 3:
             raise ValueError("got 3 coordinates for a planar triangle; use --bary x,y,z")
-    if not contains(sys_.omega, pt, tol=args.tol):
+    if not contains(sys_.omega, pt):
         raise PointOutsideOmega(f"{pt} is outside Omega")
-    rep = addresses.classify_point(sys_, pt, args.depth, tol=args.tol,
+    rep = addresses.classify_point(sys_, pt, args.depth,
                                    no_holes_certified=conditions.no_holes_sufficient(sys_)[0])
     write_csv(_sys.stdout,
               ["verdict", "explored_depth", "first_bifurcation", "final_count",
@@ -291,9 +290,6 @@ def main(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None and value < least:
                 raise ValueError(f"--{name} must be at least {least}, got {value}")
-        tol = getattr(args, "tol", None)
-        if tol is not None and not 0 <= tol < math.inf:
-            raise ValueError(f"--tol must be finite and at least 0, got {tol}")
         return _COMMANDS[args.command](args)
     except (BudgetExceeded, MemoryError) as e:
         print(f"error: {str(e) or type(e).__name__}", file=_sys.stderr)

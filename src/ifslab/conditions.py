@@ -31,7 +31,7 @@ from .errors import (
     PointOutsideOmega,
     UnsortedDigits,
 )
-from .core import IfsSystem, _children_many, _feasible_many, project_all_words
+from .core import IfsSystem, _check_depth, _children_many, _feasible_many, project_all_words
 from .geometry import contains, sample_uniform
 
 ELL_CAP = 64
@@ -83,6 +83,7 @@ def covering_deficiency(sys: IfsSystem, n: int, samples: int, seed: int):
     breadth-first search over all feasible children, laid out PAIR_BUDGET
     pairs at a time and capped at FRONTIER_CAP rows a level.
     """
+    _check_depth(n, "n")
     rng = np.random.default_rng(seed)
     pts = sample_uniform(sys.omega, samples, rng)
     rest = pts[~_dive(sys, pts, n)]
@@ -228,6 +229,7 @@ def wn_entry_depths(sys: IfsSystem, w: OverlapWitness, pts, n_max: int):
     the avoiding step on at most PAIR_BUDGET (row, word) pairs at a time
     (`_chunked_children`).
     """
+    _check_depth(n_max, "n_max")
     beta, T, idx0 = _block_tables(sys, w)
     T0 = T[idx0:idx0 + 1]
     T_avoid = np.delete(T, idx0, axis=0)

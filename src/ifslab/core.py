@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from .errors import (
     DuplicatePoints,
     LambdaOutOfRange,
 )
-from .geometry import (DEFAULT_TOL, Polytope, _inside, contains, hull_polytope, is_exact_point,
-                       is_exact_scalar)
+from .geometry import Polytope, _inside, contains, hull_polytope, is_exact_point, is_exact_scalar
 
 CLOUD_POINT_BUDGET = 4_000_000  # most rows project_all_words lays out
 
@@ -142,6 +141,12 @@ def new_ifs(lam, points) -> IfsSystem:
     return IfsSystem(lam=lam, points=pts, omega=hull_polytope(pts))
 
 
+def _check_depth(depth, name="depth", least=0):
+    """Reject a step count (or `name`) that is not an integer of at least `least`."""
+    if not (type(depth) is int or isinstance(depth, Integral)) or depth < least:  # int: no ABC check
+        raise ValueError(f"{name} must be an integer of at least {least}, got {depth!r}")
+
+
 def _check_digit(sys: IfsSystem, j):
     if not (isinstance(j, int) and 0 <= j < sys.m):
         raise DigitOutOfRange(f"digit {j} not in 0..{sys.m - 1}")
@@ -199,7 +204,7 @@ def _step(state, q, c, v, qu):
     return (*[n // g for n in out], den // g)
 
 
-def _children(sys: IfsSystem, x, tol=DEFAULT_TOL):
+def _children(sys: IfsSystem, x):
     """[(j, f_j^{-1}(x))] for every digit j whose image lies in Omega (closed test).
 
     The scalar feasibility kernel on floats, for `addresses._chain` and the
@@ -212,7 +217,7 @@ def _children(sys: IfsSystem, x, tol=DEFAULT_TOL):
     out = []
     for j in range(sys.m):
         r = apply_inverse(sys, j, x)
-        if contains(sys.omega, r, tol=tol):
+        if contains(sys.omega, r):
             out.append((j, r))
     return out
 
@@ -238,7 +243,7 @@ def _children_exact(sys: IfsSystem, state):
     return out
 
 
-def _feasible_many(omega: Polytope, X, shifts, scale, tol=DEFAULT_TOL):
+def _feasible_many(omega: Polytope, X, shifts, scale):
     """Every (row x, map j) with (x - shifts[j])/scale in omega, as (parent, digit, remainders).
 
     The one batched feasibility kernel, over a (rows, d) float array and
@@ -255,12 +260,12 @@ def _feasible_many(omega: Polytope, X, shifts, scale, tol=DEFAULT_TOL):
     cand = np.empty((d, len(X), maps))  # C order: each coordinate row holds the pairs row-major
     np.subtract(X.T[:, :, None], shifts.T[:, None, :], out=cand)
     cols = np.divide(cand, scale, out=cand).reshape(d, -1)
-    hit = _inside(omega, cols, tol).nonzero()[0]  # np.flatnonzero's ravel costs a Python call
+    hit = _inside(omega, cols).nonzero()[0]  # np.flatnonzero's ravel costs a Python call
     parent, digit = np.divmod(hit, maps)
     return parent, digit, cols.take(hit, axis=1).T
 
 
-def _children_many(sys: IfsSystem, X, tol=DEFAULT_TOL):
+def _children_many(sys: IfsSystem, X):
     """`_children` of every row of a (rows, d) float array, as (parent, digit, remainders).
 
     `_feasible_many` on the system's own maps, in one fused step from the
@@ -272,7 +277,7 @@ def _children_many(sys: IfsSystem, X, tol=DEFAULT_TOL):
     (children, d) transposed view of coordinate rows, so the next level's
     candidates read each coordinate contiguously.
     """
-    return _feasible_many(sys.omega, X, sys.float_shifts, float(sys.lam), tol)
+    return _feasible_many(sys.omega, X, sys.float_shifts, float(sys.lam))
 
 
 def project_prefix(sys: IfsSystem, w, x0):

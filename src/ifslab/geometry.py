@@ -11,14 +11,14 @@ generators, and `volume` reads its exact value from the same facets.
 
 `contains` tests one point on the float or the exact-rational path: the
 exact test is closed integer arithmetic, and the float test moves every
-facet outward by a signed `tol` (a negative one is an interior margin).
-The one batched test, `_inside`, reads points coordinate-major, as a
-(d, N) array with one row per coordinate, and tests every facet at once
-on FACET_BLOCK columns at a time.  `contains_many` hands it (..., d)
-point arrays transposed, and core._feasible_many its candidates, built
-in that layout.  It repeats the float path of `contains` operation for
-operation, so the two never disagree, not even within rounding of the
-tolerance shell.
+facet outward by a signed `tol` (a negative one is an interior margin);
+no other function takes a tolerance.  The one batched test, `_inside`,
+reads points coordinate-major, as a (d, N) array with one row per
+coordinate, and tests every facet at once on FACET_BLOCK columns at a
+time.  `contains_many` hands it (..., d) point arrays transposed, and
+core._feasible_many its candidates, built in that layout.  It repeats
+the float path of `contains` at DEFAULT_TOL operation for operation, so
+the two never disagree, not even within rounding of the tolerance shell.
 """
 
 from __future__ import annotations
@@ -73,18 +73,18 @@ class Polytope:
 
     @cached_property
     def float_halfspaces(self):
-        """The H-representation as read-only float facet columns (A, b, |row| norms).
+        """The H-representation as read-only float facet columns (A, b, -DEFAULT_TOL*|n|).
 
         A[k] is the (facets, 1) column of the k-th normal coordinates, and b
-        and the norms are (facets, 1) columns too, so `_inside` broadcasts
-        them against a block of points with no per-call reshaping.  Built
-        on the first batched query and kept.  Not at construction:
-        polytopes that only scalar tests read never need it.
+        and the least slacks are (facets, 1) columns too, so `_inside`
+        broadcasts them against a block of points with no per-call
+        reshaping.  Built on the first batched query and kept.  Not at
+        construction: polytopes that only scalar tests read never need it.
         """
         arrays = (
             np.array([[float(v) for v in n] for n, _, _ in self.halfspaces]).T[:, :, None].copy(),
             np.array([[float(off)] for _, off, _ in self.halfspaces]),
-            np.sqrt(np.array([[float(sq)] for _, _, sq in self.halfspaces])),
+            -DEFAULT_TOL * np.sqrt(np.array([[float(sq)] for _, _, sq in self.halfspaces])),
         )
         for a in arrays:
             a.flags.writeable = False
@@ -261,33 +261,32 @@ def _volume(pts, d):
     return total / d
 
 
-def contains_many(poly: Polytope, pts, tol=DEFAULT_TOL):
+def contains_many(poly: Polytope, pts):
     """Closed membership over the last axis of a (..., d) float array, in any dimension.
 
-    The float path of `contains` bit for bit: the points, transposed to
-    coordinate rows without a copy, go through the one batched test
-    `_inside`.  A NaN point lies in no polytope, as in `contains`.
+    The float path of `contains` at DEFAULT_TOL bit for bit: the points,
+    transposed to coordinate rows without a copy, go through the one
+    batched test `_inside`.  A NaN point lies in no polytope, as in `contains`.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.shape[-1] != poly.dim:
         raise DimensionMismatch(f"points have dimension {pts.shape[-1]}, polytope {poly.dim}")
-    return _inside(poly, pts.reshape(-1, poly.dim).T, tol).reshape(pts.shape[:-1])
+    return _inside(poly, pts.reshape(-1, poly.dim).T).reshape(pts.shape[:-1])
 
 
-def _inside(poly: Polytope, cols, tol):
+def _inside(poly: Polytope, cols):
     """Closed float membership of every column of a (d, N) coordinate array, as an (N,) bool mask.
 
     The one batched feasibility test, read by `contains_many` and
     core._feasible_many.  Per halfspace, s = off - (n_0 x_0 + n_1 x_1 +
     ...) is summed one coordinate at a time in that order, and x passes
-    when s >= -tol * |n|: the float path of `contains`, operation for
-    operation.  The matmul form A x <= b + tol * |n| rounds otherwise and
-    disagrees with `contains` on points within rounding of the tol shell.
-    A NaN slack fails.  Every facet is tested at once on FACET_BLOCK
-    columns at a time, so the temporaries stay bounded on any N.
+    when s >= -DEFAULT_TOL * |n|: the float path of `contains`, operation
+    for operation.  The matmul form A x <= b + DEFAULT_TOL * |n| rounds
+    otherwise and disagrees with `contains` on points within rounding of
+    the tolerance shell.  A NaN slack fails.  Every facet is tested at once on
+    FACET_BLOCK columns at a time, so the temporaries stay bounded on any N.
     """
-    A, b, norms = poly.float_halfspaces
-    thr = -float(tol) * norms
+    A, b, thr = poly.float_halfspaces
     inside = np.empty(cols.shape[1], dtype=bool)
     for a in range(0, cols.shape[1], FACET_BLOCK):
         x = cols[:, a:a + FACET_BLOCK]

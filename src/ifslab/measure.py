@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, CertificateRequired, TooFewScales
+from .errors import BudgetExceeded, CertificateRequired, DimensionMismatch, TooFewScales
 from .conditions import no_holes_sufficient
-from .core import IfsSystem, _children_many, centroid, check_probs, project_all_words, project_words
+from .core import (IfsSystem, _check_depth, _children_many, centroid, check_probs, project_all_words,
+                   project_words)
 from .geometry import DEFAULT_TOL, contains_many
 
 
@@ -68,7 +69,10 @@ def chain_walk(sys: IfsSystem, pts, depth: int):
     with two or more feasible children, and the depth of the first step with
     none; -1 where the event never happens within `depth`.
     """
+    _check_depth(depth)
     r = np.asarray(pts, dtype=float)
+    if r.ndim != 2 or r.shape[1] != sys.d:
+        raise DimensionMismatch(f"points of shape {r.shape} are not rows of dimension {sys.d}")
     n = len(r)
     bif = np.full(n, -1, dtype=np.int64)
     dead = np.full(n, -1, dtype=np.int64)
@@ -171,6 +175,7 @@ def grid_points(sys: IfsSystem, resolution: int):
     than GRID_CELL_BUDGET cells raise BudgetExceeded before anything is
     allocated.
     """
+    _check_depth(resolution, "resolution", 1)
     if resolution**sys.d > GRID_CELL_BUDGET:
         raise BudgetExceeded(
             f"grid of resolution {resolution} in dimension {sys.d} has {resolution**sys.d} cells "
@@ -180,9 +185,9 @@ def grid_points(sys: IfsSystem, resolution: int):
     if sys.d == 1:
         return lo + (np.arange(1, resolution) / resolution)[:, None] * (hi - lo)
     c = (np.arange(resolution) + 0.5) / resolution
-    step = max(1, GRID_SLAB_CELLS // max(len(c), 1) ** (sys.d - 1))  # first-axis lines a slab holds
+    step = max(1, GRID_SLAB_CELLS // len(c) ** (sys.d - 1))  # first-axis lines a slab holds
     kept = []
-    for a in range(0, len(c) or 1, step):  # no cells still make one empty slab
+    for a in range(0, len(c), step):
         axes = np.meshgrid(c[a:a + step], *[c] * (sys.d - 1), indexing="ij")
         pts = lo + np.stack([g.ravel() for g in axes], axis=1) * (hi - lo)
         kept.append(pts[contains_many(sys.omega, pts)])

@@ -7,9 +7,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .addresses import _check_depth
 from .errors import UnsupportedDimension
-from .core import IfsSystem, centroid
+from .core import IfsSystem, _check_depth, centroid
 
 LANE_STEPS = 48  # lanes beat the scalar loop from iters * d of this many coupling lengths
 _PIXELS = np.array([str(v) for v in range(256)], dtype=object)  # a pixel's PGM text
@@ -113,6 +112,8 @@ def bin_to_grid(sys: IfsSystem, pts, resolution: int):
 def render_attractor(sys: IfsSystem, iters: int, burn_in: int, resolution: int, seed: int):
     """Chaos-game image: occupied cells 0 (black), empty cells 255."""
     _check_depth(resolution, "resolution", 1)
+    if sys.d > 2:  # before the orbit: bin_to_grid would reject it only after
+        raise UnsupportedDimension("rendering is implemented for dim <= 2")
     pts = chaos_game(sys, iters, burn_in, seed)
     grid = bin_to_grid(sys, pts, resolution)
     return np.where(grid, 0, 255).astype(np.uint8)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .addresses import ChainKind, ForcedChain, _chain, _check_depth, _with_points
-from .core import IfsSystem, _state, new_ifs
+from .addresses import ChainKind, ForcedChain, _chain, _with_points
+from .core import IfsSystem, _check_depth, _state, new_ifs
 from .errors import DimensionMismatch, IrrationalInput
 
 SUM_TOL = 1e-12
@@ -125,7 +125,7 @@ def digit_forcing(lam, target, max_steps: int = 10_000) -> ForcedChain:
         raise IrrationalInput("digit forcing needs exact rational target coordinates")
     if sum(triple) != 1:
         raise ValueError("barycentric target must satisfy x + y + z = 1 exactly")
-    return _with_points(_chain(_corner_system(lam), True, _state(triple[:2]), max_steps), True)
+    return _with_points(_chain(_corner_system(lam), _state(triple[:2]), max_steps), True)
 
 
 @functools.lru_cache
@@ -199,7 +199,7 @@ def gamma_uniqueness_scan(lam, resolution: int = 60, max_steps: int = 400):
             if mid > narrow or top > wide:
                 continue
             g = math.gcd(ix, iy, resolution)
-            r = _chain(sys, True, (ix // g, iy // g, resolution // g), max_steps)
+            r = _chain(sys, (ix // g, iy // g, resolution // g), max_steps)
             if r.kind is ChainKind.UNIQUE_BY_CYCLE:
                 out.append((BarycentricTriple(*(Fraction(c, resolution) for c in cell)), r))
     return out

@@ -12,9 +12,10 @@ from ifslab.addresses import (
     enumerate_prefixes,
     feasible_children,
     first_bifurcation,
+    forced_chain,
 )
 from ifslab.core import apply_inverse, new_ifs, project_prefix
-from ifslab.errors import BudgetExceeded, CertificateRequired, PointOutsideOmega
+from ifslab.errors import BudgetExceeded, CertificateRequired, DimensionMismatch, PointOutsideOmega
 from ifslab.triangle import barycentric_to_point, pi_point
 
 from helpers import count_true_prefixes_1d, triangle_system, triangle_system_exact, unit_system
@@ -170,6 +171,46 @@ class TestClassify:
 def test_negative_depth_is_rejected(walk):
     with pytest.raises(ValueError, match="depth must be an integer of at least 0, got -3"):
         walk(triangle_system(0.7), (0.3, 0.4), -3)
+
+
+# the five walkers, each returning what can be compared between two calls
+WALKERS = {
+    "feasible_children": lambda s, x: feasible_children(s, x),
+    "enumerate_prefixes": lambda s, x: (lambda t: (t.point, t.levels))(enumerate_prefixes(s, x, 6)),
+    "first_bifurcation": lambda s, x: first_bifurcation(s, x, 40),
+    "forced_chain": lambda s, x: (lambda c: (c, c.children))(forced_chain(s, x, 40)),
+    "classify_point": lambda s, x: classify_point(s, x, 40, no_holes_certified=True),
+}
+READER_SYSTEMS = {"float": triangle_system(0.7), "exact": triangle_system_exact(Fraction(7, 10))}
+
+
+@pytest.mark.parametrize("arith", list(READER_SYSTEMS))
+@pytest.mark.parametrize("walker", list(WALKERS))
+def test_a_walker_rejects_a_point_of_another_dimension(walker, arith):
+    s = READER_SYSTEMS[arith]
+    for x in [(0.2, 0.1, 0.1), (Fraction(1, 5),), (Fraction(1, 5), 0.1, 0.1), ()]:
+        with pytest.raises(DimensionMismatch, match=f"point has dimension {len(x)}, system 2"):
+            WALKERS[walker](s, x)
+
+
+@pytest.mark.parametrize("arith", list(READER_SYSTEMS))
+@pytest.mark.parametrize("walker", list(WALKERS))
+def test_a_walker_rejects_a_non_finite_coordinate(walker, arith):
+    s = READER_SYSTEMS[arith]
+    for x in [(math.nan, 0.2), (0.2, math.inf), (Fraction(1, 5), -math.inf)]:
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            WALKERS[walker](s, x)
+
+
+@pytest.mark.parametrize("walker", list(WALKERS))
+def test_an_exact_system_reads_a_float_as_the_rational_it_is(walker):
+    s = READER_SYSTEMS["exact"]
+    rng = np.random.default_rng(41)
+    points = [(0.3, 0.4), (0.3, Fraction(1, 5)), (np.float64(0.1), 0.7), (0, 0.5)]
+    points += [tuple(p) for p in rng.dirichlet((1, 1, 1), 6)[:, :2].tolist()]
+    for x in points:
+        exact = tuple(map(Fraction, x))
+        assert WALKERS[walker](s, x) == WALKERS[walker](s, exact), x
 
 
 def test_counts_non_decreasing_no_holes():

@@ -172,10 +172,10 @@ def test_gamma_scan_matches_fraction_reference(resolution, monkeypatch):
     visited = []
     chain = triangle._chain
 
-    def recording(sys, exact, state, max_steps):
+    def recording(sys, state, max_steps):
         x, y, den = state  # the cell (x, y, den - x - y)/den of the corner triangle
         visited.append(BarycentricTriple(F(x, den), F(y, den), F(den - x - y, den)))
-        return chain(sys, exact, state, max_steps)
+        return chain(sys, state, max_steps)
 
     monkeypatch.setattr(triangle, "_chain", recording)
     total = 0

@@ -103,8 +103,10 @@ def test_digit_forcing_is_the_corner_triangle_chain():
                 got = digit_forcing(lam, t, max_steps=steps)
                 assert got == want and got.children == want.children, (lam, t, steps)
                 seen.add(got.kind)
-                floats = forced_chain(corners, tuple(map(float, t[:2])), steps)
-                assert floats.kind is not ChainKind.UNIQUE_BY_CYCLE
+                # the exact corner system walks a float point at its exact value
+                floats = tuple(map(float, t[:2]))
+                exact = tuple(map(F, floats))
+                assert forced_chain(corners, floats, steps) == forced_chain(corners, exact, steps)
     assert seen == set(ChainKind)
 
 

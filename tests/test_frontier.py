@@ -26,7 +26,8 @@ from helpers import (RIGHT_TRIANGLE_EXACT, float_facets, triangle_system, triang
 
 TETRAHEDRON = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
-# (name, system, depth): seeded points of these reach levels of thousands of rows
+# (name, system, depth): seeded points of these reach levels of thousands of
+# rows; the exact system reads them as their Fractions and walks them exactly
 WIDE = {
     "triangle-0.7": (triangle_system(0.7), 20),
     "triangle-0.7-exact-system": (new_ifs(Fraction(7, 10), RIGHT_TRIANGLE_EXACT), 20),
@@ -40,17 +41,22 @@ def _points(sys, seed, count):
     return [tuple(p) for p in sample_uniform(sys.omega, count, np.random.default_rng(seed)).tolist()]
 
 
-def _shell_probes(poly, rng, count, tol=DEFAULT_TOL):
-    """Points within rounding of the tol shell of a random facet, in float."""
+def _read(sys, x):
+    """x as the walkers read it: an exact system takes each float as its exact Fraction."""
+    return tuple(map(Fraction, x)) if sys.is_exact else tuple(x)
+
+
+def _shell_probes(poly, rng, count):
+    """Points within rounding of the DEFAULT_TOL shell of a random facet, in float."""
     A, b, norms = float_facets(poly)
     lo, hi = (np.array([float(v) for v in c]) for c in poly.bounding_box())
     x = lo + rng.random((count, poly.dim)) * (hi - lo)
     h = rng.integers(len(A), size=count)
     n = A[h]
     slack = b[h] - np.einsum("ij,ij->i", x, n)
-    # move each point along its facet normal to slack -tol*|n|; rounding
-    # leaves it a few ulps to either side
-    step = (slack + tol * norms[h]) / norms[h] ** 2
+    # move each point along its facet normal to slack -DEFAULT_TOL*|n|;
+    # rounding leaves it a few ulps to either side
+    step = (slack + DEFAULT_TOL * norms[h]) / norms[h] ** 2
     return x + step[:, None] * n
 
 
@@ -78,10 +84,10 @@ def test_contains_many_rejects_points_of_another_dimension():
         contains_many(hull_polytope(SHELL_CASES["triangle"]), np.zeros((4, 3)))
 
 
-def _scalar_children_many(sys, X, tol):
+def _scalar_children_many(sys, X):
     parents, digits, rems = [], [], []
     for i, row in enumerate(X.tolist()):
-        for j, r in _children(sys, tuple(row), tol):
+        for j, r in _children(sys, tuple(row)):
             parents.append(i)
             digits.append(j)
             rems.append(r)
@@ -96,19 +102,19 @@ def test_kernel_equals_scalar_children(name):
     X = lo - 0.1 + rng.random((3000, sys.d)) * (hi - lo + 0.2)
     if sys.omega.float_halfspaces is not None:  # and some rows on the tol shell
         X = np.vstack([X, _shell_probes(sys.omega, rng, 3000)])
-    parents, digits, rems = _children_many(sys, X, DEFAULT_TOL)
-    want = _scalar_children_many(sys, X, DEFAULT_TOL)
+    parents, digits, rems = _children_many(sys, X)
+    want = _scalar_children_many(sys, X)
     assert (parents.tolist(), digits.tolist()) == want[:2]
     assert repr([tuple(r) for r in rems.tolist()]) == repr(want[2])
 
 
-def _scalar_feasible(omega, X, shifts, scale, tol=DEFAULT_TOL):
+def _scalar_feasible(omega, X, shifts, scale):
     """`_feasible_many` one (row, map) pair at a time over the scalar `contains`."""
     parents, digits, rems = [], [], []
     for i, row in enumerate(X.tolist()):
         for j, t in enumerate(shifts.tolist()):
             r = tuple((x - c) / scale for x, c in zip(row, t))
-            if contains(omega, r, tol):
+            if contains(omega, r):
                 parents.append(i)
                 digits.append(j)
                 rems.append(r)
@@ -164,7 +170,7 @@ def _assert_fused_step_equals_scalar(sys, shifts, scale, X, own_maps):
     if own_maps:
         got = _children_many(sys, X)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, (parent, digit, rems)))
-        assert repr(_scalar_children_many(sys, X, DEFAULT_TOL)) == repr(want)
+        assert repr(_scalar_children_many(sys, X)) == repr(want)
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
@@ -207,14 +213,14 @@ def test_fused_step_holds_no_copy_of_its_candidates():
 # scalar references: the walkers as they were before the batched kernel
 
 
-def _ref_enumerate(sys, x, depth, tol=DEFAULT_TOL):
+def _ref_enumerate(sys, x, depth):
     budget = addresses.NODE_BUDGET
     levels = [[((), tuple(x))]]
     total = 1
     for dep in range(depth):
         nxt = []
         for prefix, r in levels[-1]:
-            for j, rj in _children(sys, r, tol):
+            for j, rj in _children(sys, r):
                 nxt.append((prefix + (j,), rj))
                 total += 1
                 if total > budget:
@@ -234,7 +240,7 @@ def _ref_solid(omega, x, m):
     return True
 
 
-def _ref_classify(sys, x, depth, no_holes_certified=False, tol=DEFAULT_TOL):
+def _ref_classify(sys, x, depth, no_holes_certified=False):
     """`classify_point` node by node over `_children`, as it was before the batched kernel."""
     budget = addresses.NODE_BUDGET
     Report, Verdict = addresses.ClassificationReport, addresses.Verdict
@@ -250,7 +256,7 @@ def _ref_classify(sys, x, depth, no_holes_certified=False, tol=DEFAULT_TOL):
     for dep in range(depth):
         nxt = []
         for _, r in frontier:
-            children = _children(sys, r, tol)
+            children = _children(sys, r)
             if len(children) >= 2:
                 if bifurcation is None:
                     bifurcation = dep
@@ -285,20 +291,20 @@ def _ref_classify(sys, x, depth, no_holes_certified=False, tol=DEFAULT_TOL):
     return Report(verdict, depth, bifurcation, counts, exact=exact)
 
 
-def _ref_covered(sys, x, n, tol):
+def _ref_covered(sys, x, n):
     """Depth-first search for one chain of feasible children of depth n."""
     stack = [(x, 0)]
     while stack:
         r, lev = stack.pop()
         if lev == n:
             return True
-        stack.extend((rj, lev + 1) for _, rj in _children(sys, r, tol))
+        stack.extend((rj, lev + 1) for _, rj in _children(sys, r))
     return False
 
 
-def _ref_covering(sys, n, samples, seed, tol=DEFAULT_TOL):
+def _ref_covering(sys, n, samples, seed):
     pts = sample_uniform(sys.omega, samples, np.random.default_rng(seed))
-    misses = sum(not _ref_covered(sys, tuple(p), n, tol) for p in pts)
+    misses = sum(not _ref_covered(sys, tuple(p), n) for p in pts)
     return misses / samples
 
 
@@ -307,9 +313,9 @@ def kernel_rows(monkeypatch):
     """Rows the batched kernel expanded, counted through both walkers' imports."""
     rows = []
 
-    def counting(sys, X, tol=DEFAULT_TOL):
+    def counting(sys, X):
         rows.append(len(X))
-        return _children_many(sys, X, tol)
+        return _children_many(sys, X)
 
     monkeypatch.setattr(addresses, "_children_many", counting)
     monkeypatch.setattr(conditions, "_children_many", counting)
@@ -321,11 +327,11 @@ def test_enumerate_prefixes_equals_scalar_reference(name, kernel_rows):
     sys, depth = WIDE[name]
     for x in _points(sys, 13, 3):
         tree = enumerate_prefixes(sys, x, depth)
-        want = _ref_enumerate(sys, x, depth)
+        want = _ref_enumerate(sys, _read(sys, x), depth)
         assert tree.counts == [len(lv) for lv in want]
         got = [[(nd.prefix, nd.remainder) for nd in lv] for lv in tree.levels]
         assert repr(got) == repr(want)
-    assert max(kernel_rows) >= 1000
+    assert kernel_rows == [] if sys.is_exact else max(kernel_rows) >= 1000
 
 
 def test_a_batched_level_of_one_row_steps_through_the_scalar_kernel(kernel_rows):
@@ -340,16 +346,25 @@ def test_a_batched_level_of_one_row_steps_through_the_scalar_kernel(kernel_rows)
 
 
 def test_levels_of_other_arithmetic_stay_scalar(kernel_rows):
-    # a Fraction coordinate under an exact system stays exact, and numpy
-    # scalars stay numpy scalars: the kernel would round both to float
-    cases = [(WIDE["triangle-0.7-exact-system"][0], (0.3, Fraction(1, 5)), 8),
-             (WIDE["triangle-0.7"][0], (np.float64(0.3), np.float64(0.2)), 10)]
-    for sys, x, depth in cases:
-        tree = enumerate_prefixes(sys, x, depth)
-        assert tree.counts[-1] >= 2
-        got = [[(nd.prefix, nd.remainder) for nd in lv] for lv in tree.levels]
-        assert repr(got) == repr(_ref_enumerate(sys, x, depth))
+    # an exact system reads the float 0.3 as the rational it is, so a point
+    # mixing floats and Fractions walks exactly, never on the float kernel
+    sys, depth = WIDE["triangle-0.7-exact-system"][0], 8
+    tree = enumerate_prefixes(sys, (0.3, Fraction(1, 5)), depth)
+    assert [type(v) for v in tree.point] == [Fraction, Fraction] and tree.counts[-1] >= 2
+    got = [[(nd.prefix, nd.remainder) for nd in lv] for lv in tree.levels]
+    assert repr(got) == repr(_ref_enumerate(sys, (Fraction(0.3), Fraction(1, 5)), depth))
     assert kernel_rows == []
+
+
+def test_a_float_system_reads_every_coordinate_as_a_float(kernel_rows):
+    # Fractions and numpy scalars alike, so wide levels reach the kernel
+    # and every remainder is a float
+    sys, depth = WIDE["triangle-0.7"][0], 10
+    tree = enumerate_prefixes(sys, (Fraction(3, 10), np.float64(0.2)), depth)
+    assert [type(v) for v in tree.point] == [float, float]
+    got = [[(nd.prefix, nd.remainder) for nd in lv] for lv in tree.levels]
+    assert repr(got) == repr(_ref_enumerate(sys, (0.3, 0.2), depth))
+    assert kernel_rows
 
 
 @pytest.mark.parametrize("sys, n", [(triangle_system(0.5), 6), (unit_system(0.45), 8),
@@ -393,9 +408,9 @@ def test_classify_point_equals_scalar_reference(name, kernel_rows):
     for x in _points(sys, 13, 3):
         for certified in (False, True):
             got = addresses.classify_point(sys, x, depth, no_holes_certified=certified)
-            want = _ref_classify(sys, x, depth, no_holes_certified=certified)
+            want = _ref_classify(sys, _read(sys, x), depth, no_holes_certified=certified)
             assert repr(got) == repr(want)
-    assert max(kernel_rows) >= 100
+    assert kernel_rows == [] if sys.is_exact else max(kernel_rows) >= 100
 
 
 EXACT_SYSTEMS = {

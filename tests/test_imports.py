@@ -1,6 +1,7 @@
 """Every top-level import of src/ and tests/ is used in its module, no
-src/ module defers an ifslab import into a function, no public function
-takes an option that no caller sets, digit words are projected only by
+src/ module defers an ifslab import into a function, no function of the
+package, private ones included, takes an option that no caller sets, and
+only `geometry.contains` takes a tolerance, digit words are projected only by
 `core`, only `core` and `addresses` read the scalar kernels, only
 `addresses` defines a forced-chain record and only it and `triangle` read
 the chain walker, and only the one batched facet loop reads the float facets.
@@ -82,33 +83,39 @@ def test_the_check_sees_a_deferred_import():
                                              (10, "ifslab"), (11, ".")]
 
 
-# the membership tolerance reaches the kernels through these three only,
-# the ones `analyze-point --tol` calls
-TOL_TAKERS = {"ifslab.geometry.contains", "ifslab.geometry.contains_many",
-              "ifslab.addresses.classify_point"}
+# every float walk and batched test widens Omega by geometry.DEFAULT_TOL;
+# only `contains` takes a tolerance, whose negative values are the interior
+# margin of addresses._solid and the geometry tests
+TOL_TAKERS = {"ifslab.geometry.contains"}
 
 
-def public_functions():
-    """(qualified name, function) of every public function and method defined in ifslab."""
+def package_functions():
+    """(qualified name, function) of every function and method defined in ifslab, private ones too."""
     for info in pkgutil.iter_modules(ifslab.__path__):
         mod = importlib.import_module(f"ifslab.{info.name}")
         for name, obj in vars(mod).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+            if getattr(obj, "__module__", None) != mod.__name__:
                 continue
             if inspect.isfunction(obj):
                 yield f"{mod.__name__}.{name}", obj
             elif inspect.isclass(obj):
                 for meth, f in vars(obj).items():
-                    if not meth.startswith("_") and inspect.isfunction(f):
+                    if inspect.isfunction(f):
                         yield f"{mod.__name__}.{name}.{meth}", f
 
 
 def takers(param):
-    return {name for name, f in public_functions() if param in inspect.signature(f).parameters}
+    return {name for name, f in package_functions() if param in inspect.signature(f).parameters}
 
 
 def test_only_the_membership_entry_points_take_tol():
     assert takers("tol") == TOL_TAKERS
+
+
+def test_the_tol_check_sees_private_functions():
+    names = {name for name, _ in package_functions()}
+    assert {"ifslab.addresses._chain", "ifslab.geometry._inside", "ifslab.core._children",
+            "ifslab.addresses.PrefixTree.__init__"} <= names
 
 
 def test_no_function_takes_a_node_budget():

@@ -1,13 +1,15 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ifslab.addresses import classify_point
+from ifslab.conditions import covering_deficiency, vertex_overlap_witness, wn_entry_depths
 from ifslab.core import centroid, new_ifs
-from ifslab.errors import BadProbabilityVector, CertificateRequired, TooFewScales
+from ifslab.errors import BadProbabilityVector, CertificateRequired, DimensionMismatch, TooFewScales
 from ifslab import measure
 from ifslab.geometry import contains, contains_many
 from ifslab.measure import (
@@ -222,7 +224,7 @@ class TestUniquenessGrid:
         # a slab of one first-axis line, of a few, and the default, which
         # holds the 37^2 and 23^3 grids whole and cuts the others in two
         monkeypatch.setattr(measure, "GRID_SLAB_CELLS", slab)
-        cases = [(unit_system(0.6), 50), (triangle_system(0.7), 0), (triangle_system(0.7), 1),
+        cases = [(unit_system(0.6), 50), (triangle_system(0.7), 1),
                  (triangle_system(0.7), 37), (triangle_system(0.7), 300),
                  (new_ifs(0.8, TETRAHEDRON), 23), (new_ifs(0.8, TETRAHEDRON), 50)]
         for s, res in cases:
@@ -262,6 +264,30 @@ class TestChainWalk:
         s = unit_system(0.4)
         bif, dead = chain_walk(s, np.array([[0.5]]), 10)
         assert dead[0] >= 0 and bif[0] < 0
+
+
+TRI07 = triangle_system(0.7)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: uniqueness_grid(TRI07, 16, -1), ValueError, "depth must be an integer of at least 0, got -1"),
+    (lambda: chain_walk(TRI07, [(0.3, 0.3)], 2.5), ValueError,
+     "depth must be an integer of at least 0, got 2.5"),
+    (lambda: grid_points(TRI07, 2.5), ValueError, "resolution must be an integer of at least 1, got 2.5"),
+    (lambda: grid_points(TRI07, 0), ValueError, "resolution must be an integer of at least 1, got 0"),
+    (lambda: covering_deficiency(TRI07, -2, 50, 1), ValueError,
+     "n must be an integer of at least 0, got -2"),
+    (lambda: wn_entry_depths(TRI07, vertex_overlap_witness(TRI07), [(0.3, 0.3)], -1), ValueError,
+     "n_max must be an integer of at least 0, got -1"),
+    (lambda: chain_walk(TRI07, np.zeros((4, 3)), 5), DimensionMismatch,
+     "points of shape (4, 3) are not rows of dimension 2"),
+    (lambda: chain_walk(TRI07, [0.3, 0.3], 5), DimensionMismatch,
+     "points of shape (2,) are not rows of dimension 2"),
+], ids=["uniqueness-grid-depth", "chain-walk-depth", "grid-resolution-float", "grid-resolution-0",
+        "covering-n", "wn-n-max", "chain-walk-width", "chain-walk-flat"])
+def test_a_batched_walk_checks_its_counts_and_rows(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestMuBifurcation:

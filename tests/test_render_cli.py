@@ -13,13 +13,14 @@ import pytest
 
 import ifslab
 from ifslab.cli import main
-from ifslab.core import load_system
+from ifslab.core import load_system, new_ifs
 from ifslab.deleted_digits import DigitSet, as_ifs
+from ifslab.errors import UnsupportedDimension
 from ifslab.measure import MeasureSampler, sample_natural_measure
 from ifslab import render
 from ifslab.render import chaos_game, render_attractor, write_pgm
 
-from helpers import triangle_system, unit_system
+from helpers import TETRAHEDRON, triangle_system, unit_system
 
 
 class TestRender:
@@ -95,6 +96,15 @@ class TestRender:
         want = render_attractor(s, 5000, 100, 64, 1)
         got = render_attractor(s, np.int64(5000), np.int64(100), np.int64(64), 1)
         assert got.tobytes() == want.tobytes()
+
+    def test_a_solid_attractor_is_refused_before_the_orbit_runs(self, monkeypatch):
+        def orbit(*args):
+            raise AssertionError("chaos_game ran on a system it cannot render")
+
+        monkeypatch.setattr(render, "chaos_game", orbit)
+        tet = new_ifs(0.95, TETRAHEDRON)
+        with pytest.raises(UnsupportedDimension, match="dim <= 2"):
+            render_attractor(tet, 300_000, 1000, 64, 1)
 
     @pytest.mark.parametrize("path", ["lanes", "fallback"])
     def test_chaos_game_peak_memory(self, path, monkeypatch):
@@ -418,18 +428,19 @@ class TestCli:
          "error: barycentric coordinates must sum to 1, got nan"),
         ("deleted-digits --digits 0,1,3 --lambda 0.45 --point nan",
          "error: nan is outside the attractor interval"),
-        ("analyze-point --ifs IFS --point 5,5 --tol nan", "error: --tol must be finite and at least 0, got nan"),
-        ("analyze-point --ifs IFS --point 5,5 --tol inf", "error: --tol must be finite and at least 0, got inf"),
-        ("analyze-point --ifs IFS --point 0.3,0.3 --tol=-1e-9",
-         "error: --tol must be finite and at least 0, got -1e-09"),
     ])
     def test_nan_point_or_bad_tol_exit_code(self, tri_json, capsys, argv, message):
         # a NaN coordinate lies in no hull (a NaN barycentric one fails the
-        # triple's own check first), and a tol that is not a finite
-        # nonnegative number would make every hull test meaningless
+        # triple's own check first)
         assert main([tri_json if a == "IFS" else a for a in argv.split()]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == message + "\n"
+
+    def test_analyze_point_takes_no_tol(self, tri_json, capsys):
+        # the hull pre-check and the walk both widen Omega by DEFAULT_TOL
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze-point", "--ifs", tri_json, "--point", "0.3,0.3", "--tol", "1e-9"])
+        assert exc.value.code == 2 and "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
     def test_zero_samples_exit_code(self, tri_json, capsys):
         for argv in (["wn-coverage", "--ifs", tri_json, "--n", "4", "--samples", "0", "--seed", "1"],
