@@ -22,26 +22,23 @@ and digit forcing read it.  Trees are walked a level at a time by
 `core._children_many`: one fused step from the level's (rows, d) array to
 its children, which come back as one (children, d) array, a view of
 coordinate rows, with remainders bit for bit those of the scalar
-`core._children`.  An exact remainder is one integer state
-(`core._state`), expanded by `core._children_exact`: no Fraction is
-built, and the state is the cycle key.  `PrefixTree.levels` reads states
-back as the Fractions `apply_inverse` gives.
+`core._children`.  Every walk reads its point through `core._root`,
+and every other level steps through `core._children`, the one scalar
+kernel; on an exact system each node is an integer state that only
+`core` builds, and the state is the cycle key.  `PrefixTree.levels`
+reads states back as the Fractions `apply_inverse` gives.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cached_property
-from numbers import Rational
 
 import numpy as np
 
-from .errors import BudgetExceeded, CertificateRequired, DimensionMismatch, PointOutsideOmega
-from .core import (IfsSystem, _check_depth, _children, _children_exact, _children_many, _fractions,
-                   _state)
+from .errors import BudgetExceeded, CertificateRequired, PointOutsideOmega
+from .core import IfsSystem, _check_depth, _children, _children_many, _fractions, _root
 from .geometry import contains, is_exact_point
 
 NODE_BUDGET = 10**6  # most nodes a prefix tree or a classification may hold
@@ -113,7 +110,7 @@ class ForcedChain:
     On a cycle the digits from step `entry_depth` on repeat forever.  At a
     fork or dead end `children` holds its (digit, remainder) pairs: points
     from `forced_chain` and digit forcing, Fractions on an exact walk, and
-    integer states (`core._state`) inside the package's own walks.
+    integer states (built by `core._root`) inside the package's own walks.
     """
 
     kind: ChainKind
@@ -147,7 +144,7 @@ def feasible_children(sys: IfsSystem, x):
     when the attractor has no holes.
     """
     _, root = _root(sys, x)
-    return tuple(j for j, _ in (_children_exact if sys.is_exact else _children)(sys, root))
+    return tuple(j for j, _ in _children(sys, root))
 
 
 def enumerate_prefixes(sys: IfsSystem, x, depth: int) -> PrefixTree:
@@ -174,35 +171,13 @@ def enumerate_prefixes(sys: IfsSystem, x, depth: int) -> PrefixTree:
     return PrefixTree(point=x, steps=steps)
 
 
-def _root(sys, x):
-    """(point, root node) of a walk from x: x of the system's dimension, else DimensionMismatch.
-
-    An exact system reads a float coordinate as its exact Fraction, keeps
-    Rationals, and starts from the `_state`; a float system reads floats
-    and starts from the point.  A non-finite coordinate raises ValueError.
-    """
-    x = tuple(x)
-    if len(x) != sys.d:
-        raise DimensionMismatch(f"point has dimension {len(x)}, system {sys.d}")
-    if not sys.is_exact:
-        x = tuple(map(float, x))
-        if not all(map(math.isfinite, x)):
-            raise ValueError(f"point {x} has a non-finite coordinate")
-        return x, x
-    if not all(isinstance(v, Rational) or math.isfinite(v) for v in x):
-        raise ValueError(f"point {x} has a non-finite coordinate")
-    x = tuple(v if isinstance(v, Rational) else Fraction(v) for v in x)
-    return x, _state(x)
-
-
 def _expand(sys, frontier):
     """(parents, digits, remainders) of every feasible child of a level, node-major.
 
     The level step of `enumerate_prefixes` and of `classify_point`'s tree
-    phase.  An exact level is a list of integer states, expanded one node at
-    a time by `_children_exact`.  A float level of two or more nodes takes
-    the batched kernel's one fused step, its children one (children, d) view
-    of coordinate rows; a single float node steps through `_children`.
+    phase.  A float level of two or more nodes takes the batched kernel's
+    one fused step, its children one (children, d) view of coordinate rows;
+    any other level steps one node at a time through `_children`.
     """
     if not sys.is_exact and len(frontier) >= 2:
         return _children_many(sys, np.asarray(frontier))
@@ -210,7 +185,7 @@ def _expand(sys, frontier):
         frontier = [tuple(r) for r in frontier.tolist()]
     parents, digits, rems = [], [], []
     for i, r in enumerate(frontier):
-        for j, rj in _children_exact(sys, r) if sys.is_exact else _children(sys, r):
+        for j, rj in _children(sys, r):
             parents.append(i)
             digits.append(j)
             rems.append(rj)
@@ -257,17 +232,17 @@ def _with_points(chain, exact):
 def _chain(sys, node, steps):
     """The one walk along a forced chain of feasible digits, as a ForcedChain.
 
-    From `node` it follows the only feasible child, through
-    `_children_exact` on an integer state or `_children` on floats, for at
-    most `steps` levels, and stops at a node with no child or two or more,
-    or at an exact state seen before: the chain is then periodic forever,
-    which proves the address unique.  Float states are never compared.
+    From `node` it follows the only feasible child through `_children`
+    for at most `steps` levels, and stops at a node with no child or two
+    or more, or at an exact state seen before: the chain is then periodic
+    forever, which proves the address unique.  Float states are never
+    compared.
     """
     exact = sys.is_exact
     seen = {node: 0} if exact else None
     digits = []
     for step in range(1, steps + 1):
-        kids = _children_exact(sys, node) if exact else _children(sys, node)
+        kids = _children(sys, node)
         if len(kids) != 1:
             kind = ChainKind.FORCED_PREFIX_THEN_BRANCH if kids else ChainKind.DEAD_END
             return ForcedChain(kind, tuple(digits), None, kids)

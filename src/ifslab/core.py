@@ -3,8 +3,10 @@
 The same code serves two arithmetic paths.  With float inputs everything is
 double precision; with ``Fraction`` inputs (lam and every coordinate) all
 maps, inverses and membership tests are exact, which is what uniqueness
-certification relies on.  Batches of digit words are projected on floats
-in one summation order, by `project_words` and `project_all_words`.
+certification relies on.  On such a system `apply_inverse` and the walks
+read a float coordinate as the rational it is (`_root`).  Batches of digit
+words are projected on floats in one summation order, by `project_words`
+and `project_all_words`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from numbers import Integral, Real
+from numbers import Integral, Rational, Real
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .errors import (
     BudgetExceeded,
     DegenerateAffineHull,
     DigitOutOfRange,
+    DimensionMismatch,
     DuplicatePoints,
     LambdaOutOfRange,
 )
@@ -157,6 +160,8 @@ def apply_map(sys: IfsSystem, j: int, x):
     _check_digit(sys, j)
     lam = sys.lam
     p = sys.points[j]
+    if len(x) != len(p):
+        raise DimensionMismatch(f"point has dimension {len(x)}, system {len(p)}")
     return tuple(lam * xi + (1 - lam) * pi for xi, pi in zip(x, p))
 
 
@@ -164,15 +169,40 @@ def apply_inverse(sys: IfsSystem, j: int, x):
     """f_j^{-1}(x) = (x - c_j) / lam, with c_j = (1-lam)*p_j read from `sys.shifts`.
 
     On floats this is the inline (x - (1-lam)*p_j) / lam bit for bit.  On
-    an exact system and point it is `_step` on x's integer state, read
-    back as one Fraction per coordinate.
+    an exact system it is `_step` on the integer state `_root` reads x as,
+    read back as one Fraction per coordinate.
     """
     _check_digit(sys, j)
-    if sys.is_exact and is_exact_point(x):
+    if sys.is_exact:
         q, C, v, qu, _, _ = sys.int_steps
-        return _fractions(_step(_state(x), q, C[j], v, qu))
+        return _fractions(_step(_root(sys, x)[1], q, C[j], v, qu))
+    c = sys.shifts[j]
+    if len(x) != len(c):
+        raise DimensionMismatch(f"point has dimension {len(x)}, system {len(c)}")
     lam = sys.lam
-    return tuple((xi - ci) / lam for xi, ci in zip(x, sys.shifts[j]))
+    return tuple((xi - ci) / lam for xi, ci in zip(x, c))
+
+
+def _root(sys, x):
+    """(point, root node) of a walk from x: x of the system's dimension, else DimensionMismatch.
+
+    The one point reader.  An exact system reads a float coordinate as its
+    exact Fraction, keeps Rationals, and starts from the `_state`; a float
+    system reads floats and starts from the point.  A non-finite coordinate
+    raises ValueError.
+    """
+    x = tuple(x)
+    if len(x) != sys.d:
+        raise DimensionMismatch(f"point has dimension {len(x)}, system {sys.d}")
+    if not sys.is_exact:
+        x = tuple(map(float, x))
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"point {x} has a non-finite coordinate")
+        return x, x
+    if not all(isinstance(v, Rational) or math.isfinite(v) for v in x):
+        raise ValueError(f"point {x} has a non-finite coordinate")
+    x = tuple(v if isinstance(v, Rational) else Fraction(v) for v in x)
+    return x, _state(x)
 
 
 def _state(x):
@@ -194,8 +224,8 @@ def _fractions(state):
 def _step(state, q, c, v, qu):
     """The state of f_j^{-1}(N/D) = (N*Q - C_j*D)*v / (D*Q*u), reduced by one gcd.
 
-    The one exact inverse step: `apply_inverse` and `_children_exact` both
-    take it, with (Q, C_j, v, Q*u) from `IfsSystem.int_steps`.
+    The one exact inverse step: `apply_inverse` and `_children` both take
+    it, with (Q, C_j, v, Q*u) from `IfsSystem.int_steps`.
     """
     *nums, den = state
     out = [(n * q - cn * den) * v for n, cn in zip(nums, c)]
@@ -204,42 +234,33 @@ def _step(state, q, c, v, qu):
     return (*[n // g for n in out], den // g)
 
 
-def _children(sys: IfsSystem, x):
-    """[(j, f_j^{-1}(x))] for every digit j whose image lies in Omega (closed test).
+def _children(sys: IfsSystem, node):
+    """[(j, child)] for every digit j whose f_j^{-1} image of `node` lies in Omega (closed test).
 
-    The scalar feasibility kernel on floats, for `addresses._chain` and the
-    narrow float levels of `addresses._expand`; wide float levels go to its
-    batched twin `_children_many`, and exact nodes, kept as integer states,
-    to `_children_exact`.  It is private because bench/tracing.py wraps
-    every public function, and its per-layer counts need each apply_inverse
-    and contains call to stay a direct child of the walker that asked for it.
+    The one scalar kernel, on nodes as `_root` reads them.  An exact node is
+    an integer `_state`: its facet products v*Q*(n.N) are taken once and
+    compared with D*K[j][f] (`IfsSystem.int_steps`), and only feasible
+    children take the `_step`.  A float node calls `apply_inverse` and
+    `contains` by name, so bench/tracing.py counts each call as a child of
+    the walker that asked for it; wide float levels go to `_children_many`.
     """
+    if sys.is_exact:
+        q, C, v, qu, rows, K = sys.int_steps
+        *nums, den = node
+        tops = [sum(map(operator.mul, n, nums)) for n in rows]
+        out = []
+        for j, kj in enumerate(K):
+            for t, k in zip(tops, kj):
+                if t > den * k:
+                    break
+            else:
+                out.append((j, _step(node, q, C[j], v, qu)))
+        return out
     out = []
     for j in range(sys.m):
-        r = apply_inverse(sys, j, x)
+        r = apply_inverse(sys, j, node)
         if contains(sys.omega, r):
             out.append((j, r))
-    return out
-
-
-def _children_exact(sys: IfsSystem, state):
-    """[(j, child state)]: `_children` on an exact remainder kept as its integer `_state`.
-
-    The closed test takes the node's facet products v*Q*(n.N) once and
-    compares them with D*K[j][f] (`IfsSystem.int_steps`); only feasible
-    children take the `_step`, and no Fraction is built.  It expands every
-    exact node of the address walkers, forced chains (`addresses._chain`) included.
-    """
-    q, C, v, qu, rows, K = sys.int_steps
-    *nums, den = state
-    tops = [sum(map(operator.mul, n, nums)) for n in rows]
-    out = []
-    for j, kj in enumerate(K):
-        for t, k in zip(tops, kj):
-            if t > den * k:
-                break
-        else:
-            out.append((j, _step(state, q, C[j], v, qu)))
     return out
 
 

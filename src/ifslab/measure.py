@@ -73,6 +73,8 @@ def chain_walk(sys: IfsSystem, pts, depth: int):
     r = np.asarray(pts, dtype=float)
     if r.ndim != 2 or r.shape[1] != sys.d:
         raise DimensionMismatch(f"points of shape {r.shape} are not rows of dimension {sys.d}")
+    if not np.isfinite(r).all():
+        raise ValueError("points hold a non-finite coordinate")
     n = len(r)
     bif = np.full(n, -1, dtype=np.int64)
     dead = np.full(n, -1, dtype=np.int64)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .addresses import ChainKind, ForcedChain, _chain, _with_points
-from .core import IfsSystem, _check_depth, _state, new_ifs
+from .core import IfsSystem, _check_depth, _root, new_ifs
 from .errors import DimensionMismatch, IrrationalInput
 
 SUM_TOL = 1e-12
@@ -125,7 +125,8 @@ def digit_forcing(lam, target, max_steps: int = 10_000) -> ForcedChain:
         raise IrrationalInput("digit forcing needs exact rational target coordinates")
     if sum(triple) != 1:
         raise ValueError("barycentric target must satisfy x + y + z = 1 exactly")
-    return _with_points(_chain(_corner_system(lam), _state(triple[:2]), max_steps), True)
+    sys = _corner_system(lam)
+    return _with_points(_chain(sys, _root(sys, triple[:2])[1], max_steps), True)
 
 
 @functools.lru_cache

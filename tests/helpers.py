@@ -40,6 +40,22 @@ def triangle_system_exact(lam):
     return new_ifs(Fraction(lam), RIGHT_TRIANGLE_EXACT)
 
 
+def contains_reference(poly, x):
+    """Closed membership of x in the polytope, one facet at a time in the arithmetic of x."""
+    return all(off - sum(n * v for n, v in zip(ns, x)) >= 0 for ns, off, _ in poly.halfspaces)
+
+
+def ref_children(sys, x):
+    """[(j, f_j^{-1}(x))] in plain Fractions, tested on the facets in Fractions."""
+    lam = Fraction(sys.lam)
+    out = []
+    for j, p in enumerate(sys.points):
+        y = tuple((Fraction(v) - (1 - lam) * Fraction(pv)) / lam for v, pv in zip(x, p))
+        if contains_reference(sys.omega, y):
+            out.append((j, y))
+    return out
+
+
 def float_facets(poly):
     """(A, b, |row| norms): the polytope's halfspaces as plain (facets, d), (facets,) float arrays."""
     A = np.array([[float(v) for v in n] for n, _, _ in poly.halfspaces])

@@ -17,6 +17,7 @@ from ifslab.errors import (
     BadProbabilityVector,
     DegenerateAffineHull,
     DigitOutOfRange,
+    DimensionMismatch,
     DuplicatePoints,
     LambdaOutOfRange,
 )
@@ -77,6 +78,16 @@ class TestMaps:
             apply_map(s, 2, (0.0,))
         with pytest.raises(DigitOutOfRange):
             apply_inverse(s, -1, (0.0,))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("x", [(0.3,), (0.3, 0.1, 0.2)])
+    def test_a_point_of_another_dimension_is_refused(self, x, exact):
+        s = new_ifs(Fraction(7, 10), RIGHT_TRIANGLE_EXACT) if exact else triangle_system(0.7)
+        for step in (apply_map, apply_inverse):
+            with pytest.raises(DimensionMismatch, match=f"point has dimension {len(x)}, system 2"):
+                step(s, 0, x)
+        with pytest.raises(DimensionMismatch):
+            project_prefix(s, (1, 0), x)
 
 
 class TestProjectPrefix:

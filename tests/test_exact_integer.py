@@ -1,16 +1,18 @@
-"""The exact path on integers, checked against Fraction references kept here.
+"""The exact path on integers, checked against Fraction references.
 
 `geometry.contains` (exact path) computes with integer numerators instead
 of one Fraction per operation.  The exact address walk (`classify_point`,
 `enumerate_prefixes`, `first_bifurcation`, `feasible_children`) carries
-each remainder as one integer state (N_1, ..., N_d, D) through
-`core._children_exact`, and `core.apply_inverse` takes the same integer
-step.  `triangle.digit_forcing` and `triangle.gamma_uniqueness_scan` walk
-their forced chains through the same kernel, by the one chain walker
-`addresses._chain`, on the corner triangle (1,0), (0,1), (0,0).  Each
-reference below is the plain Fraction formula, the address walker a
-node-at-a-time loop over Fraction tuples; the fast paths must agree with
-it exactly, verdicts, counts, certificates and remainders.
+each remainder as one integer state (N_1, ..., N_d, D) through the
+exact branch of `core._children`, and `core.apply_inverse` takes the same
+integer step.  `triangle.digit_forcing` and
+`triangle.gamma_uniqueness_scan` walk their forced chains through the
+same kernel, by the one chain walker `addresses._chain`, on the corner
+triangle (1,0), (0,1), (0,0).  Each reference (here, or the facet test
+and the one-step Fraction walk in helpers.py) is the plain Fraction
+formula, the address walker a node-at-a-time loop over Fraction tuples;
+the fast paths must agree with it exactly, verdicts, counts,
+certificates and remainders.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from ifslab.triangle import (
     pi_prime_point,
 )
 
-from helpers import RIGHT_TRIANGLE, TETRAHEDRON, in_gamma_region
+from helpers import RIGHT_TRIANGLE, TETRAHEDRON, contains_reference, in_gamma_region, ref_children
 
 F = Fraction
 
@@ -65,10 +67,6 @@ POLYTOPES = {
     "skew-tetrahedron": ((F(0), F(1, 3), F(0)), (F(7, 5), F(0), F(1, 11)),
                          (F(1, 2), F(9, 4), F(0)), (F(2, 3), F(2, 3), F(13, 6))),
 }
-
-
-def _contains_reference(poly, x):
-    return all(off - sum(n * v for n, v in zip(ns, x)) >= 0 for ns, off, _ in poly.halfspaces)
 
 
 def _boundary_points(poly, rng):
@@ -100,7 +98,7 @@ def test_exact_contains_matches_fraction_reference(name):
                          for l, h in zip(lo, hi)))
     pts.append(tuple(F(0) if k else 1 for k in range(poly.dim)))  # int coordinates mixed in
     inside = [contains(poly, p) for p in pts]
-    assert inside == [_contains_reference(poly, p) for p in pts]
+    assert inside == [contains_reference(poly, p) for p in pts]
     assert all(inside[:len(poly.generators)])  # every vertex is in
     assert 0 < sum(inside) < len(pts)
 
@@ -222,6 +220,18 @@ def test_exact_apply_inverse_matches_fraction_formula():
             assert math.gcd(*state) == 1 and state[-1] > 0
 
 
+def test_exact_apply_inverse_reads_a_float_point_as_its_fraction():
+    # 0.3 + 0.4 lies 2^-54 above 0.7 in exact arithmetic, so of f_j^{-1}
+    # only the map of the vertex (0, 0) stays in the exact triangle
+    sys, x = new_ifs(F(7, 10), _exact(RIGHT_TRIANGLE)), (0.3, 0.4)
+    exact = tuple(map(F, x))
+    images = [apply_inverse(sys, j, x) for j in range(sys.m)]
+    assert images == [apply_inverse(sys, j, exact) for j in range(sys.m)]
+    assert all(type(v) is Fraction for r in images for v in r)
+    assert tuple(j for j, r in enumerate(images) if contains(sys.omega, r)) == (2,)
+    assert feasible_children(sys, x) == feasible_children(sys, exact) == (2,)
+
+
 IMAGE_CASES = {
     "interval": [(0,), (1,), (F(2, 5),)],
     "triangle": [(0, 0), (1, 0), (0, 1)],
@@ -292,20 +302,9 @@ def _walk_system(name):
     return new_ifs(lam, _exact(pts))
 
 
-def _ref_children(sys, x):
-    """[(j, f_j^{-1}(x))] in plain Fractions, tested on the facets in Fractions."""
-    lam = F(sys.lam)
-    out = []
-    for j, p in enumerate(sys.points):
-        y = tuple((F(v) - (1 - lam) * F(pv)) / lam for v, pv in zip(x, p))
-        if _contains_reference(sys.omega, y):
-            out.append((j, y))
-    return out
-
-
 def _ref_first_bifurcation(sys, x, depth):
     for dep in range(depth):
-        ch = _ref_children(sys, x)
+        ch = ref_children(sys, x)
         if len(ch) != 1:
             return dep if ch else None
         x = ch[0][1]
@@ -317,7 +316,7 @@ def _ref_levels(sys, x, depth, budget):
     levels = [[((), tuple(x))]]
     total = 1
     for _ in range(depth):
-        level = [(w + (j,), y) for w, r in levels[-1] for j, y in _ref_children(sys, r)]
+        level = [(w + (j,), y) for w, r in levels[-1] for j, y in ref_children(sys, r)]
         total += len(level)
         if total > budget:
             raise BudgetExceeded
@@ -340,7 +339,7 @@ def _ref_classify(sys, x, depth, certified, budget):
     for dep in range(depth):
         level, room = [], budget - total
         for r in frontier:
-            ch = _ref_children(sys, r)
+            ch = ref_children(sys, r)
             if len(ch) >= 2 and bif is None:
                 bif = dep
                 if certified and len(level) <= room:
@@ -401,8 +400,8 @@ def test_exact_walk_matches_fraction_reference_walker(name):
     rng = np.random.default_rng(len(name))
     verdicts = set()
     for x in _walk_points(sys, rng):
-        inside = _contains_reference(sys.omega, tuple(F(v) for v in x))
-        assert feasible_children(sys, x) == tuple(j for j, _ in _ref_children(sys, x))
+        inside = contains_reference(sys.omega, tuple(F(v) for v in x))
+        assert feasible_children(sys, x) == tuple(j for j, _ in ref_children(sys, x))
         assert first_bifurcation(sys, x, 40) == _ref_first_bifurcation(sys, x, 40)
         tree = enumerate_prefixes(sys, x, depth)
         want = _ref_levels(sys, x, depth, addresses.NODE_BUDGET)
@@ -424,7 +423,7 @@ def test_exact_walk_inputs_reach_every_verdict():
         sys = _walk_system(name)
         depth = 10 if sys.d < 3 else 8  # as in the comparison above
         for x in _walk_points(sys, np.random.default_rng(len(name))):
-            inside = _contains_reference(sys.omega, tuple(F(v) for v in x))
+            inside = contains_reference(sys.omega, tuple(F(v) for v in x))
             for certified in (False, True) if inside else (False,):
                 seen.add(classify_point(sys, x, depth, no_holes_certified=certified).verdict.value)
     assert seen == {"unique-certified", "multiple-certified", "multiple-likely", "unknown"}
@@ -465,15 +464,15 @@ def test_exact_walk_never_calls_apply_inverse(monkeypatch):
     for name in ("digits013-11/20", "skew-triangle-5/7", "skew-tetrahedron-4/5"):
         sys = _walk_system(name)
         for x in _walk_points(sys, np.random.default_rng(1)):
-            if _contains_reference(sys.omega, tuple(F(v) for v in x)):
+            if contains_reference(sys.omega, tuple(F(v) for v in x)):
                 cases.append((sys, x, _walk_outputs(sys, x, 4)))
 
     def refuse(*args):
         raise AssertionError("the exact walk stepped through apply_inverse")
 
     monkeypatch.setattr(core, "apply_inverse", refuse)
-    with pytest.raises(AssertionError, match="apply_inverse"):
-        core._children(cases[0][0], cases[0][1])  # the patch reaches the scalar float kernel
+    with pytest.raises(AssertionError, match="apply_inverse"):  # the patch reaches the float branch
+        core._children(new_ifs(0.7, RIGHT_TRIANGLE), (0.3, 0.4))
     assert len(cases) >= 12
     for sys, x, want in cases:
         assert _walk_outputs(sys, x, 4) == want
@@ -481,7 +480,7 @@ def test_exact_walk_never_calls_apply_inverse(monkeypatch):
 
 def test_digit_forcing_expands_only_through_the_core_kernel(monkeypatch):
     calls = []
-    kernel = addresses._children_exact  # where the forced-chain walker reads it
+    kernel = addresses._children  # where the forced-chain walker reads it
 
     def counting(sys, state):
         calls.append(state)
@@ -494,7 +493,7 @@ def test_digit_forcing_expands_only_through_the_core_kernel(monkeypatch):
             built.append(self)
             super().__post_init__()
 
-    monkeypatch.setattr(addresses, "_children_exact", counting)
+    monkeypatch.setattr(addresses, "_children", counting)
     monkeypatch.setattr(triangle, "BarycentricTriple", CountingTriple)
     kinds = set()
     for lam in (F(2, 5), F(3, 5), F(7, 10)):

@@ -2,9 +2,9 @@
 
 `core._children_many` and `geometry.contains_many` must give, bit for bit,
 what the scalar `core._children` and `geometry.contains` give.  The
-references below are plain scalar walkers over `_children`, so each
-walker that switches wide float levels to the kernel is held to the
-outputs of a walker that never does.
+references below are plain scalar walkers over `_scalar_children`, which
+steps each point here, so each walker that switches wide float levels to
+the kernel is held to the outputs of a walker that never does.
 """
 
 import tracemalloc
@@ -21,8 +21,8 @@ from ifslab.deleted_digits import DigitSet, as_ifs
 from ifslab.errors import BudgetExceeded, DimensionMismatch
 from ifslab.geometry import DEFAULT_TOL, contains, contains_many, hull_polytope, sample_uniform
 
-from helpers import (RIGHT_TRIANGLE_EXACT, float_facets, triangle_system, triangle_system_exact,
-                     unit_system)
+from helpers import (RIGHT_TRIANGLE_EXACT, float_facets, ref_children, triangle_system,
+                     triangle_system_exact, unit_system)
 
 TETRAHEDRON = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -84,7 +84,25 @@ def test_contains_many_rejects_points_of_another_dimension():
         contains_many(hull_polytope(SHELL_CASES["triangle"]), np.zeros((4, 3)))
 
 
+def _scalar_children(sys, x):
+    """[(j, f_j^{-1}(x))] of every feasible digit, stepped here rather than by `core`.
+
+    A float system steps (x - float shift)/float(lam) and tests with
+    `contains`, as `_scalar_feasible` does; an exact one is `ref_children`.
+    """
+    if sys.is_exact:
+        return ref_children(sys, x)
+    lam = float(sys.lam)
+    out = []
+    for j, t in enumerate(sys.float_shifts.tolist()):
+        r = tuple((v - c) / lam for v, c in zip(x, t))
+        if contains(sys.omega, r):
+            out.append((j, r))
+    return out
+
+
 def _scalar_children_many(sys, X):
+    """`_children` of every row of a float system's (rows, d) array, as (parents, digits, remainders)."""
     parents, digits, rems = [], [], []
     for i, row in enumerate(X.tolist()):
         for j, r in _children(sys, tuple(row)):
@@ -103,9 +121,12 @@ def test_kernel_equals_scalar_children(name):
     if sys.omega.float_halfspaces is not None:  # and some rows on the tol shell
         X = np.vstack([X, _shell_probes(sys.omega, rng, 3000)])
     parents, digits, rems = _children_many(sys, X)
-    want = _scalar_children_many(sys, X)
+    # the batched kernel is a float kernel on every system, exact ones included
+    want = _scalar_feasible(sys.omega, X, sys.float_shifts, float(sys.lam))
     assert (parents.tolist(), digits.tolist()) == want[:2]
     assert repr([tuple(r) for r in rems.tolist()]) == repr(want[2])
+    if not sys.is_exact:
+        assert repr(_scalar_children_many(sys, X)) == repr(want)
 
 
 def _scalar_feasible(omega, X, shifts, scale):
@@ -220,7 +241,7 @@ def _ref_enumerate(sys, x, depth):
     for dep in range(depth):
         nxt = []
         for prefix, r in levels[-1]:
-            for j, rj in _children(sys, r):
+            for j, rj in _scalar_children(sys, r):
                 nxt.append((prefix + (j,), rj))
                 total += 1
                 if total > budget:
@@ -241,7 +262,7 @@ def _ref_solid(omega, x, m):
 
 
 def _ref_classify(sys, x, depth, no_holes_certified=False):
-    """`classify_point` node by node over `_children`, as it was before the batched kernel."""
+    """`classify_point` node by node over `_scalar_children`, as it was before the batched kernel."""
     budget = addresses.NODE_BUDGET
     Report, Verdict = addresses.ClassificationReport, addresses.Verdict
     x = tuple(x)
@@ -256,7 +277,7 @@ def _ref_classify(sys, x, depth, no_holes_certified=False):
     for dep in range(depth):
         nxt = []
         for _, r in frontier:
-            children = _children(sys, r)
+            children = _scalar_children(sys, r)
             if len(children) >= 2:
                 if bifurcation is None:
                     bifurcation = dep
@@ -298,7 +319,7 @@ def _ref_covered(sys, x, n):
         r, lev = stack.pop()
         if lev == n:
             return True
-        stack.extend((rj, lev + 1) for _, rj in _children(sys, r))
+        stack.extend((rj, lev + 1) for _, rj in _scalar_children(sys, r))
     return False
 
 

@@ -2,9 +2,11 @@
 src/ module defers an ifslab import into a function, no function of the
 package, private ones included, takes an option that no caller sets, and
 only `geometry.contains` takes a tolerance, digit words are projected only by
-`core`, only `core` and `addresses` read the scalar kernels, only
-`addresses` defines a forced-chain record and only it and `triangle` read
-the chain walker, and only the one batched facet loop reads the float facets.
+`core`, only `core` and `addresses` read the one scalar kernel, only
+`core` reads the integer-state node format or defines a point reader,
+only `addresses` defines a forced-chain record and only it and `triangle`
+read the chain walker, and only the one batched facet loop reads the float
+facets.
 
 A plain `ast` walk, so the check needs no linter: a module fails when it
 binds a name by a top-level import and never reads that name again.
@@ -190,16 +192,16 @@ def test_the_check_sees_a_second_projection():
     assert second_projections(src, "core") == [(1, "einsum")]
 
 
-SCALAR_KERNELS = {"_children", "_children_exact"}
+SCALAR_KERNELS = {"_children"}
 
 
 def scalar_kernel_reads(source, module):
-    """(line, name) of every read or import of a scalar kernel outside `core` and `addresses`.
+    """(line, name) of every read or import of the scalar kernel outside `core` and `addresses`.
 
-    `core` defines `_children` and `_children_exact`, and `addresses` walks
-    them, forced chains through `_chain`; any other module that wants a
-    forced chain reads it from `addresses`, so no second chain loop grows
-    elsewhere.
+    `core` defines `_children`, the one scalar kernel on both arithmetics,
+    and `addresses` walks it, forced chains through `_chain`; any other
+    module that wants a forced chain reads it from `addresses`, so no
+    second chain loop grows elsewhere.
     """
     if module in ("core", "addresses"):
         return []
@@ -219,12 +221,56 @@ def test_only_core_and_addresses_read_the_scalar_kernels(path):
 
 
 def test_the_check_sees_a_scalar_kernel_read():
-    src = ("from .core import _children_exact, _children_many\nimport ifslab.core as core\n"
-           "kids = core._children(s, x)\nk = _children_exact(s, r)\nf = map(_children_exact, rs)\n"
+    src = ("from .core import _children, _children_many\nimport ifslab.core as core\n"
+           "kids = core._children(s, x)\nk = _children(s, r)\nf = map(_children, rs)\n"
            "ok = _children_many(s, X)\n")
-    assert scalar_kernel_reads(src, "triangle") == [(1, "_children_exact"), (3, "_children"),
-                                                    (4, "_children_exact"), (5, "_children_exact")]
+    assert scalar_kernel_reads(src, "triangle") == [(1, "_children"), (3, "_children"),
+                                                    (4, "_children"), (5, "_children")]
     assert scalar_kernel_reads(src, "addresses") == scalar_kernel_reads(src, "core") == []
+
+
+NODE_FORMAT = {"_state", "_step", "int_steps"}
+
+
+def node_format_reads(source, module):
+    """(line, what) of every read of the integer-state node format, or second point reader, outside `core`.
+
+    `core` reads a walk's point into its root node in `_root` and steps
+    nodes in `_children`, so only it reads `_state`, `_step` and
+    `int_steps`.  Another module imports `_root` from `core` and defines
+    no reader of its own, so no walk builds its nodes another way.
+    """
+    if module == "core":
+        return []
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name in NODE_FORMAT or (a.name == "_root" and node.module != "core")]
+        elif isinstance(node, ast.FunctionDef) and node.name == "_root":
+            found.append((node.lineno, "def _root"))
+        elif isinstance(node, ast.Name) and node.id in NODE_FORMAT:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and (node.attr in NODE_FORMAT or (
+                node.attr == "_root" and getattr(node.value, "id", None) != "core")):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=[str(p.relative_to(ROOT)) for p in SRC_MODULES])
+def test_only_core_knows_the_node_format(path):
+    assert node_format_reads(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_the_check_sees_a_node_format_read():
+    src = ("from .core import _root, _state\nfrom .addresses import _root\n"
+           "n = core._step(s, q, c, v, qu)\nq = sys.int_steps[0]\n"
+           "def _root(sys, x):\n    return x\n"
+           "ok = core._root(sys, x)\nr = addresses._root(sys, x)\nk = _state(x)\n")
+    assert node_format_reads(src, "triangle") == [(1, "_state"), (2, "_root"), (3, "_step"),
+                                                  (4, "int_steps"), (5, "def _root"), (8, "_root"),
+                                                  (9, "_state")]
+    assert node_format_reads(src, "core") == []
 
 
 CHAIN_KINDS = {"unique-by-cycle", "forced-prefix-then-branch", "dead-end", "exhausted"}

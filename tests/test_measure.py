@@ -283,8 +283,13 @@ TRI07 = triangle_system(0.7)
      "points of shape (4, 3) are not rows of dimension 2"),
     (lambda: chain_walk(TRI07, [0.3, 0.3], 5), DimensionMismatch,
      "points of shape (2,) are not rows of dimension 2"),
+    # the scalar walkers raise ValueError for the same points
+    (lambda: chain_walk(TRI07, [(0.3, 0.3), (math.nan, 0.3)], 5), ValueError,
+     "points hold a non-finite coordinate"),
+    (lambda: chain_walk(TRI07, [(0.3, -math.inf)], 5), ValueError, "points hold a non-finite coordinate"),
 ], ids=["uniqueness-grid-depth", "chain-walk-depth", "grid-resolution-float", "grid-resolution-0",
-        "covering-n", "wn-n-max", "chain-walk-width", "chain-walk-flat"])
+        "covering-n", "wn-n-max", "chain-walk-width", "chain-walk-flat", "chain-walk-nan",
+        "chain-walk-inf"])
 def test_a_batched_walk_checks_its_counts_and_rows(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
