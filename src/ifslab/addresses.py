@@ -270,7 +270,11 @@ def classify_point(sys: IfsSystem, x, depth: int, mode=Mode.RELAXED_OMEGA,
       bench/defects.py (9 false certificates in 3000 points at lam = 0.52,
       depth 120).  Exact inputs give sound certificates.
     * MULTIPLE_LIKELY -- a bifurcation was seen and at least two prefixes
-      survive to the horizon, but no certificate applies.
+      survive to the horizon, but no certificate applies.  It counts the
+      prefixes still alive at the horizon and is not a lower bound on x's
+      addresses: 4/9 in the digits {0,1,4,6} at lam = 1/4 has one address,
+      a dead branch splits off every third level, and `deleted-digits`
+      prints `multiple-likely` at depth 10 and `unknown` at depth 11.
     * UNKNOWN -- anything else (single float chain, no cycle yet, or the
       tree died out, which in relaxed mode means x is not in the attractor).
 

@@ -8,8 +8,8 @@ Three kinds of certificate live here:
   ell such that the word k j^(ell-1) maps Omega into f_i(Omega) ∩ f_k(Omega).
   That block is a full-dimensional copy of Omega, so it proves a proper
   overlap; the witness is graded "vertex-interior" when the vertex image
-  f_k(p_j) also sits strictly inside f_i(Omega).  Both tests are closed
-  forms in Omega's exact facets, since every image is homothetic to Omega;
+  f_k(p_j) also sits strictly inside f_i(Omega).  Both tests are integer
+  closed forms in Omega's exact facets, since every image is homothetic to Omega;
 * empirical probes: covering deficiency of depth-n images and the measure
   of Omega left uncovered by block words containing the forcing block,
   whose block maps come from `core.project_all_words`.
@@ -17,6 +17,7 @@ Three kinds of certificate live here:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .errors import (
     UnsortedDigits,
 )
 from .core import IfsSystem, _check_depth, _children_many, _feasible_many, project_all_words
-from .geometry import contains, sample_uniform
+from .geometry import binomial_stderr, contains, sample_uniform
 
 ELL_CAP = 64
 FRONTIER_CAP = 20_000_000  # rows across all samples in the block and covering searches
@@ -89,8 +90,7 @@ def covering_deficiency(sys: IfsSystem, n: int, samples: int, seed: int):
     rest = pts[~_dive(sys, pts, n)]
     misses = len(rest) - _reached(sys, rest, n)
     frac = misses / samples
-    stderr = math.sqrt(max(frac * (1 - frac), 1.0 / samples) / samples)
-    return frac, stderr
+    return frac, binomial_stderr(frac, samples)
 
 
 def _dive(sys, pts, n):
@@ -140,73 +140,59 @@ def vertex_overlap_witness(sys: IfsSystem):
     f_k(p_j) and always lies in f_k(Omega).  A triple is a witness at the
     least ell whose block also lies in f_i(Omega) (see `_triple`).  The
     winner is the least (grade, ell, i, k, j): a triple whose vertex image
-    is strictly inside f_i(Omega) beats one that only overlaps.  Returns
-    None when no block of length <= ELL_CAP fits; raises NoEllFound when
-    some vertex image is strictly interior, so that a long enough block
-    fits, but none of length <= ELL_CAP does.
+    is strictly inside f_i(Omega) beats one that only overlaps.  lam is read
+    once as a/b and every triple is decided in integers.  Returns None when
+    no block of length <= ELL_CAP fits; raises NoEllFound when some vertex
+    image is strictly interior, so that a long enough block fits, but none
+    of length <= ELL_CAP does.
     """
-    lam = Fraction(sys.lam)
-    u, h = sys.facet_slacks
-    best, interior_seen = None, False
-    for i in range(sys.m):
-        for k in range(sys.m):
-            if k == i:
-                continue
-            v = [b - a for a, b in zip(h[i], h[k])]
-            for j in range(sys.m):
-                interior, t = _triple(u[j], v)
-                interior_seen |= interior
-                rank = 0 if interior else 1
-                # a later triple wins only with a smaller (rank, ell)
-                if best is None or rank < best[0]:
-                    cap = ELL_CAP
-                else:
-                    cap = best[1] - 1 if rank == best[0] else 0
-                ell = _block_ell(lam, t, cap)
-                if ell is not None:
-                    best = (rank, ell, i, k, j)
-    if best is None:
+    a, b = Fraction(sys.lam).as_integer_ratio()
+    U, H = sys.facet_slacks
+    aU = [[a * uf for uf in row] for row in U]
+    found, interior_seen = [], False
+    for i, k in itertools.permutations(range(sys.m), 2):
+        bD = [(b - a) * (hk - hi) for hi, hk in zip(H[i], H[k])]
+        for j in range(sys.m):
+            interior, ell = _triple(aU[j], bD, a, b)
+            interior_seen |= interior
+            if ell is not None:
+                found.append((not interior, ell, i, k, j))
+    if not found:
         if interior_seen:
-            raise NoEllFound(
-                f"witness hypothesis holds but no block length <= {ELL_CAP} lands "
-                "inside the overlap; refusing to guess"
-            )
+            raise NoEllFound(f"witness hypothesis holds but no block length <= {ELL_CAP} lands "
+                             "inside the overlap; refusing to guess")
         return None
-    rank, ell, i, k, j = best
+    overlap_only, ell, i, k, j = min(found)
     return OverlapWitness(i=i, k=k, j=j, ell=ell, block0=(k,) + (j,) * (ell - 1),
-                          grade="vertex-interior" if rank == 0 else "proper-overlap")
+                          grade="proper-overlap" if overlap_only else "vertex-interior")
 
 
-def _triple(u, v):
-    """(f_k(p_j) strictly inside f_i(Omega), t): the block k j^(ell-1) fits iff lam^(ell-1) <= t.
+def _triple(au, bd, a, b):
+    """(f_k(p_j) strictly inside f_i(Omega), least ell <= ELL_CAP whose block fits, or None).
 
-    Exact, from (u, h) = `IfsSystem.facet_slacks` as u[j] and
-    v = h[k] - h[i]: per facet f of Omega, u_f = b_f - n_f.p_j and
-    v_f = (1-lam)/lam * n_f.(p_k - p_i).  f_i(Omega) is
-    {n_f.x <= lam b_f + (1-lam) n_f.p_i}, and the block maps Omega onto
-    lam^ell Omega + (lam - lam^ell) p_j + (1-lam) p_k.  So the block lies
-    in f_i(Omega) exactly when (1 - lam^(ell-1)) u_f >= v_f for every f,
-    that is lam^(ell-1) <= t = min over v_f > 0 of 1 - v_f/u_f, and
-    f_k(p_j) = lam p_j + (1-lam) p_k is strictly inside exactly when
-    v_f < u_f for every f.
+    Integer comparisons only, on lam = a/b and the rows au = a*U[j] and
+    bd = (b-a)*(H[k] - H[i]) of `IfsSystem.facet_slacks`.  Per facet f of
+    Omega, f_i(Omega) is {n_f.x <= lam b_f + (1-lam) n_f.p_i}, and the
+    block maps Omega onto lam^ell Omega + (lam - lam^ell) p_j + (1-lam) p_k.
+    So f_k(p_j) = lam p_j + (1-lam) p_k is strictly inside exactly when
+    bd_f < au_f for every f, and, with e = ell-1, the block lies in
+    f_i(Omega) exactly when (b^e - a^e) au_f >= b^e bd_f, that is
+    b^e (au_f - bd_f) >= a^e au_f, for every f with bd_f > 0; the others
+    hold for every e, and no e fits when some bd_f > 0 has au_f <= bd_f.
     """
-    interior, t = True, 1
-    for uf, vf in zip(u, v):
-        interior = interior and vf < uf
-        if vf > 0:
-            t = min(t, 1 - vf / uf) if uf else 0
-    return interior, t
-
-
-def _block_ell(lam, t, cap):
-    """The least ell <= cap with lam^(ell-1) <= t, or None."""
-    if t > 0:
-        power = 1
-        for ell in range(1, cap + 1):
-            if power <= t:
-                return ell
-            power *= lam
-    return None
+    interior, rows = True, []
+    for s, t in zip(au, bd):
+        if t > 0:
+            if s <= t:
+                return False, None
+            rows.append((s, s - t))
+        interior = interior and t < s
+    be = ae = 1  # b^e, a^e
+    for ell in range(1, ELL_CAP + 1):
+        if all(be * gap >= ae * s for s, gap in rows):
+            return interior, ell
+        be, ae = be * b, ae * a
+    return interior, None
 
 
 # ---------------------------------------------------------------------------
@@ -297,5 +283,4 @@ def wn_coverage_estimate(sys: IfsSystem, w: OverlapWitness, n: int, samples: int
         return 1.0, 0.0
     entry = wn_entry_depths(sys, w, pts, n)
     frac = float(np.mean(entry > n))
-    stderr = math.sqrt(max(frac * (1 - frac), 1.0 / samples) / samples)
-    return frac, stderr
+    return frac, binomial_stderr(frac, samples)

@@ -3,8 +3,8 @@
 The same code serves two arithmetic paths.  With float inputs everything is
 double precision; with ``Fraction`` inputs (lam and every coordinate) all
 maps, inverses and membership tests are exact, which is what uniqueness
-certification relies on.  On such a system `apply_inverse` and the walks
-read a float coordinate as the rational it is (`_root`).  Batches of digit
+certification relies on.  On such a system `apply_map`, `apply_inverse` and
+the walks read a float coordinate as the rational it is (`_root`).  Batches of digit
 words are projected on floats in one summation order, by `project_words`
 and `project_all_words`.
 """
@@ -30,7 +30,8 @@ from .errors import (
     DuplicatePoints,
     LambdaOutOfRange,
 )
-from .geometry import Polytope, _inside, contains, hull_polytope, is_exact_point, is_exact_scalar
+from .geometry import (Polytope, _facets, _inside, _lattice, contains, hull_polytope, is_exact_point,
+                       is_exact_scalar)
 
 CLOUD_POINT_BUDGET = 4_000_000  # most rows project_all_words lays out
 
@@ -42,8 +43,9 @@ class IfsSystem:
     omega: Polytope
     is_exact: bool = field(init=False, repr=False, compare=False)
     # c_j = (1-lam)*p_j for every anchor, in the system's own arithmetic: the
-    # one definition of the shifts of f_j^{-1}(x) = (x - c_j)/lam, read by
-    # `apply_inverse` and rounded to float once in `float_shifts`
+    # one definition of the shifts of f_j(x) = lam*x + c_j and of
+    # f_j^{-1}(x) = (x - c_j)/lam, read by `apply_map` and `apply_inverse`
+    # and rounded to float once in `float_shifts`
     shifts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -97,21 +99,21 @@ class IfsSystem:
 
     @cached_property
     def facet_slacks(self) -> tuple:
-        """(u, h) from Omega's facets n_f.x <= b_f, on the exact values of the inputs.
+        """(U, H): integer tables of Omega's facets at the anchors, independent of lam.
 
-        u[j][f] = b_f - n_f.p_j >= 0 and h[j][f] = (1-lam)/lam * n_f.p_j,
-        Fractions, for every anchor point p_j and facet f.  Every f_i is a
-        homothety, so every image f_w(Omega) has Omega's facet normals, and
-        these numbers decide containment between images exactly
-        (conditions.vertex_overlap_witness).
+        With L the lcm of the anchors' denominators, Omega's facets are
+        integer rows n_f.y <= L*b_f in the lattice y = L*x (geometry._facets
+        on geometry._lattice), and H[j][f] = n_f.(L*p_j) and
+        U[j][f] = L*b_f - H[j][f] >= 0 for every anchor point p_j and facet
+        f.  Every f_i is a homothety, so every image f_w(Omega) has Omega's
+        facet normals, and these numbers decide containment between images
+        exactly (conditions.vertex_overlap_witness).
         """
-        lam = Fraction(self.lam)
-        pts = [tuple(Fraction(v) for v in p) for p in self.points]
-        hs = hull_polytope(pts).halfspaces
-        heights = [[sum(a * b for a, b in zip(n, p)) for n, _, _ in hs] for p in pts]
-        u = tuple(tuple(off - a for (_, off, _), a in zip(hs, row)) for row in heights)
-        h = tuple(tuple((1 - lam) / lam * a for a in row) for row in heights)
-        return u, h
+        _, pts = _lattice(self.points)
+        hs = _facets(pts, self.d, 1, pts)
+        H = tuple(tuple(sum(map(operator.mul, n, p)) for n, _, _ in hs) for p in pts)
+        U = tuple(tuple(b - h for (_, b, _), h in zip(hs, row)) for row in H)
+        return U, H
 
     @cached_property
     def no_holes(self) -> tuple:
@@ -156,13 +158,10 @@ def _check_digit(sys: IfsSystem, j):
 
 
 def apply_map(sys: IfsSystem, j: int, x):
-    """f_j(x) = lam*x + (1-lam)*p_j."""
+    """f_j(x) = lam*x + c_j, with c_j = (1-lam)*p_j from `sys.shifts` and x as `_root` reads it."""
     _check_digit(sys, j)
     lam = sys.lam
-    p = sys.points[j]
-    if len(x) != len(p):
-        raise DimensionMismatch(f"point has dimension {len(x)}, system {len(p)}")
-    return tuple(lam * xi + (1 - lam) * pi for xi, pi in zip(x, p))
+    return tuple(lam * xi + ci for xi, ci in zip(_root(sys, x)[0], sys.shifts[j]))
 
 
 def apply_inverse(sys: IfsSystem, j: int, x):

@@ -322,7 +322,14 @@ def volume_mc(poly: Polytope, samples, seed):
     lo, hi = (np.array(b, dtype=float) for b in poly.bounding_box())
     box = float(np.prod(hi - lo))
     pts = lo + rng.random((samples, poly.dim)) * (hi - lo)
-    hits = int(np.count_nonzero(contains_many(poly, pts)))
-    frac = hits / samples
-    err = box * math.sqrt(max(frac * (1 - frac), 1e-12) / samples)
-    return box * frac, err
+    frac = int(np.count_nonzero(contains_many(poly, pts))) / samples
+    return box * frac, box * binomial_stderr(frac, samples)
+
+
+def binomial_stderr(frac, n):
+    """Standard error sqrt(f(1-f)/n) of a hit fraction f of n draws, f(1-f) floored at 1/n.
+
+    The floor keeps an all-hit or all-miss draw from reading as certain: its
+    error is 1/n.  The one error bar of every Monte Carlo fraction here.
+    """
+    return math.sqrt(max(frac * (1 - frac), 1.0 / n) / n)

@@ -16,7 +16,7 @@ from .errors import BudgetExceeded, CertificateRequired, DimensionMismatch, TooF
 from .conditions import no_holes_sufficient
 from .core import (IfsSystem, _check_depth, _children_many, centroid, check_probs, project_all_words,
                    project_words)
-from .geometry import DEFAULT_TOL, contains_many
+from .geometry import DEFAULT_TOL, binomial_stderr, contains_many
 
 
 GRID_CELL_BUDGET = 2**24  # most cells grid_points lays out
@@ -100,8 +100,7 @@ def mu_bifurcation_fraction(sampler: MeasureSampler, n: int, depth: int):
     pts, _ = sample_natural_measure(sampler, n)
     bif, _ = chain_walk(sampler.sys, pts, depth)
     frac = float(np.mean(bif >= 0))
-    stderr = math.sqrt(max(frac * (1 - frac), 1.0 / n) / n)
-    return frac, stderr
+    return frac, binomial_stderr(frac, n)
 
 
 def mesh_count(points, epsilon) -> int:

@@ -34,10 +34,13 @@ class BarycentricTriple:
     z: object
 
     def __post_init__(self):
+        t = self.as_tuple()
         s = self.x + self.y + self.z
-        if not abs(float(s) - 1.0) <= SUM_TOL:  # each check asks for the good case: NaN fails
+        exact = all(isinstance(v, Rational) for v in t)  # an exact triple is read exactly
+        # each check asks for the good case: NaN fails
+        if not (s == 1 if exact else abs(float(s) - 1.0) <= SUM_TOL):
             raise ValueError(f"barycentric coordinates must sum to 1, got {float(s)}")
-        if not all(float(v) >= -SUM_TOL for v in (self.x, self.y, self.z)):
+        if not all(v >= 0 if exact else float(v) >= -SUM_TOL for v in t):
             raise ValueError(f"barycentric coordinates must be nonnegative: {self}")
 
     def as_tuple(self):

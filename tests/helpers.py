@@ -16,8 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ifslab.conditions import _triple
-from ifslab.core import centroid, new_ifs
+from ifslab.core import apply_map, centroid, image_polytope, new_ifs, project_prefix
 
 RIGHT_TRIANGLE = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 RIGHT_TRIANGLE_EXACT = (
@@ -130,13 +129,34 @@ def reference_mesh_count(points, epsilon):
     return len(set(map(tuple, cells.tolist())))
 
 
+def exact_twin(sys):
+    """The system on the exact values of its inputs."""
+    return new_ifs(Fraction(sys.lam), [tuple(Fraction(v) for v in p) for p in sys.points])
+
+
 def verify_witness(sys, w):
-    """Post-hoc re-check of the overlap witness invariants at the stated grade."""
+    """Post-hoc re-check of an overlap witness at its stated grade, on exact images.
+
+    The block k j^(ell-1) must be the shortest of its kind that maps every
+    anchor into the exact images f_i(Omega) and f_k(Omega), by hull
+    membership in simplices of their vertices (`in_hull_exact`); a
+    "vertex-interior" witness also needs f_k(p_j) at a positive slack of
+    every facet of f_i(Omega).  An exact system is read as it is, so it can
+    be checked where no hull may be built; any other goes through its
+    `exact_twin`.
+    """
     if w.i == w.k or w.block0 != (w.k,) + (w.j,) * (w.ell - 1):
         return False
-    u, h = sys.facet_slacks
-    interior, t = _triple(u[w.j], [b - a for a, b in zip(h[w.i], h[w.k])])
-    return Fraction(sys.lam) ** (w.ell - 1) <= t and (interior or w.grade != "vertex-interior")
+    ex = sys if sys.is_exact else exact_twin(sys)
+    images = [tuple(apply_map(ex, c, p) for p in ex.points) for c in (w.i, w.k)]
+
+    def fits(word):
+        return all(in_hull_exact(img, project_prefix(ex, word, p)) for img in images for p in ex.points)
+
+    q = apply_map(ex, w.k, ex.points[w.j])
+    interior = all(off - sum(a * b for a, b in zip(n, q)) > 0
+                   for n, off, _ in image_polytope(ex, (w.i,)).halfspaces)
+    return fits(w.block0) and not fits(w.block0[:-1]) and (interior or w.grade != "vertex-interior")
 
 
 def in_delta_region(t, i, lam):

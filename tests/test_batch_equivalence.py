@@ -11,7 +11,9 @@ over block vertices in exact image polytopes.
 
 import hashlib
 import io
+import itertools
 import json
+import random
 import warnings
 from fractions import Fraction
 
@@ -22,24 +24,19 @@ from ifslab import conditions, render
 from ifslab.addresses import first_bifurcation
 from ifslab.cli import fmt, main, write_csv
 from ifslab.core import apply_map, image_polytope, new_ifs, project_prefix
-from ifslab.errors import NoEllFound
+from ifslab.errors import DegenerateAffineHull, DuplicatePoints, NoEllFound
 from ifslab.geometry import DEFAULT_TOL, contains
 from ifslab.measure import box_dim_estimate, chain_walk, mesh_count
 from ifslab.render import chaos_game
 
-from helpers import (chaos_game_reference, float_facets, reference_mesh_count, triangle_system,
-                     unit_system)
+from helpers import (chaos_game_reference, exact_twin, float_facets, reference_mesh_count,
+                     triangle_system, unit_system)
 
 TETRAHEDRON = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
 # reference loops
-
-
-def exact_twin(sys):
-    """The system on the exact values of its inputs."""
-    return new_ifs(Fraction(sys.lam), [tuple(Fraction(v) for v in p) for p in sys.points])
 
 
 def reference_triple(ex, images, i, k, j):
@@ -200,13 +197,58 @@ def test_no_ell_found_only_with_an_interior_vertex(monkeypatch):
 def test_minimal_ell_matches_reference_per_triple(sys_):
     ex = exact_twin(sys_)
     images = [image_polytope(ex, (i,)) for i in range(ex.m)]
-    u, h = sys_.facet_slacks
-    for i in range(sys_.m):
-        for k in range(sys_.m):
-            for j in range(sys_.m):
-                interior, t = conditions._triple(u[j], [b - a for a, b in zip(h[i], h[k])])
-                got = (interior, conditions._block_ell(Fraction(sys_.lam), t, conditions.ELL_CAP))
-                assert got == reference_triple(ex, images, i, k, j)
+    a, b = Fraction(sys_.lam).as_integer_ratio()
+    U, H = sys_.facet_slacks
+    for i, k, j in itertools.product(range(sys_.m), repeat=3):
+        got = conditions._triple([a * v for v in U[j]], [(b - a) * (hk - hi) for hi, hk in zip(H[i], H[k])],
+                                 a, b)
+        assert got == reference_triple(ex, images, i, k, j)
+
+
+def _random_anchor_sets(count, seed):
+    """(lam, anchors) draws in d = 1..3 with m <= d + 3 anchors, half exact and half float.
+
+    Each set is a random simplex plus up to two more anchors, each either a
+    positive mix of the simplex's vertices, so strictly inside the hull, or
+    a free point, which most often makes a hull that is not a simplex.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d, exact = rng.randint(1, 3), len(out) % 2 == 0
+        coord = (lambda: Fraction(rng.randint(-8, 8), rng.randint(1, 3))) if exact else \
+            (lambda: round(rng.uniform(-2, 2), rng.choice([1, 3, 17])))
+        pts = [tuple(coord() for _ in range(d)) for _ in range(d + 1)]
+        for _ in range(rng.randint(0, 2)):
+            if rng.random() < 0.5:
+                wts = [rng.randint(1, 4) for _ in pts[:d + 1]]
+                pts.append(tuple(sum(wt * p[c] for wt, p in zip(wts, pts)) / sum(wts) for c in range(d)))
+            else:
+                pts.append(tuple(coord() for _ in range(d)))
+        lam = Fraction(rng.randint(7, 17), 20) if exact else rng.uniform(0.35, 0.85)
+        try:
+            out.append((lam, new_ifs(lam, pts)))
+        except (DegenerateAffineHull, DuplicatePoints):
+            continue
+    return out
+
+
+RANDOM_ANCHOR_SETS = _random_anchor_sets(20, seed=31)
+
+
+def test_random_anchor_sets_cover_interior_anchors_and_non_simplex_hulls():
+    systems = [s for _, s in RANDOM_ANCHOR_SETS]
+    assert {s.d for s in systems} == {1, 2, 3} and max(s.m - s.d for s in systems) == 3
+    assert any(all(v > 0 for v in row) for s in systems for row in s.facet_slacks[0])
+    assert any(len(s.omega.halfspaces) > s.d + 1 for s in systems)
+    assert {type(lam) for lam, _ in RANDOM_ANCHOR_SETS} == {Fraction, float}
+
+
+@pytest.mark.parametrize("case", range(len(RANDOM_ANCHOR_SETS)))
+def test_witness_matches_reference_random_anchors(case):
+    _, s = RANDOM_ANCHOR_SETS[case]
+    assert _witness_or_error(conditions.vertex_overlap_witness, s) == \
+        _witness_or_error(reference_witness, s)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from ifslab.deleted_digits import DigitSet, as_ifs
 from ifslab.errors import BudgetExceeded, CertificateRequired, UnsortedDigits
 from ifslab.geometry import contains
 
-from helpers import TETRAHEDRON, triangle_system, unit_system, verify_witness
+from helpers import TETRAHEDRON, exact_twin, triangle_system, unit_system, verify_witness
 
 
 class TestThresholds:
@@ -246,21 +246,33 @@ class TestOverlapWitness:
         s = new_ifs(0.8, [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
         w = vertex_overlap_witness(s)
         assert s.facet_slacks is s.facet_slacks
+        ex = exact_twin(s)  # verify_witness reads an exact system without building its hull
 
         def refuse(*args):
             raise AssertionError("a polytope was built")
 
         monkeypatch.setattr(core, "hull_polytope", refuse)
         monkeypatch.setattr(geometry, "hull_polytope", refuse)
-        assert vertex_overlap_witness(s) == w and verify_witness(s, w)
+        assert vertex_overlap_witness(s) == w and verify_witness(ex, w)
+
+    def test_facet_slacks_are_integers_independent_of_lambda(self):
+        exact = [tuple(map(Fraction, p)) for p in TETRAHEDRON]
+        tables = [new_ifs(lam, pts).facet_slacks
+                  for lam, pts in ((0.8, TETRAHEDRON), (Fraction(1, 3), exact), (0.55, TETRAHEDRON))]
+        assert tables[0] == tables[1] == tables[2]
+        assert all(type(v) is int for U_or_H in tables[0] for row in U_or_H for v in row)
+        U, H = new_ifs(0.6, [(0.5, 0.0), (0.0, 0.25), (1.0, 1.0), (0.5, 0.5)]).facet_slacks
+        assert all(v >= 0 for row in U for v in row) and all(v > 0 for v in U[3])  # p_3 is interior
 
     def test_block_search_gives_up_when_limit_escapes(self):
         # the k j^(ell-1) images contract onto f_k(p_j); aimed at a vertex
         # that never enters the other image, no ell can close the containment
         s = unit_system(0.6)
-        u, h = s.facet_slacks
-        interior, t = conditions._triple(u[1], [b - a for a, b in zip(h[0], h[1])])
-        assert not interior and conditions._block_ell(Fraction(s.lam), t, conditions.ELL_CAP) is None
+        a, b = Fraction(s.lam).as_integer_ratio()
+        U, H = s.facet_slacks
+        got = conditions._triple([a * v for v in U[1]], [(b - a) * (hk - hi) for hi, hk in zip(H[0], H[1])],
+                                 a, b)
+        assert got == (False, None)
 
 
 def brute_force_wn(s, w, x, n):

@@ -72,6 +72,13 @@ class TestMaps:
         t = new_ifs(0.7, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
         assert apply_inverse(t, 1, (1.0, 0.7)) == pytest.approx((1.0, 1.0))
 
+    def test_exact_system_reads_a_float_point_exactly_both_ways(self):
+        s = new_ifs(Fraction(7, 10), RIGHT_TRIANGLE_EXACT)
+        for j in range(s.m):
+            y = apply_map(s, j, (0.3, 0.4))
+            assert all(type(v) is Fraction for v in y)
+            assert apply_inverse(s, j, y) == (Fraction(0.3), Fraction(0.4))
+
     def test_digit_range(self):
         s = unit_system(0.5)
         with pytest.raises(DigitOutOfRange):

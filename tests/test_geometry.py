@@ -10,6 +10,7 @@ from ifslab.core import image_polytope, new_ifs
 from ifslab.deleted_digits import DigitSet, as_ifs
 from ifslab.errors import DegenerateAffineHull, DimensionMismatch
 from ifslab.geometry import (
+    binomial_stderr,
     contains,
     contains_many,
     hull_polytope,
@@ -210,6 +211,15 @@ def test_sample_uniform_stays_inside():
     pts = sample_uniform(UNIT_TRIANGLE, 500, rng)
     assert contains_many(UNIT_TRIANGLE, pts).all()
     assert len(pts) == 500
+
+
+def test_all_hit_volume_estimate_keeps_a_one_over_n_error():
+    # every draw from the unit square's bounding box hits: f = 1, and f(1-f)
+    # is floored at 1/n, so the error is 1/n rather than zero
+    square = hull_polytope([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    assert volume_mc(square, 1000, 1) == (1.0, 0.001)
+    assert binomial_stderr(0.0, 1000) == binomial_stderr(1.0, 1000) == 0.001
+    assert binomial_stderr(0.3, 100) == math.sqrt(0.3 * 0.7 / 100)
 
 
 @pytest.mark.parametrize("n", [0, -3])

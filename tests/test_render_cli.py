@@ -197,6 +197,16 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("lambda,lo,hi,verdict")
 
+    def test_multiple_likely_is_not_a_lower_bound(self, capsys):
+        # 4/9 has one address in {0,1,4,6} at 1/4, but a dead branch splits
+        # off every third level, so the verdict at the horizon flips
+        rows = []
+        for depth in ("10", "11"):
+            assert main(["deleted-digits", "--digits", "0,1,4,6", "--lambda", "0.25",
+                         "--point", "0.4444444444444444", "--depth", depth]) == 0
+            rows.append(capsys.readouterr().out.splitlines()[1])
+        assert rows == ["0.25,0,2,multiple-likely,10,0,2", "0.25,0,2,unknown,11,0,1"]
+
     def test_interval_verdict_agrees_with_deleted_digits(self, tmp_path, capsys):
         # {0,1,3} at 0.45: the images cover from lam_nh = g/(g+R) ~ 2/5 on,
         # below d/(d+1) = 1/2, and both commands read that one rule
@@ -435,6 +445,15 @@ class TestCli:
         assert main([tri_json if a == "IFS" else a for a in argv.split()]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == message + "\n"
+
+    def test_exact_bary_must_sum_to_one_exactly(self, tri_json, capsys):
+        # a float triple may miss 1 by SUM_TOL; an exact one is read exactly
+        argv = ["analyze-point", "--ifs", tri_json, "--bary", "0.5,0.5,1e-13", "--depth", "8"]
+        assert main(argv) == 0
+        assert main(argv + ["--exact"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: barycentric coordinates must sum to 1, got 1.0000000000001\n"
+        assert captured.out.count("\n") == 2  # the float run's header and row only
 
     def test_analyze_point_takes_no_tol(self, tri_json, capsys):
         # the hull pre-check and the walk both widen Omega by DEFAULT_TOL

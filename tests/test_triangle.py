@@ -119,6 +119,17 @@ class TestBarycentricConversion:
         with pytest.raises(ValueError, match="must sum to 1"):
             BarycentricTriple(float("nan"), 0.5, 0.5)
 
+    def test_exact_triple_is_read_exactly(self):
+        # floats keep SUM_TOL; three Rationals must sum to 1 exactly, each >= 0
+        half, tiny = Fraction(1, 2), Fraction(1e-13)
+        assert BarycentricTriple(0.5, 0.5, 1e-13).as_tuple() == (0.5, 0.5, 1e-13)
+        assert BarycentricTriple(0.5, 0.5 + 1e-13, -1e-13).as_tuple() == (0.5, 0.5 + 1e-13, -1e-13)
+        assert BarycentricTriple(half, half, Fraction(0)).as_tuple() == (half, half, 0)
+        with pytest.raises(ValueError, match="must sum to 1, got 1.0000000000001"):
+            BarycentricTriple(half, half, tiny)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            BarycentricTriple(half, half + tiny, -tiny)
+
 
 class TestDigitForcing:
     def test_unique_cycle_at_three_fifths(self):
