@@ -188,7 +188,8 @@ def _root(sys, x):
     The one point reader.  An exact system reads a float coordinate as its
     exact Fraction, keeps Rationals, and starts from the `_state`; a float
     system reads floats and starts from the point.  A non-finite coordinate
-    raises ValueError.
+    raises ValueError.  An all-Fraction point, what the exact callers hand
+    over, takes one type test per coordinate.
     """
     x = tuple(x)
     if len(x) != sys.d:
@@ -198,6 +199,8 @@ def _root(sys, x):
         if not all(map(math.isfinite, x)):
             raise ValueError(f"point {x} has a non-finite coordinate")
         return x, x
+    if all(type(v) is Fraction for v in x):
+        return x, _state(x)
     if not all(isinstance(v, Rational) or math.isfinite(v) for v in x):
         raise ValueError(f"point {x} has a non-finite coordinate")
     x = tuple(v if isinstance(v, Rational) else Fraction(v) for v in x)
@@ -319,11 +322,24 @@ def _word_terms(sys: IfsSystem, K, x0):
 
 
 def project_words(sys: IfsSystem, digits, x0):
-    """f_w(x0) for every row w of an (n, K) digit array: the batched `project_prefix`."""
-    terms, tail = _word_terms(sys, digits.shape[1], x0)
-    pts = np.zeros((len(digits), sys.d))
-    for picked in terms[np.arange(len(terms))[:, None], digits.T]:  # terms[t, w_t] of every row w
-        pts += picked
+    """f_w(x0) for every row w of an (n, K) digit array: the batched `project_prefix`.
+
+    The term table is read flat, row t*m + j holding terms[t, j], so digit
+    t of every word is one `take` of whole rows.  The rows are added in
+    `_word_terms`' one order, 0.0 + terms[0, w_0] + ... + tail, so equal
+    digits give equal bits.  A digit outside 0..m-1 raises DigitOutOfRange
+    before any row is read.
+    """
+    digits = np.asarray(digits)
+    n, K = digits.shape
+    lo, hi = (digits.min(), digits.max()) if digits.size else (0, 0)
+    if lo < 0 or hi >= sys.m:
+        raise DigitOutOfRange(f"digit {lo if lo < 0 else hi} not in 0..{sys.m - 1}")
+    terms, tail = _word_terms(sys, K, x0)
+    rows = terms.reshape(-1, sys.d)
+    pts = np.zeros((n, sys.d))
+    for idx in digits.T + sys.m * np.arange(K)[:, None]:  # row of terms[t, w_t] for every word w
+        pts += rows.take(idx, axis=0)
     return pts + tail
 
 

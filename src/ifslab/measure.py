@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -39,7 +40,8 @@ class MeasureSampler:
 
     def __post_init__(self):
         self.probs = check_probs(self.probs, self.sys.m)
-        if self.trunc <= 0:
+        _check_depth(self.trunc, "trunc")
+        if self.trunc == 0:
             self.trunc = default_truncation(self.sys.lam)
 
     @property
@@ -53,12 +55,25 @@ def sample_natural_measure(sampler: MeasureSampler, n: int):
     Addresses are truncated at sampler.trunc digits and projected from the
     centroid of Omega, so every point is within truncation_error of its
     infinite-address limit.  Returns (points (n,d) array, digits (n,trunc)).
+
+    Digits come by the inverse-CDF rule from one uniform draw u of shape
+    (n, trunc): the digit is the number of entries of cdf = cumsum(probs) /
+    its last entry that are <= u.  That is the rule and the stream of
+    `Generator.choice(m, (n, trunc), p=probs)` on the same seed, so the
+    digits are the ones it draws.
     """
+    if not isinstance(n, Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(np.random.SeedSequence(sampler.seed))
+    u = np.random.default_rng(np.random.SeedSequence(sampler.seed)).random((n, sampler.trunc))
+    cdf = np.cumsum(sampler.probs)
+    cdf /= cdf[-1]
+    digits = np.zeros(u.shape, dtype=np.int64)
+    for c in cdf[:-1]:
+        digits += u >= c
+    del u  # before the projection allocates its own (trunc, n) index table
     sys = sampler.sys
-    digits = rng.choice(sys.m, size=(n, sampler.trunc), p=sampler.probs)
     return project_words(sys, digits, centroid(sys)), digits
 
 

@@ -8,8 +8,10 @@ import pytest
 
 from ifslab.addresses import classify_point
 from ifslab.conditions import covering_deficiency, vertex_overlap_witness, wn_entry_depths
-from ifslab.core import centroid, new_ifs
-from ifslab.errors import BadProbabilityVector, CertificateRequired, DimensionMismatch, TooFewScales
+from ifslab import core
+from ifslab.core import centroid, new_ifs, project_words
+from ifslab.errors import (BadProbabilityVector, CertificateRequired, DigitOutOfRange, DimensionMismatch,
+                           TooFewScales)
 from ifslab import measure
 from ifslab.geometry import contains, contains_many
 from ifslab.measure import (
@@ -82,6 +84,124 @@ class TestSampler:
         want = set(map(tuple, np.floor(gasket_corner_cloud(k) / 2.0**-k).astype(int).tolist()))
         assert cells <= want
         assert len(cells) >= 0.95 * len(want)
+
+
+def choice_digits(probs, shape, seed):
+    """The digits `Generator.choice` draws from the sampler's seed: the reference stream."""
+    return np.random.default_rng(np.random.SeedSequence(seed)).choice(len(probs), size=shape, p=probs)
+
+
+def gather_then_sum(sys, digits, x0):
+    """f_w(x0) of every row of digits by a 2-index gather of a (K, n, d) term array, then its sum."""
+    terms, tail = core._word_terms(sys, digits.shape[1], x0)
+    pts = np.zeros((len(digits), sys.d))
+    for picked in terms[np.arange(len(terms))[:, None], digits.T]:
+        pts += picked
+    return pts + tail
+
+
+ONE_SYSTEM_PER_D = [
+    lambda: new_ifs(0.45, [(0.0,), (1.0,), (3.0,)]),
+    lambda: triangle_system(0.7),
+    lambda: new_ifs(0.8, TETRAHEDRON),
+]
+
+
+def zero_patterns(m, rng):
+    """Probability vectors on m digits: one with no zero, then one zero first, in the middle, last."""
+    out = []
+    for zero in (None, 0, m // 2, m - 1):
+        p = rng.random(m) + 0.05
+        if zero is not None:
+            p[zero] = 0.0
+        out.append(tuple((p / p.sum()).tolist()))
+    return out
+
+
+class TestInverseCdfDraw:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_digits_are_the_choice_stream(self, m):
+        rng = np.random.default_rng(100 + m)
+        s = new_ifs(0.5, [(float(k),) for k in range(m)])
+        for probs in zero_patterns(m, rng):
+            for (n, K), seed in itertools.product([(1, 1), (7, 3), (300, 70), (64, 59)], (0, 5, 2**40 + 3)):
+                sampler = MeasureSampler(s, probs, seed=seed, trunc=K)
+                _, digits = sample_natural_measure(sampler, n)
+                assert (digits.shape, digits.dtype) == ((n, K), np.int64)
+                assert np.array_equal(digits, choice_digits(sampler.probs, (n, K), seed)), (probs, n, K, seed)
+
+    @pytest.mark.parametrize("off", [-5e-10, 5e-10])
+    def test_the_cdf_is_divided_by_its_last_entry_as_choice_divides_it(self, off):
+        # probs summing to 1 + off, with the first CDF entry a placed so that
+        # the first uniform u lies between a and a / (1 + off): the digit
+        # drawn there is choice's only when the CDF is divided by its sum
+        seed, shape = 11, (500, 40)
+        u = np.random.default_rng(np.random.SeedSequence(seed)).random(shape)[0, 0]
+        a = u * (1 + off / 2)
+        sampler = MeasureSampler(unit_system(0.6), (a, 1 + off - a), seed=seed, trunc=shape[1])
+        _, digits = sample_natural_measure(sampler, shape[0])
+        assert np.array_equal(digits, choice_digits(sampler.probs, shape, seed))
+        assert digits[0, 0] == (1 if off > 0 else 0)
+
+    def test_trunc_is_a_count_and_zero_takes_the_default(self):
+        s = triangle_system(0.7)
+        assert MeasureSampler(s, (1 / 3,) * 3, seed=0).trunc == default_truncation(0.7)
+        assert MeasureSampler(s, (1 / 3,) * 3, seed=0, trunc=np.int64(4)).trunc == 4
+        for bad in (-3, 2.5, "7", None):
+            with pytest.raises(ValueError, match=re.escape(f"trunc must be an integer of at least 0, got {bad!r}")):
+                MeasureSampler(s, (1 / 3,) * 3, seed=0, trunc=bad)
+
+    def test_sample_count_is_an_integer_of_at_least_one(self):
+        sampler = MeasureSampler(triangle_system(0.7), (1 / 3,) * 3, seed=0)
+        for bad in (2.5, 3.0, "4", None):
+            with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {bad!r}")):
+                sample_natural_measure(sampler, bad)
+        for bad in (0, -2, np.int64(0)):
+            with pytest.raises(ValueError, match="^need at least one sample$"):
+                sample_natural_measure(sampler, bad)
+        assert sample_natural_measure(sampler, np.int64(2))[0].shape == (2, 2)
+
+    @pytest.mark.parametrize("make", ONE_SYSTEM_PER_D, ids=["d1", "d2", "d3"])
+    def test_peak_memory_per_digit_drawn(self, make):
+        # the uniforms, the digits and one comparison mask while drawing; the
+        # digits and the projection's index table after the uniforms are freed
+        s = make()
+        sampler = MeasureSampler(s, (1 / s.m,) * s.m, seed=4, trunc=59)
+        sample_natural_measure(sampler, 5)  # builds the system's cached arrays
+        tracemalloc.start()
+        try:
+            sample_natural_measure(sampler, 3000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * 3000 * 59
+
+
+class TestProjectWords:
+    @pytest.mark.parametrize("make", ONE_SYSTEM_PER_D, ids=["d1", "d2", "d3"])
+    def test_flat_table_equals_the_gather_bit_for_bit(self, make):
+        s = make()
+        x0 = centroid(s)
+        rng = np.random.default_rng(17 + s.d)
+        big = rng.integers(0, s.m, (120, 64))
+        cases = [rng.integers(0, s.m, shape) for shape in [(1, 30), (1, 1), (40, 0), (0, 12), (500, 59)]]
+        cases += [big[:, ::2], big[::3, 5:], big.T[:50], np.asfortranarray(big), big[::-1, ::-1],
+                  big.astype(np.int32), big.astype(np.uint8)]
+        for digits in cases:
+            got, want = project_words(s, digits, x0), gather_then_sum(s, digits, x0)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert np.array_equal(got, want)
+
+    def test_a_list_of_words_reads_as_an_array(self):
+        s = triangle_system(0.7)
+        words = [[0, 1, 2], [2, 2, 0]]
+        assert np.array_equal(project_words(s, words, (0, 0)), gather_then_sum(s, np.array(words), (0, 0)))
+
+    @pytest.mark.parametrize("bad, word", [(-1, [0, -1, 2]), (3, [0, 3, 2]), (-7, [3, 1, -7])])
+    def test_a_digit_outside_the_maps_is_refused(self, bad, word):
+        s = triangle_system(0.7)
+        with pytest.raises(DigitOutOfRange, match=re.escape(f"digit {bad} not in 0..2")):
+            project_words(s, [[0, 1, 2], word], (0, 0))
 
 
 class TestMeshCount:
