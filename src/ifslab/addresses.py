@@ -38,8 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, CertificateRequired, PointOutsideOmega
-from .core import IfsSystem, _check_depth, _children, _children_many, _fractions, _root
-from .geometry import contains, is_exact_point
+from .core import IfsSystem, _children, _children_many, _fractions, _root
+from .geometry import _check_depth, contains, is_exact_point
 
 NODE_BUDGET = 10**6  # most nodes a prefix tree or a classification may hold
 CERT_MARGIN = 1e-9  # interior margin required of both branches before certifying multiplicity

@@ -32,8 +32,8 @@ from .errors import (
     PointOutsideOmega,
     UnsortedDigits,
 )
-from .core import IfsSystem, _check_depth, _children_many, _feasible_many, project_all_words
-from .geometry import binomial_stderr, contains, sample_uniform
+from .core import IfsSystem, _children_many, _feasible_many, _rows, project_all_words
+from .geometry import _check_depth, _rng, binomial_stderr, contains, sample_uniform
 
 ELL_CAP = 64
 FRONTIER_CAP = 20_000_000  # rows across all samples in the block and covering searches
@@ -85,8 +85,7 @@ def covering_deficiency(sys: IfsSystem, n: int, samples: int, seed: int):
     pairs at a time and capped at FRONTIER_CAP rows a level.
     """
     _check_depth(n, "n")
-    rng = np.random.default_rng(seed)
-    pts = sample_uniform(sys.omega, samples, rng)
+    pts = sample_uniform(sys.omega, samples, _rng(seed))
     rest = pts[~_dive(sys, pts, n)]
     misses = len(rest) - _reached(sys, rest, n)
     frac = misses / samples
@@ -213,18 +212,17 @@ def wn_entry_depths(sys: IfsSystem, w: OverlapWitness, pts, n_max: int):
     no-holes hypothesis guarantees a feasible continuation of any length.
     Both steps invert block maps x -> beta*x + T[u] in the batched kernel,
     the avoiding step on at most PAIR_BUDGET (row, word) pairs at a time
-    (`_chunked_children`).
+    (`_chunked_children`).  `core._rows` reads the points, as in
+    measure.chain_walk: it refuses a row of another width or a non-finite one.
     """
     _check_depth(n_max, "n_max")
+    r = _rows(sys, pts)
     beta, T, idx0 = _block_tables(sys, w)
     T0 = T[idx0:idx0 + 1]
     T_avoid = np.delete(T, idx0, axis=0)
 
-    pts = np.asarray(pts, dtype=float)
-    npts = len(pts)
-    entry = np.full(npts, n_max + 1, dtype=np.int64)
-    r = pts.copy()
-    s = np.arange(npts)
+    entry = np.full(len(r), n_max + 1, dtype=np.int64)
+    s = np.arange(len(r))
     for k in range(1, n_max + 1):
         hit, _, _ = _feasible_many(sys.omega, r, T0, beta)
         if len(hit):
@@ -269,7 +267,7 @@ def wn_membership(sys: IfsSystem, w: OverlapWitness, x, n: int) -> bool:
         raise PointOutsideOmega(f"{x} is outside Omega")
     if n < 1:
         return False
-    entry = wn_entry_depths(sys, w, [tuple(float(v) for v in x)], n)
+    entry = wn_entry_depths(sys, w, [x], n)
     return bool(entry[0] <= n)
 
 
@@ -277,8 +275,7 @@ def wn_coverage_estimate(sys: IfsSystem, w: OverlapWitness, n: int, samples: int
     """Monte Carlo (fraction of Omega outside W_n, standard error)."""
     if not no_holes_sufficient(sys)[0]:
         raise CertificateRequired("W_n coverage is only exact under a no-holes certificate")
-    rng = np.random.default_rng(seed)
-    pts = sample_uniform(sys.omega, samples, rng)
+    pts = sample_uniform(sys.omega, samples, _rng(seed))
     if n < 1:
         return 1.0, 0.0
     entry = wn_entry_depths(sys, w, pts, n)

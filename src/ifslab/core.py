@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from numbers import Integral, Rational, Real
+from numbers import Rational, Real
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .errors import (
     DuplicatePoints,
     LambdaOutOfRange,
 )
-from .geometry import (Polytope, _facets, _inside, _lattice, contains, hull_polytope, is_exact_point,
-                       is_exact_scalar)
+from .geometry import (Polytope, _check_depth, _facets, _inside, _lattice, contains, hull_polytope,
+                       is_exact_point, is_exact_scalar)
 
 CLOUD_POINT_BUDGET = 4_000_000  # most rows project_all_words lays out
 
@@ -146,12 +146,6 @@ def new_ifs(lam, points) -> IfsSystem:
     return IfsSystem(lam=lam, points=pts, omega=hull_polytope(pts))
 
 
-def _check_depth(depth, name="depth", least=0):
-    """Reject a step count (or `name`) that is not an integer of at least `least`."""
-    if not (type(depth) is int or isinstance(depth, Integral)) or depth < least:  # int: no ABC check
-        raise ValueError(f"{name} must be an integer of at least {least}, got {depth!r}")
-
-
 def _check_digit(sys: IfsSystem, j):
     if not (isinstance(j, int) and 0 <= j < sys.m):
         raise DigitOutOfRange(f"digit {j} not in 0..{sys.m - 1}")
@@ -205,6 +199,19 @@ def _root(sys, x):
         raise ValueError(f"point {x} has a non-finite coordinate")
     x = tuple(v if isinstance(v, Rational) else Fraction(v) for v in x)
     return x, _state(x)
+
+
+def _rows(sys, pts):
+    """pts as a float (n, d) array, else DimensionMismatch or, on a non-finite coordinate, ValueError.
+
+    The one reader of a point batch, as `_root` is of one point.
+    """
+    r = np.asarray(pts, dtype=float)
+    if r.ndim != 2 or r.shape[1] != sys.d:
+        raise DimensionMismatch(f"points of shape {r.shape} are not rows of dimension {sys.d}")
+    if not np.isfinite(r).all():
+        raise ValueError("points hold a non-finite coordinate")
+    return r
 
 
 def _state(x):
@@ -314,11 +321,11 @@ def project_prefix(sys: IfsSystem, w, x0):
 def _word_terms(sys: IfsSystem, K, x0):
     """(terms, tail): f_w(x0) is 0.0 + terms[0, w_0] + ... + terms[K-1, w_(K-1)] + tail, in order.
 
-    terms[t, j] = (1-lam)*lam^t * p_j and tail = lam^K * x0, as floats.
+    terms[t, j] = (1-lam)*lam^t * p_j and tail = lam^K * x0, as floats, x0 read by `_root`.
     """
     lam = float(sys.lam)
-    P = np.array(sys.points, dtype=float)
-    return ((1 - lam) * lam ** np.arange(K))[:, None, None] * P, lam**K * np.array(x0, dtype=float)
+    P, x0 = np.array(sys.points, dtype=float), np.array(_root(sys, x0)[0], dtype=float)
+    return ((1 - lam) * lam ** np.arange(K))[:, None, None] * P, lam**K * x0
 
 
 def project_words(sys: IfsSystem, digits, x0):
@@ -327,10 +334,12 @@ def project_words(sys: IfsSystem, digits, x0):
     The term table is read flat, row t*m + j holding terms[t, j], so digit
     t of every word is one `take` of whole rows.  The rows are added in
     `_word_terms`' one order, 0.0 + terms[0, w_0] + ... + tail, so equal
-    digits give equal bits.  A digit outside 0..m-1 raises DigitOutOfRange
-    before any row is read.
+    digits give equal bits.  Digits that are not a 2-D integer array raise
+    ValueError, and a digit outside 0..m-1 DigitOutOfRange, before any row is read.
     """
     digits = np.asarray(digits)
+    if digits.ndim != 2 or digits.dtype.kind not in "iu":
+        raise ValueError(f"digits must be a 2-D integer array, got {digits.ndim}-D {digits.dtype}")
     n, K = digits.shape
     lo, hi = (digits.min(), digits.max()) if digits.size else (0, 0)
     if lo < 0 or hi >= sys.m:
@@ -338,7 +347,8 @@ def project_words(sys: IfsSystem, digits, x0):
     terms, tail = _word_terms(sys, K, x0)
     rows = terms.reshape(-1, sys.d)
     pts = np.zeros((n, sys.d))
-    for idx in digits.T + sys.m * np.arange(K)[:, None]:  # row of terms[t, w_t] for every word w
+    # row of terms[t, w_t] for every word w; a uint64 digit would promote the sum to float
+    for idx in digits.astype(np.int64, copy=False).T + sys.m * np.arange(K)[:, None]:
         pts += rows.take(idx, axis=0)
     return pts + tail
 
@@ -350,6 +360,7 @@ def project_all_words(sys: IfsSystem, K, x0):
     time and no digit matrix is built.  Over CLOUD_POINT_BUDGET rows raise
     BudgetExceeded before anything is allocated.
     """
+    _check_depth(K, "K")
     if sys.m**K > CLOUD_POINT_BUDGET:
         raise BudgetExceeded(f"{sys.m}^{K} digit words exceed the budget of {CLOUD_POINT_BUDGET}")
     terms, tail = _word_terms(sys, K, x0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import PointOutsideOmega
 from . import addresses
 from .conditions import check_digits, no_holes_sufficient
-from .core import IfsSystem, new_ifs
+from .core import IfsSystem, _root, new_ifs
 from .geometry import contains
 from .measure import chain_walk
 
@@ -70,7 +70,8 @@ def count_expansions(A: DigitSet, lam, x, depth: int):
     """
     sys = as_ifs(A, lam)
     pt = (x,) if not isinstance(x, tuple) else x
-    if not contains(sys.omega, pt):
+    # x lies in the interval as the walk reads it (`_root`); a NaN fails the first test
+    if not (contains(sys.omega, pt) and contains(sys.omega, _root(sys, pt)[0])):
         raise PointOutsideOmega(f"{x} is outside the attractor interval")
     return addresses.classify_point(sys, pt, depth, no_holes_certified=no_holes_sufficient(sys)[0])
 

@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
 
 import numpy as np
 
@@ -318,10 +318,9 @@ def volume_mc(poly: Polytope, samples, seed):
     """Monte Carlo volume for any dimension: (estimate, standard error)."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
     lo, hi = (np.array(b, dtype=float) for b in poly.bounding_box())
     box = float(np.prod(hi - lo))
-    pts = lo + rng.random((samples, poly.dim)) * (hi - lo)
+    pts = lo + _rng(seed).random((samples, poly.dim)) * (hi - lo)
     frac = int(np.count_nonzero(contains_many(poly, pts))) / samples
     return box * frac, box * binomial_stderr(frac, samples)
 
@@ -333,3 +332,15 @@ def binomial_stderr(frac, n):
     error is 1/n.  The one error bar of every Monte Carlo fraction here.
     """
     return math.sqrt(max(frac * (1 - frac), 1.0 / n) / n)
+
+
+def _check_depth(depth, name="depth", least=0):
+    """Reject a step count (or `name`) that is not an integer of at least `least`."""
+    if not (type(depth) is int or isinstance(depth, Integral)) or depth < least:  # int: no ABC check
+        raise ValueError(f"{name} must be an integer of at least {least}, got {depth!r}")
+
+
+def _rng(seed):
+    """The package's one random generator: default_rng(seed)'s stream, for an integer seed >= 0 only."""
+    _check_depth(seed, "seed")
+    return np.random.default_rng(np.random.SeedSequence(seed))

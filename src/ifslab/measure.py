@@ -13,11 +13,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import BudgetExceeded, CertificateRequired, DimensionMismatch, TooFewScales
+from .errors import BudgetExceeded, CertificateRequired, TooFewScales
 from .conditions import no_holes_sufficient
-from .core import (IfsSystem, _check_depth, _children_many, centroid, check_probs, project_all_words,
-                   project_words)
-from .geometry import DEFAULT_TOL, binomial_stderr, contains_many
+from .core import IfsSystem, _children_many, _rows, centroid, check_probs, project_all_words, project_words
+from .geometry import DEFAULT_TOL, _check_depth, _rng, binomial_stderr, contains_many
 
 
 GRID_CELL_BUDGET = 2**24  # most cells grid_points lays out
@@ -40,6 +39,7 @@ class MeasureSampler:
 
     def __post_init__(self):
         self.probs = check_probs(self.probs, self.sys.m)
+        _check_depth(self.seed, "seed")
         _check_depth(self.trunc, "trunc")
         if self.trunc == 0:
             self.trunc = default_truncation(self.sys.lam)
@@ -66,7 +66,7 @@ def sample_natural_measure(sampler: MeasureSampler, n: int):
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("need at least one sample")
-    u = np.random.default_rng(np.random.SeedSequence(sampler.seed)).random((n, sampler.trunc))
+    u = _rng(sampler.seed).random((n, sampler.trunc))
     cdf = np.cumsum(sampler.probs)
     cdf /= cdf[-1]
     digits = np.zeros(u.shape, dtype=np.int64)
@@ -82,14 +82,11 @@ def chain_walk(sys: IfsSystem, pts, depth: int):
 
     Returns (bif_depth, dead_depth): per point, the depth of the first step
     with two or more feasible children, and the depth of the first step with
-    none; -1 where the event never happens within `depth`.
+    none; -1 where the event never happens within `depth`.  `core._rows`
+    reads the points: it refuses a row of another width or a non-finite one.
     """
     _check_depth(depth)
-    r = np.asarray(pts, dtype=float)
-    if r.ndim != 2 or r.shape[1] != sys.d:
-        raise DimensionMismatch(f"points of shape {r.shape} are not rows of dimension {sys.d}")
-    if not np.isfinite(r).all():
-        raise ValueError("points hold a non-finite coordinate")
+    r = _rows(sys, pts)
     n = len(r)
     bif = np.full(n, -1, dtype=np.int64)
     dead = np.full(n, -1, dtype=np.int64)

@@ -8,7 +8,8 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import UnsupportedDimension
-from .core import IfsSystem, _check_depth, centroid
+from .core import IfsSystem, centroid
+from .geometry import _check_depth, _rng
 
 LANE_STEPS = 48  # lanes beat the scalar loop from iters * d of this many coupling lengths
 _PIXELS = np.array([str(v) for v in range(256)], dtype=object)  # a pixel's PGM text
@@ -46,8 +47,7 @@ def chaos_game(sys: IfsSystem, iters: int, burn_in: int, seed: int):
     _check_depth(burn_in, "burn_in")
     if not (iters > burn_in >= 100):
         raise ValueError("need iters > burn_in >= 100")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    digits = rng.integers(0, sys.m, size=iters)
+    digits = _rng(seed).integers(0, sys.m, size=iters)
     lam = float(sys.lam)
     Q = [[(1 - lam) * float(v) for v in p] for p in sys.points]
     x0 = [float(v) for v in centroid(sys)]

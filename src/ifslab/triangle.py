@@ -20,8 +20,9 @@ from fractions import Fraction
 from numbers import Rational
 
 from .addresses import ChainKind, ForcedChain, _chain, _with_points
-from .core import IfsSystem, _check_depth, _root, new_ifs
+from .core import IfsSystem, _root, new_ifs
 from .errors import DimensionMismatch, IrrationalInput
+from .geometry import _check_depth
 
 SUM_TOL = 1e-12
 _CORNERS = new_ifs(Fraction(1, 2), [(1, 0), (0, 1), (0, 0)])  # lam is set per call

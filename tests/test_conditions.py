@@ -18,7 +18,7 @@ from ifslab.conditions import (
 from ifslab.core import apply_map, image_polytope, new_ifs, project_prefix
 from ifslab import conditions, core, geometry
 from ifslab.deleted_digits import DigitSet, as_ifs
-from ifslab.errors import BudgetExceeded, CertificateRequired, UnsortedDigits
+from ifslab.errors import BudgetExceeded, CertificateRequired, PointOutsideOmega, UnsortedDigits
 from ifslab.geometry import contains
 
 from helpers import TETRAHEDRON, exact_twin, triangle_system, unit_system, verify_witness
@@ -409,3 +409,24 @@ class TestWn:
         for (f1, e1), (f2, e2) in zip(fracs, fracs[1:]):
             assert f2 <= f1 + 2 * (e1 + e2)
         assert fracs[-1][0] < 0.05
+
+
+TRI07 = triangle_system(0.7)
+W07 = vertex_overlap_witness(TRI07)
+
+
+@pytest.mark.parametrize("call, error, want", [
+    (lambda: wn_membership(TRI07, W07, (0.9, 0.9), 3), PointOutsideOmega, "(0.9, 0.9) is outside Omega"),
+    (lambda: wn_membership(TRI07, W07, (0.3, 0.3), 0), None, False),
+    (lambda: wn_coverage_estimate(triangle_system(0.5), W07, 3, 10, 1), CertificateRequired,
+     "W_n coverage is only exact under a no-holes certificate"),
+    (lambda: wn_coverage_estimate(TRI07, W07, 0, 10, 1), None, (1.0, 0.0)),
+], ids=["membership-outside", "membership-n-0", "coverage-holes", "coverage-n-0"])
+def test_w_n_edges(call, error, want):
+    # W_0 is empty: no point is in it and all of Omega is outside it
+    if error is None:
+        assert call() == want
+    else:
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == want

@@ -213,3 +213,15 @@ class TestLoadSystem:
         for probs in [(nan, 0.5, 0.5), (0.5, 0.5, nan), (inf, 0.5, 0.5), (0.5, -inf, inf)]:
             with pytest.raises(BadProbabilityVector, match="must be finite"):
                 check_probs(probs, 3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: new_ifs(0.5, [(0, 0), (1,), (0, 1)]), DegenerateAffineHull, "anchor points of mixed dimension"),
+    (lambda: system_from_dict({"points": [[0], [1]]}), ValueError,
+     "IFS definition must carry 'lambda' and 'points': 'lambda'"),
+    (lambda: check_probs((1.5, -0.5), 2), BadProbabilityVector, "probabilities must be nonnegative"),
+], ids=["mixed-dimension", "no-lambda", "negative-prob"])
+def test_a_malformed_definition_is_refused_with_one_line(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

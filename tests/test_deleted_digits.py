@@ -148,3 +148,11 @@ def test_multiplicity_lambda_estimate_is_plausible():
 def test_multiplicity_lambda_estimate_is_pinned(digits, want):
     # the values of the scan over the scalar first_bifurcation, one probe at a time
     assert multiplicity_lambda_estimate(DigitSet(digits), grid=40) == want
+
+
+@pytest.mark.parametrize("call, lam", [(attractor_interval, 1.0), (as_ifs, 0)],
+                         ids=["attractor-interval", "as-ifs"])
+def test_a_lambda_outside_0_1_is_refused(call, lam):
+    with pytest.raises(ValueError) as exc:
+        call(DigitSet((0, 1, 3)), lam)
+    assert str(exc.value) == f"lambda must lie in (0,1), got {lam}"

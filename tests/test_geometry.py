@@ -412,3 +412,13 @@ def test_float_halfspaces_of_lattice_systems():
         hi = lam * 3 / (1 - lam)  # as_ifs's anchor of the digit 3
         want = {((-1.0,), 0.0, 1.0), ((1.0,), hi, 1.0)}
         assert set(as_ifs(DigitSet((0, 1, 3)), lam).omega.halfspaces) == want
+
+
+@pytest.mark.parametrize("generators, error, message", [
+    ([], ValueError, "polytope needs at least one generator"),
+    ([(0, 0), (1,), (0, 1)], DimensionMismatch, "generators of mixed dimension"),
+], ids=["empty", "mixed-dimension"])
+def test_a_hull_of_no_or_mixed_generators_is_refused(generators, error, message):
+    with pytest.raises(error) as exc:
+        hull_polytope(generators)
+    assert str(exc.value) == message

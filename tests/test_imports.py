@@ -5,8 +5,8 @@ only `geometry.contains` takes a tolerance, digit words are projected only by
 `core`, only `core` and `addresses` read the one scalar kernel, only
 `core` reads the integer-state node format or defines a point reader,
 only `addresses` defines a forced-chain record and only it and `triangle`
-read the chain walker, and only the one batched facet loop reads the float
-facets.
+read the chain walker, only the one batched facet loop reads the float
+facets, and only `geometry._rng` builds a random generator.
 
 A plain `ast` walk, so the check needs no linter: a module fails when it
 binds a name by a top-level import and never reads that name again.
@@ -324,11 +324,8 @@ def float_facet_reads(source, module):
     only its one facet loop reads them, so no second float membership
     test, rounding in another order, grows beside it.
     """
-    where = {}
     tree = ast.parse(source)
-    for fn in ast.walk(tree):  # outer functions first, so the innermost name wins
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where.update({id(n): fn.name for n in ast.walk(fn)})
+    where = enclosing_functions(tree)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr == "float_halfspaces":
@@ -336,6 +333,15 @@ def float_facet_reads(source, module):
             if (module, fn) != ("geometry", "_inside"):
                 found.append((node.lineno, fn))
     return sorted(found)
+
+
+def enclosing_functions(tree):
+    """{id(node): name of the innermost function that holds it} over an `ast` tree."""
+    where = {}
+    for fn in ast.walk(tree):  # outer functions first, so the innermost name wins
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where.update({id(n): fn.name for n in ast.walk(fn)})
+    return where
 
 
 @pytest.mark.parametrize("path", SRC_MODULES, ids=[str(p.relative_to(ROOT)) for p in SRC_MODULES])
@@ -351,3 +357,40 @@ def test_the_check_sees_another_float_facet_read():
     assert float_facet_reads(src, "geometry") == [(1, "<module>"), (5, "inner"), (7, "contains_many")]
     assert float_facet_reads(src, "core") == [(1, "<module>"), (3, "_inside"), (5, "inner"),
                                               (7, "contains_many")]
+
+
+RNG_BUILDERS = {"default_rng", "SeedSequence", "RandomState"}
+
+
+def second_generators(source, module):
+    """(line, name) of every random-generator constructor named in `source` outside `geometry._rng`.
+
+    Every seeded Monte Carlo run takes its stream from `_rng`, which reads
+    the seed as an integer of at least 0, so no run seeds in an idiom of
+    its own or draws fresh OS entropy from a seed of None.
+    """
+    tree = ast.parse(source)
+    where = enclosing_functions(tree)
+    found = []
+    for node in ast.walk(tree):
+        name = (getattr(node, "id", None) if isinstance(node, ast.Name) else
+                getattr(node, "attr", None) if isinstance(node, ast.Attribute) else
+                getattr(node, "name", None) if isinstance(node, ast.alias) else None)
+        if name in RNG_BUILDERS and (module, where.get(id(node))) != ("geometry", "_rng"):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=[str(p.relative_to(ROOT)) for p in SRC_MODULES])
+def test_one_random_generator(path):
+    assert second_generators(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_the_check_sees_a_second_generator():
+    src = ("from numpy.random import default_rng\n"
+           "def _rng(seed):\n    return np.random.default_rng(np.random.SeedSequence(seed))\n"
+           "def volume_mc(poly, n, seed):\n    rng = np.random.default_rng(seed)\n"
+           "    old = np.random.RandomState(seed)\n")
+    assert second_generators(src, "geometry") == [(1, "default_rng"), (5, "default_rng"), (6, "RandomState")]
+    assert second_generators(src, "render") == [(1, "default_rng"), (3, "SeedSequence"), (3, "default_rng"),
+                                                (5, "default_rng"), (6, "RandomState")]

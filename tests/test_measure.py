@@ -407,12 +407,28 @@ TRI07 = triangle_system(0.7)
     (lambda: chain_walk(TRI07, [(0.3, 0.3), (math.nan, 0.3)], 5), ValueError,
      "points hold a non-finite coordinate"),
     (lambda: chain_walk(TRI07, [(0.3, -math.inf)], 5), ValueError, "points hold a non-finite coordinate"),
+    # the block search reads its rows through the same core._rows
+    (lambda: wn_entry_depths(TRI07, vertex_overlap_witness(TRI07), [(math.nan, 0.3), (0.3, 0.3)], 5),
+     ValueError, "points hold a non-finite coordinate"),
+    (lambda: wn_entry_depths(TRI07, vertex_overlap_witness(TRI07), np.full((2, 3), 0.2), 5),
+     DimensionMismatch, "points of shape (2, 3) are not rows of dimension 2"),
 ], ids=["uniqueness-grid-depth", "chain-walk-depth", "grid-resolution-float", "grid-resolution-0",
         "covering-n", "wn-n-max", "chain-walk-width", "chain-walk-flat", "chain-walk-nan",
-        "chain-walk-inf"])
+        "chain-walk-inf", "wn-nan-row", "wn-3-wide"])
 def test_a_batched_walk_checks_its_counts_and_rows(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: uniqueness_grid(TRI07, 7, 5), "resolution must be at least 8, got 7"),
+    (lambda: box_dim_estimate(np.zeros((0, 2)), [0.5, 0.25, 0.125]),
+     "empty point set at some scale; no slope to fit"),
+], ids=["uniqueness-grid-resolution", "box-dim-no-points"])
+def test_a_grid_or_fit_with_nothing_to_work_on_is_refused(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestMuBifurcation:

@@ -106,6 +106,11 @@ class TestRender:
         with pytest.raises(UnsupportedDimension, match="dim <= 2"):
             render_attractor(tet, 300_000, 1000, 64, 1)
 
+    def test_binning_a_solid_cloud_is_refused(self):
+        with pytest.raises(UnsupportedDimension) as exc:
+            render.bin_to_grid(new_ifs(0.6, TETRAHEDRON), np.zeros((1, 3)), 4)
+        assert str(exc.value) == "rendering is implemented for dim <= 2"
+
     @pytest.mark.parametrize("path", ["lanes", "fallback"])
     def test_chaos_game_peak_memory(self, path, monkeypatch):
         # 10^6 iterations at d = 2 hold 16 B of point each, and either 8 B
@@ -445,6 +450,28 @@ class TestCli:
         assert main([tri_json if a == "IFS" else a for a in argv.split()]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == message + "\n"
+
+    @pytest.mark.parametrize("lam, argv, code, out, err", [
+        (0.7, "analyze-point --ifs IFS --depth 5", 2, "", "error: give exactly one of --point or --bary\n"),
+        (0.7, "analyze-point --ifs IFS --point 0.2,0.2 --bary 0.2,0.2,0.6 --depth 5", 2, "",
+         "error: give exactly one of --point or --bary\n"),
+        (0.7, "analyze-point --ifs IFS --point 0.2,0.2,0.6 --depth 5", 2, "",
+         "error: got 3 coordinates for a planar triangle; use --bary x,y,z\n"),
+        (0.45, "check-conditions --ifs IFS", 0, "overlap_witness=none\n", ""),
+        (0.45, "wn-coverage --ifs IFS --n 2 --samples 10 --seed 1", 2, "",
+         "error: no overlap witness: the covering construction does not apply\n"),
+        # at lambda = 0.7 every interior grid point bifurcates by depth 40
+        (0.7, "box-dim --ifs IFS --set uniqueness --eps 0.2,0.1,0.05 --depth 40 --out OUT", 2, "",
+         "error: the uniqueness grid is empty at this depth; nothing to fit\n"),
+    ], ids=["neither-point-nor-bary", "both-point-and-bary", "three-coordinates", "no-witness",
+            "wn-coverage-no-witness", "empty-uniqueness-grid"])
+    def test_triangle_edge_exit_code(self, tmp_path, capsys, lam, argv, code, out, err):
+        ifs, csv = tmp_path / "tri.json", tmp_path / "x.csv"
+        ifs.write_text(json.dumps({"lambda": lam, "points": [[0, 0], [1, 0], [0, 1]]}))
+        assert main([{"IFS": str(ifs), "OUT": str(csv)}.get(a, a) for a in argv.split()]) == code
+        captured = capsys.readouterr()
+        assert captured.out.endswith(out) and captured.err == err
+        assert code == 0 or (captured.out == "" and not csv.exists())
 
     def test_exact_bary_must_sum_to_one_exactly(self, tri_json, capsys):
         # a float triple may miss 1 by SUM_TOL; an exact one is read exactly

@@ -20,7 +20,7 @@ from ifslab.triangle import (
     point_to_barycentric,
 )
 
-from helpers import in_delta_region, in_gamma_region, triangle_system, triangle_system_exact
+from helpers import in_delta_region, in_gamma_region, triangle_system, triangle_system_exact, unit_system
 
 
 class TestConstants:
@@ -260,3 +260,19 @@ def test_gamma_scan_finds_the_rotations_of_both_period_three_points():
     assert [tuple(int(v * 19) for v in t.as_tuple()) for t, _ in hits] == [
         (4, 6, 9), (4, 9, 6), (6, 4, 9), (6, 9, 4), (9, 4, 6), (9, 6, 4)]
     assert all(r.kind is ChainKind.UNIQUE_BY_CYCLE and r.period == 3 for _, r in hits)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: m_point(0.4), ValueError, "the M point is meaningful for lam in (1/2, 1), got 0.4"),
+    (lambda: m_separation_holds(0.3), ValueError, "the separation test needs lam in (1/2, 1), got 0.3"),
+    (lambda: digit_forcing(Fraction(3, 2), (Fraction(1, 3),) * 3), ValueError,
+     "lambda must lie in (0,1), got 3/2"),
+    (lambda: digit_forcing(Fraction(7, 10), (Fraction(1, 2),) * 3), ValueError,
+     "barycentric target must satisfy x + y + z = 1 exactly"),
+    (lambda: barycentric_to_point(unit_system(0.6), BarycentricTriple(*(Fraction(1, 3),) * 3)),
+     DimensionMismatch, "barycentric conversion needs a 3-map planar system"),
+], ids=["m-point-lam", "m-separation-lam", "forcing-lam", "forcing-sum", "not-a-triangle"])
+def test_an_input_outside_the_closed_forms_is_refused(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
