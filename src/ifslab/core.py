@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from numbers import Rational, Real
+from numbers import Integral, Rational, Real
 
 import numpy as np
 
@@ -47,16 +47,14 @@ class IfsSystem:
     # f_j^{-1}(x) = (x - c_j)/lam, read by `apply_map` and `apply_inverse`
     # and rounded to float once in `float_shifts`
     shifts: tuple = field(init=False, repr=False, compare=False)
+    m: int = field(init=False, repr=False, compare=False)  # len(points); a field, read every step
 
     def __post_init__(self):
         exact = is_exact_scalar(self.lam) and all(is_exact_point(p) for p in self.points)
         object.__setattr__(self, "is_exact", exact)
         c = 1 - self.lam
         object.__setattr__(self, "shifts", tuple(tuple(c * v for v in p) for p in self.points))
-
-    @property
-    def m(self) -> int:
-        return len(self.points)
+        object.__setattr__(self, "m", len(self.points))
 
     @property
     def d(self) -> int:
@@ -147,7 +145,10 @@ def new_ifs(lam, points) -> IfsSystem:
 
 
 def _check_digit(sys: IfsSystem, j):
-    if not (isinstance(j, int) and 0 <= j < sys.m):
+    """Reject a digit that is not an integer in 0..m-1; a bool is no digit, a numpy integer is."""
+    if type(j) is not int and (type(j) is bool or not isinstance(j, Integral)):  # int: no ABC check
+        raise DigitOutOfRange(f"digit must be an integer, got {type(j).__name__} {j!r}")
+    if not 0 <= j < sys.m:
         raise DigitOutOfRange(f"digit {j} not in 0..{sys.m - 1}")
 
 
@@ -161,9 +162,9 @@ def apply_map(sys: IfsSystem, j: int, x):
 def apply_inverse(sys: IfsSystem, j: int, x):
     """f_j^{-1}(x) = (x - c_j) / lam, with c_j = (1-lam)*p_j read from `sys.shifts`.
 
-    On floats this is the inline (x - (1-lam)*p_j) / lam bit for bit.  On
-    an exact system it is `_step` on the integer state `_root` reads x as,
-    read back as one Fraction per coordinate.
+    On floats this is the inline (x - (1-lam)*p_j) / lam bit for bit, and a
+    non-finite x raises ValueError.  On an exact system it is `_step` on the
+    integer state `_root` reads x as, read back as one Fraction per coordinate.
     """
     _check_digit(sys, j)
     if sys.is_exact:
@@ -172,8 +173,11 @@ def apply_inverse(sys: IfsSystem, j: int, x):
     c = sys.shifts[j]
     if len(x) != len(c):
         raise DimensionMismatch(f"point has dimension {len(x)}, system {len(c)}")
+    for v in x:  # on d <= 3 coordinates a loop costs half of all(map(...))
+        if not math.isfinite(v):
+            raise ValueError(f"point {tuple(x)} has a non-finite coordinate")
     lam = sys.lam
-    return tuple((xi - ci) / lam for xi, ci in zip(x, c))
+    return tuple([(xi - ci) / lam for xi, ci in zip(x, c)])  # a list: no generator frame
 
 
 def _root(sys, x):
@@ -267,7 +271,10 @@ def _children(sys: IfsSystem, node):
         return out
     out = []
     for j in range(sys.m):
-        r = apply_inverse(sys, j, node)
+        try:
+            r = apply_inverse(sys, j, node)
+        except ValueError:  # a non-finite node, which lies in no polytope, has no child
+            return out
         if contains(sys.omega, r):
             out.append((j, r))
     return out

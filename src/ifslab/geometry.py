@@ -2,12 +2,12 @@
 
 A polytope is stored by its generators (V-representation) and by an
 H-representation derived at construction time: integer rows when the
-generators are exact, else floats.  Its float arrays are built once, at the
-first batched query.  Every polytope is full-dimensional:
-`hull_polytope` rejects generators of lower affine rank.  In every
-dimension the facets are the hyperplanes through d generators with every
-generator on one side, found exactly on the rational values of the
-generators, and `volume` reads its exact value from the same facets.
+generators are exact, else floats.  Its facet norms are built once, at the
+first float query, and its float arrays at the first batched one.  Every
+polytope is full-dimensional: `hull_polytope` rejects generators of lower
+affine rank.  In every dimension the facets are the hyperplanes through d
+generators with every generator on one side, found exactly on the rational
+values of the generators, and `volume` reads its exact value from them.
 
 `contains` tests one point on the float or the exact-rational path: the
 exact test is closed integer arithmetic, and the float test moves every
@@ -72,6 +72,13 @@ class Polytope:
         object.__setattr__(self, "is_exact", all(is_exact_point(g) for g in self.generators))
 
     @cached_property
+    def facet_norms(self):
+        """(normal, offset, |normal|) per facet: the float `contains` table, built on first use.
+
+        Normals and offsets keep their stored types, so a mixed point rounds as on `halfspaces`."""
+        return tuple((n, off, math.sqrt(float(sq))) for n, off, sq in self.halfspaces)
+
+    @cached_property
     def float_halfspaces(self):
         """The H-representation as read-only float facet columns (A, b, -DEFAULT_TOL*|n|).
 
@@ -84,7 +91,7 @@ class Polytope:
         arrays = (
             np.array([[float(v) for v in n] for n, _, _ in self.halfspaces]).T[:, :, None].copy(),
             np.array([[float(off)] for _, off, _ in self.halfspaces]),
-            -DEFAULT_TOL * np.sqrt(np.array([[float(sq)] for _, _, sq in self.halfspaces])),
+            -DEFAULT_TOL * np.array([[root] for _, _, root in self.facet_norms]),
         )
         for a in arrays:
             a.flags.writeable = False
@@ -206,7 +213,8 @@ def contains(poly: Polytope, x, tol=DEFAULT_TOL) -> bool:
     and `tol` is not read: x is scaled by the lcm q of its denominators to
     integers a, and each integer facet row N.x <= B is the integer sign
     test N.a <= B*q.  On the float path x passes a facet n.x <= off when
-    off - n.x >= -tol*|n|: tol > 0 widens the polytope by tol, and tol < 0
+    off - n.x >= -tol*|n|, with n.x = 0 + n_0 x_0 + n_1 x_1 + ... and |n|
+    from `facet_norms`: tol > 0 widens the polytope by tol, and tol < 0
     moves every facet inward by |tol|, so tol = -m asks that the ball of
     radius m around x fit inside.  A NaN slack fails, so a point with a NaN
     coordinate lies in no polytope.
@@ -215,9 +223,8 @@ def contains(poly: Polytope, x, tol=DEFAULT_TOL) -> bool:
         raise DimensionMismatch(f"point has dimension {len(x)}, polytope {poly.dim}")
     if poly.is_exact and is_exact_point(x):
         return _contains_exact(poly, x)
-    for n, off, sq in poly.halfspaces:
-        s = off - sum(nv * xv for nv, xv in zip(n, x))
-        if not float(s) >= -tol * math.sqrt(float(sq)):
+    for n, off, root in poly.facet_norms:
+        if not float(off - sum(map(operator.mul, n, x))) >= -tol * root:
             return False
     return True
 
@@ -336,7 +343,8 @@ def binomial_stderr(frac, n):
 
 def _check_depth(depth, name="depth", least=0):
     """Reject a step count (or `name`) that is not an integer of at least `least`."""
-    if not (type(depth) is int or isinstance(depth, Integral)) or depth < least:  # int: no ABC check
+    # an int takes no ABC check; a bool is an Integral but no count
+    if not (type(depth) is int or type(depth) is not bool and isinstance(depth, Integral)) or depth < least:
         raise ValueError(f"{name} must be an integer of at least {least}, got {depth!r}")
 
 

@@ -37,11 +37,12 @@ SEEDED = {
 }
 
 
-@pytest.mark.parametrize("seed", [None, -1, 2.5], ids=["none", "negative", "float"])
+@pytest.mark.parametrize("seed", [None, -1, 2.5, True], ids=["none", "negative", "float", "bool"])
 @pytest.mark.parametrize("run", SEEDED.values(), ids=SEEDED.keys())
 def test_a_seed_is_an_integer_of_at_least_0(run, seed):
-    # None would draw fresh OS entropy, so two runs with it would differ;
-    # the sampler refuses it at construction, before any draw
+    # None would draw fresh OS entropy, so two runs with it would differ,
+    # and True would draw seed 1's stream; the sampler refuses them at
+    # construction, before any draw
     with pytest.raises(ValueError) as exc:
         run(seed)
     assert str(exc.value) == f"seed must be an integer of at least 0, got {seed!r}"
